@@ -27,9 +27,10 @@ namespace xmlup {
 /// distinct canonical pair is solved by exactly one detector invocation
 /// whose verdict does not depend on scheduling. The verdict, method and
 /// trees_checked fields of the returned matrix are therefore identical
-/// across runs and thread counts. (Witness trees are deterministic up to
-/// the renaming of fresh "alpha$n" labels, whose table ids depend on
-/// interning order.)
+/// across runs and thread counts. So are the witnesses of the bounded
+/// search, whose symbols α come from the table's reserved pool; the other
+/// witness builders mint fresh labels, whose names depend on interning
+/// order.
 ///
 /// Memoization: each input pattern is interned once into a PatternStore
 /// (which minimizes and canonicalizes exactly once per distinct pattern,

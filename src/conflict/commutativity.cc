@@ -1,7 +1,5 @@
 #include "conflict/commutativity.h"
 
-#include <set>
-
 #include "eval/evaluator.h"
 #include "xml/isomorphism.h"
 #include "xml/tree_algos.h"
@@ -21,42 +19,23 @@ bool UpdatesCommuteOn(const Tree& t, const UpdateOp& o1, const UpdateOp& o2) {
 BruteForceResult FindCommutativityViolation(
     const UpdateOp& o1, const UpdateOp& o2,
     const BoundedSearchOptions& options) {
-  // Alphabet: labels of both patterns, the inserted trees, plus fresh ones.
-  const auto& symbols = o1.pattern().symbols();
-  std::set<Label> labels;
-  for (Label l : o1.pattern().DistinctLabels()) labels.insert(l);
-  for (Label l : o2.pattern().DistinctLabels()) labels.insert(l);
+  // Alphabet: labels of both patterns and the inserted trees, plus α. A
+  // tree neither pattern embeds in is left unchanged by both orders.
+  ShapeSearch search;
   for (const UpdateOp* op : {&o1, &o2}) {
+    for (Label l : op->pattern().DistinctLabels()) search.labels.insert(l);
     if (op->kind() == UpdateOp::Kind::kInsert) {
       for (NodeId n : op->content().PreOrder()) {
-        labels.insert(op->content().label(n));
+        search.labels.insert(op->content().label(n));
       }
     }
   }
-  std::vector<Label> alphabet(labels.begin(), labels.end());
-  for (size_t i = 0; i < options.extra_labels; ++i) {
-    alphabet.push_back(symbols->Fresh("alpha"));
-  }
-  if (alphabet.empty()) alphabet.push_back(symbols->Fresh("alpha"));
-
-  BruteForceResult result;
-  TreeEnumerator enumerator(symbols, alphabet, options.max_nodes,
-                            options.max_trees);
-  const bool completed = enumerator.Enumerate([&](const Tree& candidate) {
-    ++result.trees_checked;
-    if (!UpdatesCommuteOn(candidate, o1, o2)) {
-      result.outcome = SearchOutcome::kWitnessFound;
-      result.witness = CopyTree(candidate);
-      return false;
-    }
-    return true;
-  });
-  result.truncated = enumerator.truncated();
-  if (result.outcome == SearchOutcome::kWitnessFound) return result;
-  result.outcome = (completed && !enumerator.truncated())
-                       ? SearchOutcome::kExhaustedNoWitness
-                       : SearchOutcome::kBudgetExceeded;
-  return result;
+  search.patterns = {&o1.pattern(), &o2.pattern()};
+  search.any_pattern = true;
+  search.is_witness = [&](const Tree& candidate) {
+    return !UpdatesCommuteOn(candidate, o1, o2);
+  };
+  return SearchShapes(o1.pattern().symbols(), search, options);
 }
 
 }  // namespace xmlup

@@ -1,51 +1,19 @@
 #include "dtd/dtd_conflict.h"
 
-#include <set>
-
-#include "xml/tree_algos.h"
-
 namespace xmlup {
 namespace {
 
-std::vector<Label> DtdSearchAlphabet(const Pattern& read,
-                                     const Pattern& update, const Dtd& dtd,
-                                     size_t extra_labels) {
-  std::set<Label> labels = dtd.MentionedLabels();
-  for (Label l : read.DistinctLabels()) labels.insert(l);
-  for (Label l : update.DistinctLabels()) labels.insert(l);
-  std::vector<Label> alphabet(labels.begin(), labels.end());
-  for (size_t i = 0; i < extra_labels; ++i) {
-    alphabet.push_back(read.symbols()->Fresh("alpha"));
-  }
-  if (alphabet.empty()) alphabet.push_back(read.symbols()->Fresh("alpha"));
-  return alphabet;
-}
-
-BruteForceResult SearchConforming(
-    const Pattern& read, const Pattern& update, const Dtd& dtd,
-    const BoundedSearchOptions& options,
-    const std::function<bool(const Tree&)>& is_witness) {
-  BruteForceResult result;
-  TreeEnumerator enumerator(
-      read.symbols(), DtdSearchAlphabet(read, update, dtd,
-                                        options.extra_labels),
-      options.max_nodes, options.max_trees);
-  const bool completed = enumerator.Enumerate([&](const Tree& candidate) {
-    ++result.trees_checked;
-    if (!dtd.Conforms(candidate)) return true;
-    if (is_witness(candidate)) {
-      result.outcome = SearchOutcome::kWitnessFound;
-      result.witness = CopyTree(candidate);
-      return false;
-    }
-    return true;
-  });
-  result.truncated = enumerator.truncated();
-  if (result.outcome == SearchOutcome::kWitnessFound) return result;
-  result.outcome = (completed && !enumerator.truncated())
-                       ? SearchOutcome::kExhaustedNoWitness
-                       : SearchOutcome::kBudgetExceeded;
-  return result;
+/// Runs an unrestricted search instance over the DTD's labels too, with
+/// conformance checked on each survivor before the witness check.
+BruteForceResult SearchConforming(ShapeSearch search, const Dtd& dtd,
+                                  const Pattern& read,
+                                  const BoundedSearchOptions& options) {
+  for (Label l : dtd.MentionedLabels()) search.labels.insert(l);
+  search.is_witness = [&dtd, is_witness = std::move(search.is_witness)](
+                          const Tree& candidate) {
+    return dtd.Conforms(candidate) && is_witness(candidate);
+  };
+  return SearchShapes(read.symbols(), search, options);
 }
 
 }  // namespace
@@ -54,22 +22,16 @@ BruteForceResult FindReadInsertConflictUnderDtd(
     const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
     const Dtd& dtd, ConflictSemantics semantics,
     const BoundedSearchOptions& options) {
-  return SearchConforming(read, insert_pattern, dtd, options,
-                          [&](const Tree& candidate) {
-                            return IsReadInsertWitness(read, insert_pattern,
-                                                       inserted, candidate,
-                                                       semantics);
-                          });
+  return SearchConforming(
+      ReadInsertSearch(read, insert_pattern, inserted, semantics), dtd, read,
+      options);
 }
 
 BruteForceResult FindReadDeleteConflictUnderDtd(
     const Pattern& read, const Pattern& delete_pattern, const Dtd& dtd,
     ConflictSemantics semantics, const BoundedSearchOptions& options) {
-  return SearchConforming(read, delete_pattern, dtd, options,
-                          [&](const Tree& candidate) {
-                            return IsReadDeleteWitness(read, delete_pattern,
-                                                       candidate, semantics);
-                          });
+  return SearchConforming(ReadDeleteSearch(read, delete_pattern, semantics),
+                          dtd, read, options);
 }
 
 }  // namespace xmlup

@@ -28,6 +28,16 @@ const std::string& SymbolTable::Name(Label label) const {
 
 Label SymbolTable::Fresh(std::string_view prefix) {
   MutexLock lock(mu_);
+  return FreshLocked(prefix);
+}
+
+Label SymbolTable::Reserved(size_t index) {
+  MutexLock lock(mu_);
+  while (reserved_.size() <= index) reserved_.push_back(FreshLocked("alpha"));
+  return reserved_[index];
+}
+
+Label SymbolTable::FreshLocked(std::string_view prefix) {
   for (;;) {
     std::string candidate(prefix);
     candidate += '$';

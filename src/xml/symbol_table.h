@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -52,6 +53,14 @@ class SymbolTable {
   /// Mints a label whose name (`<prefix>$<n>`) has never been interned.
   Label Fresh(std::string_view prefix);
 
+  /// The `index`-th label of this table's reserved pool: minted by
+  /// Fresh("alpha") the first time it is asked for, and the same label on
+  /// every later call. Repeated constructions that each need a few symbols
+  /// α (the bounded searches) draw them here instead of growing the table
+  /// per call; since a reserved label may have been interned since, such a
+  /// caller skips the ones its inputs use.
+  Label Reserved(size_t index);
+
   /// Number of distinct labels interned so far.
   size_t size() const;
 
@@ -60,6 +69,8 @@ class SymbolTable {
   static const std::shared_ptr<SymbolTable>& Shared();
 
  private:
+  Label FreshLocked(std::string_view prefix) XMLUP_REQUIRES(mu_);
+
   /// Guards every field; all methods are lock-then-touch. Leaf lock:
   /// nothing is called out to while it is held.
   mutable Mutex mu_;
@@ -68,6 +79,8 @@ class SymbolTable {
   /// references stay valid after the lock is dropped.
   std::deque<std::string> names_ XMLUP_GUARDED_BY(mu_);
   uint64_t fresh_counter_ XMLUP_GUARDED_BY(mu_) = 0;
+  /// Reserved() pool, in index order.
+  std::vector<Label> reserved_ XMLUP_GUARDED_BY(mu_);
 };
 
 /// True iff `a` and `b` are the same table, i.e. their Labels are mutually

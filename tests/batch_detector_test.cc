@@ -1,5 +1,6 @@
 #include "conflict/batch_detector.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -10,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
+#include "xml/isomorphism.h"
 
 namespace xmlup {
 namespace {
@@ -71,21 +73,26 @@ class BatchDetectorTest : public ::testing::Test {
   }
 
   /// The deterministic fingerprint of a matrix: verdict, method and
-  /// trees_checked per cell (witness label ids may differ across runs —
-  /// fresh "alpha" symbols are interned in scheduling order).
-  static std::vector<std::tuple<int, std::string, uint64_t>> Fingerprint(
+  /// trees_checked per cell, and the witness's canonical code for cells the
+  /// bounded search decided (its α comes from the table's reserved pool).
+  /// Other witnesses carry freshly minted labels, named in scheduling order.
+  using CellPrint = std::tuple<int, std::string, uint64_t, std::string>;
+  static std::vector<CellPrint> Fingerprint(
       const std::vector<SharedConflictResult>& matrix) {
-    std::vector<std::tuple<int, std::string, uint64_t>> out;
+    std::vector<CellPrint> out;
     for (const SharedConflictResult& cell : matrix) {
       EXPECT_NE(cell, nullptr);
       if (!cell->ok()) {
-        out.emplace_back(-1, cell->status().ToString(), 0);
+        out.emplace_back(-1, cell->status().ToString(), 0, "");
         continue;
       }
       const ConflictReport& report = **cell;
+      const bool searched = report.method == DetectorMethod::kBoundedSearch &&
+                            report.witness.has_value();
       out.emplace_back(static_cast<int>(report.verdict),
                        std::string(DetectorMethodName(report.method)),
-                       report.trees_checked);
+                       report.trees_checked,
+                       searched ? CanonicalCode(*report.witness) : "");
     }
     return out;
   }
@@ -114,6 +121,10 @@ TEST_F(BatchDetectorTest, OneThreadAndEightThreadsProduceIdenticalMatrices) {
   const auto fp1 = Fingerprint(one.DetectMatrix(reads, updates));
   const auto fp8 = Fingerprint(eight.DetectMatrix(reads, updates));
   ASSERT_EQ(fp1.size(), fp8.size());
+  // The workload has search-found witnesses for the codes to compare.
+  EXPECT_TRUE(std::any_of(fp1.begin(), fp1.end(), [](const CellPrint& cell) {
+    return !std::get<3>(cell).empty();
+  }));
   for (size_t k = 0; k < fp1.size(); ++k) {
     EXPECT_EQ(fp1[k], fp8[k]) << "cell " << k;
   }
