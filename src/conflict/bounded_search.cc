@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/mutex.h"
+#include "eval/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
@@ -173,84 +174,48 @@ std::vector<Label> SearchAlphabet(SymbolTable& symbols,
   // An empty alphabet has no trees; it gets one α even when none is asked.
   const size_t wanted = labels.empty() ? std::max<size_t>(extra_labels, 1)
                                        : extra_labels;
-  for (size_t i = 0, taken = 0; taken < wanted; ++i) {
-    const Label alpha = symbols.Reserved(i);
-    if (labels.count(alpha) != 0 || avoid.count(alpha) != 0) continue;
+  std::set<Label> taken = labels;
+  taken.insert(avoid.begin(), avoid.end());
+  for (Label alpha : symbols.ReservedOutside(taken, wanted)) {
     alphabet.push_back(alpha);
-    ++taken;
   }
   return alphabet;
 }
 
 namespace {
 
-/// The evaluator's bottom-up satisfaction pass (eval/evaluator.cc), run
-/// over shapes instead of tree nodes. The patterns of one search sit side
-/// by side as one forest: node k of pattern i is bit offset_i + k. For a
-/// shape s, sat(s) holds the forest nodes q whose subpattern embeds with
-/// q ↦ root(s), and below(s) = sat(s) ∪ dsat(s) those that embed at root(s)
-/// or some node under it. Both are computed from s's children:
-///   cs = ∪ sat(child), cb = ∪ below(child),
-///   q ∈ sat(s) iff label(q) matches, every child-axis child of q is in cs
-///   and every descendant-axis child of q is in cb,
-///   below(s) = sat(s) ∪ cb.
-/// Rows are kept only for shapes small enough to be a child.
+/// The evaluator's sat/below recurrence (PatternMasks::Step) run over
+/// shapes instead of tree nodes: a shape's subtree is its children's
+/// shapes, so cs and cb are the unions of its children's rows. The
+/// patterns of one search are compiled as one forest; each alphabet index
+/// keeps its label row. Rows are kept only for shapes small enough to be a
+/// child.
 class ShapeSat {
  public:
   ShapeSat(const std::vector<const Pattern*>& patterns,
            const std::vector<Label>& alphabet, const ShapeTable& table)
-      : table_(table) {
-    size_t nodes = 0;
-    for (const Pattern* p : patterns) nodes += p->size();
-    words_ = (nodes + 63) / 64;
-    label_mask_.assign(alphabet.size() * words_, 0);
-    leaf_mask_.assign(words_, 0);
-    size_t offset = 0;
-    for (const Pattern* p : patterns) {
-      roots_.push_back(offset + p->root());
-      for (PatternNodeId q = 0; q < p->size(); ++q) {
-        const size_t bit = offset + q;
-        for (size_t a = 0; a < alphabet.size(); ++a) {
-          if (p->is_wildcard(q) || p->label(q) == alphabet[a]) {
-            Set(&label_mask_[a * words_], bit);
-          }
-        }
-        if (p->first_child(q) == kNullPatternNode) {
-          Set(leaf_mask_.data(), bit);
-          continue;
-        }
-        inner_.push_back(bit);
-        const size_t at = child_mask_.size();
-        child_mask_.resize(at + words_, 0);
-        desc_mask_.resize(at + words_, 0);
-        for (PatternNodeId c = p->first_child(q); c != kNullPatternNode;
-             c = p->next_sibling(c)) {
-          uint64_t* mask = p->axis(c) == Axis::kChild ? &child_mask_[at]
-                                                      : &desc_mask_[at];
-          Set(mask, offset + c);
-        }
-      }
-      offset += p->size();
+      : table_(table), masks_(patterns), words_(masks_.words()) {
+    for (Label label : alphabet) label_rows_.push_back(masks_.LabelRow(label));
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      roots_.push_back(masks_.Bit(i, patterns[i]->root()));
     }
     // Shapes of the table's largest size are never children.
     const uint32_t count = table.count();
     const uint32_t top = count == 0 ? 0 : table.size(count - 1);
-    uint32_t rows = count;
-    while (rows > 0 && table.size(rows - 1) == top) --rows;
-    sat_.assign(static_cast<size_t>(rows) * words_, 0);
-    below_.assign(static_cast<size_t>(rows) * words_, 0);
+    rows_ = count;
+    while (rows_ > 0 && table.size(rows_ - 1) == top) --rows_;
+    sat_.assign(static_cast<size_t>(rows_) * words_, 0);
+    below_.assign(static_cast<size_t>(rows_) * words_, 0);
     scratch_.assign(3 * words_, 0);
-    rows_ = rows;
   }
 
-  /// Computes shape `id`'s bits; every child's must be computed already.
-  /// Returns its sat(s) (valid until the next call).
+  /// Computes shape `id`'s rows; every child's must be computed already.
+  /// Returns its sat row (valid until the next call).
   const uint64_t* Compute(uint32_t id) {
     uint64_t* const cs = scratch_.data();
     uint64_t* const cb = cs + words_;
     std::fill(cs, cs + 2 * words_, 0);
-    const std::span<const uint32_t> children = table_.children(id);
-    for (uint32_t child : children) {
+    for (uint32_t child : table_.children(id)) {
       const uint64_t* child_sat = &sat_[child * words_];
       const uint64_t* child_below = &below_[child * words_];
       for (size_t w = 0; w < words_; ++w) {
@@ -258,57 +223,28 @@ class ShapeSat {
         cb[w] |= child_below[w];
       }
     }
-    uint64_t* const sat = id < rows_ ? &sat_[id * words_] : cb + words_;
-    const uint64_t* labels = &label_mask_[table_.label(id) * words_];
-    for (size_t w = 0; w < words_; ++w) sat[w] = labels[w] & leaf_mask_[w];
-    if (!children.empty()) {
-      for (size_t i = 0; i < inner_.size(); ++i) {
-        const size_t bit = inner_[i];
-        if (!Test(labels, bit)) continue;
-        const uint64_t* child_mask = &child_mask_[i * words_];
-        const uint64_t* desc_mask = &desc_mask_[i * words_];
-        bool ok = true;
-        for (size_t w = 0; ok && w < words_; ++w) {
-          ok = (child_mask[w] & ~cs[w]) == 0 && (desc_mask[w] & ~cb[w]) == 0;
-        }
-        if (ok) Set(sat, bit);
-      }
-    }
-    if (id < rows_) {
-      uint64_t* const below = &below_[id * words_];
-      for (size_t w = 0; w < words_; ++w) below[w] = sat[w] | cb[w];
-    }
+    const bool kept = id < rows_;
+    uint64_t* const sat = kept ? &sat_[id * words_] : cb + words_;
+    masks_.Step(label_rows_[table_.label(id)], cs, cb, sat,
+                kept ? &below_[id * words_] : cb);
     return sat;
   }
 
-  /// True iff pattern `i` embeds at the root of a shape with bits `sat`.
+  /// True iff pattern `i` embeds at the root of a shape with sat row `sat`.
   bool RootEmbeds(const uint64_t* sat, size_t i) const {
-    return Test(sat, roots_[i]);
+    return PatternMasks::Test(sat, roots_[i]);
   }
 
  private:
-  static void Set(uint64_t* bits, size_t bit) {
-    bits[bit / 64] |= uint64_t{1} << (bit % 64);
-  }
-  static bool Test(const uint64_t* bits, size_t bit) {
-    return (bits[bit / 64] >> (bit % 64)) & 1;
-  }
-
   const ShapeTable& table_;
-  size_t words_ = 0;
+  const PatternMasks masks_;
+  const size_t words_;
+  std::vector<const uint64_t*> label_rows_;
   std::vector<size_t> roots_;
-  /// [alphabet index][word]: forest nodes whose label matches.
-  std::vector<uint64_t> label_mask_;
-  std::vector<uint64_t> leaf_mask_;
-  /// Forest nodes with children, and per such node [word] masks of its
-  /// child-axis and descendant-axis children.
-  std::vector<size_t> inner_;
-  std::vector<uint64_t> child_mask_;
-  std::vector<uint64_t> desc_mask_;
   uint32_t rows_ = 0;
   std::vector<uint64_t> sat_;
   std::vector<uint64_t> below_;
-  /// cs, cb, and sat(s) for shapes without a row.
+  /// cs, cb, and the sat row of a shape without one.
   std::vector<uint64_t> scratch_;
 };
 

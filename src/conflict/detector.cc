@@ -128,11 +128,16 @@ std::optional<ConflictReport> TypePruneValue(const Pattern& read,
 /// to the bounded search.
 template <typename VerifyFn>
 std::optional<Tree> TryMainlineWitness(const Pattern& read,
+                                       const Pattern& update,
+                                       const Tree* inserted,
                                        const ConflictReport& linear,
                                        const VerifyFn& is_witness) {
   if (!linear.conflict() || !linear.witness.has_value()) return std::nullopt;
   Tree candidate = CopyTree(*linear.witness);
-  GraftBranchModelsEverywhere(&candidate, read);
+  // The models' filler is new to the linear witness as well as the inputs.
+  const Label filler =
+      FillerLabels({&read, &update}, {inserted, &candidate}, 1)[0];
+  GraftBranchModelsEverywhere(&candidate, read, filler);
   if (is_witness(candidate)) return candidate;
   return std::nullopt;
 }
@@ -203,7 +208,7 @@ Result<ConflictReport> DetectInsertImpl(const Pattern& read,
   // instead of masking it behind the bounded search.
   if (!mainline_report.ok()) return mainline_report;
   std::optional<Tree> candidate = TryMainlineWitness(
-      read, *mainline_report, [&](const Tree& t) {
+      read, insert_pattern, &inserted, *mainline_report, [&](const Tree& t) {
         return IsReadInsertWitness(read, insert_pattern, inserted, t,
                                    options.semantics);
       });
@@ -241,7 +246,8 @@ Result<ConflictReport> DetectDeleteImpl(const Pattern& read,
   // heuristic miss.
   if (!mainline_report.ok()) return mainline_report;
   std::optional<Tree> candidate = TryMainlineWitness(
-      read, *mainline_report, [&](const Tree& t) {
+      read, delete_pattern, /*inserted=*/nullptr, *mainline_report,
+      [&](const Tree& t) {
         return IsReadDeleteWitness(read, delete_pattern, t,
                                    options.semantics);
       });
@@ -288,7 +294,8 @@ Result<ConflictReport> DetectInsertCachedImpl(const PatternStore& store,
   if (!mainline_report.ok()) return mainline_report;
   const Pattern& full_read = store.pattern(read);
   std::optional<Tree> candidate = TryMainlineWitness(
-      full_read, *mainline_report, [&](const Tree& t) {
+      full_read, insert_pattern, &inserted, *mainline_report,
+      [&](const Tree& t) {
         return IsReadInsertWitness(full_read, insert_pattern, inserted, t,
                                    options.semantics);
       });
@@ -330,7 +337,8 @@ Result<ConflictReport> DetectDeleteCachedImpl(const PatternStore& store,
   if (!mainline_report.ok()) return mainline_report;
   const Pattern& full_read = store.pattern(read);
   std::optional<Tree> candidate = TryMainlineWitness(
-      full_read, *mainline_report, [&](const Tree& t) {
+      full_read, delete_pattern, /*inserted=*/nullptr, *mainline_report,
+      [&](const Tree& t) {
         return IsReadDeleteWitness(full_read, delete_pattern, t,
                                    options.semantics);
       });

@@ -24,8 +24,8 @@ struct DetectorOptions {
   BoundedSearchOptions search;
   /// Construct (and re-verify) a witness tree on kConflict verdicts.
   /// Verdict-only callers (the batch matrix, lint) can turn this off: the
-  /// witness construction mints fresh labels and re-runs the Lemma 1
-  /// checker per conflict, which dominates the cached hot path. Verdict,
+  /// witness construction re-runs the Lemma 1 checker per conflict, which
+  /// dominates the cached hot path. Verdict,
   /// method and detail are unaffected. The branching-read heuristic
   /// internally still builds the mainline witness it extends (its
   /// soundness proof needs the verified tree).

@@ -18,38 +18,34 @@ Result<Tree> BuildNodeConflictWitness(const Pattern& read,
                                       PatternNodeId n_prime,
                                       const ClassWord& word,
                                       ConflictSemantics semantics) {
+  // Fillers: the word's Any classes, the read-suffix model's and the
+  // branch models' wildcards, the Lemma 2 children.
+  const std::vector<Label> fill =
+      FillerLabels({&read, &delete_pattern}, {}, 4);
   NodeId u = kNullNode;
-  Tree witness = MatchWordToPath(word, read.symbols(), &u);
-  const Label filler = read.symbols()->Fresh("mfill");
+  Tree witness = MatchWordToPath(word, read.symbols(), fill[0], &u);
 
   if (read.axis(n_prime) == Axis::kDescendant) {
     // Descendant edge (n, n'): insert a model of SEQ_{n'}^{O(R)} as a child
     // of u; the read then selects a node inside the doomed subtree.
     const Pattern suffix = ExtractSeq(read, n_prime, read.output());
-    GraftModel(&witness, u, suffix, suffix.root(), filler);
+    GraftModel(&witness, u, suffix, suffix.root(), fill[1]);
   } else {
     // Child edge: u is the image of n' itself. If n' is not the output,
     // extend below u with a model of the rest of the read.
     if (n_prime != read.output()) {
       const PatternNodeId n_next = read.first_child(n_prime);
       const Pattern suffix = ExtractSeq(read, n_next, read.output());
-      GraftModel(&witness, u, suffix, suffix.root(), filler);
+      GraftModel(&witness, u, suffix, suffix.root(), fill[1]);
     }
   }
-  GraftBranchModelsEverywhere(&witness, delete_pattern);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  // A node-conflict witness need not witness a *value* conflict on the
-  // same tree (the paper's Figure 3); the Lemma 2 construction uniquifies
-  // the result subtrees with fresh-labeled children.
-  const Label unique = read.symbols()->Fresh("uniq");
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-delete witness failed verification");
+  GraftBranchModelsEverywhere(&witness, delete_pattern, fill[2]);
+  return VerifiedWitness(
+      std::move(witness), fill[3],
+      [&](const Tree& t) {
+        return IsReadDeleteWitness(read, delete_pattern, t, semantics);
+      },
+      "read-delete");
 }
 
 /// Builds a witness for the "deletion strictly below a read result" case
@@ -58,21 +54,16 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
                                              const Pattern& delete_pattern,
                                              const ClassWord& word,
                                              ConflictSemantics semantics) {
-  Tree witness = MatchWordToPath(word, read.symbols(), nullptr);
-  GraftBranchModelsEverywhere(&witness, delete_pattern);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  // Lemma 2 fallback for value semantics: uniquify the subtrees along the
-  // trunk with fresh-labeled children so that a modified result subtree
-  // cannot be isomorphic to an unmodified one.
-  const Label unique = read.symbols()->Fresh("uniq");
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadDeleteWitness(read, delete_pattern, witness, semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-delete subtree witness failed verification");
+  const std::vector<Label> fill =
+      FillerLabels({&read, &delete_pattern}, {}, 3);
+  Tree witness = MatchWordToPath(word, read.symbols(), fill[0]);
+  GraftBranchModelsEverywhere(&witness, delete_pattern, fill[1]);
+  return VerifiedWitness(
+      std::move(witness), fill[2],
+      [&](const Tree& t) {
+        return IsReadDeleteWitness(read, delete_pattern, t, semantics);
+      },
+      "read-delete subtree");
 }
 
 }  // namespace

@@ -9,53 +9,27 @@
 namespace xmlup {
 namespace {
 
-Result<Tree> BuildCutEdgeWitness(const Pattern& read,
-                                 const Pattern& insert_pattern,
-                                 const Tree& inserted, const ClassWord& word,
-                                 ConflictSemantics semantics) {
-  // The word is the path from the root to the insertion point u; after the
-  // insertion the read continues inside the grafted copy of X, so the path
-  // alone is the witness (Lemma 6 "(If)").
-  Tree witness = MatchWordToPath(word, read.symbols(), nullptr);
-  GraftBranchModelsEverywhere(&witness, insert_pattern);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  // Lemma 2: a node-conflict witness is upgraded to a value-conflict
-  // witness by giving every original node a fresh-labeled child (the new
-  // result inside X then has no isomorphic partner).
-  const Label unique = read.symbols()->Fresh("uniq");
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-insert witness failed verification");
-}
-
-Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
-                                             const Pattern& insert_pattern,
-                                             const Tree& inserted,
-                                             const ClassWord& word,
-                                             ConflictSemantics semantics) {
-  Tree witness = MatchWordToPath(word, read.symbols(), nullptr);
-  GraftBranchModelsEverywhere(&witness, insert_pattern);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  // Lemma 2 fallback: uniquify subtrees with fresh-labeled children so a
-  // modified result cannot be value-equal to an unmodified one.
-  const Label unique = read.symbols()->Fresh("uniq");
-  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
-  if (IsReadInsertWitness(read, insert_pattern, inserted, witness,
-                          semantics)) {
-    return witness;
-  }
-  return Status::Internal(
-      "constructed read-insert subtree witness failed verification");
+/// Both read-insert witnesses are the match word's path with the insert's
+/// branch models grafted everywhere: for a cut edge the word leads to the
+/// insertion point u, and after the insertion the read continues inside
+/// the copy of X (Lemma 6 "(If)"); for an insertion at or below a result
+/// it leads to that result.
+Result<Tree> BuildWitness(const Pattern& read, const Pattern& insert_pattern,
+                          const Tree& inserted, const ClassWord& word,
+                          ConflictSemantics semantics) {
+  // Fillers: the word's Any classes, the branch models' wildcards, the
+  // Lemma 2 children.
+  const std::vector<Label> fill =
+      FillerLabels({&read, &insert_pattern}, {&inserted}, 3);
+  Tree witness = MatchWordToPath(word, read.symbols(), fill[0]);
+  GraftBranchModelsEverywhere(&witness, insert_pattern, fill[1]);
+  return VerifiedWitness(
+      std::move(witness), fill[2],
+      [&](const Tree& t) {
+        return IsReadInsertWitness(read, insert_pattern, inserted, t,
+                                   semantics);
+      },
+      "read-insert");
 }
 
 }  // namespace
@@ -105,7 +79,7 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
         ") into read node " + read.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
-          Tree witness, BuildCutEdgeWitness(read, insert_pattern, inserted,
+          Tree witness, BuildWitness(read, insert_pattern, inserted,
                                             match.witness_word, semantics));
       report.witness = std::move(witness);
     }
@@ -123,7 +97,7 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness,
-          BuildSubtreeModificationWitness(read, insert_pattern, inserted,
+          BuildWitness(read, insert_pattern, inserted,
                                           below.witness_word, semantics));
       report.witness = std::move(witness);
     }
@@ -175,7 +149,7 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
         ") into read node " + r.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
-          Tree witness, BuildCutEdgeWitness(r, insert_pattern, inserted,
+          Tree witness, BuildWitness(r, insert_pattern, inserted,
                                             match.witness_word, semantics));
       report.witness = std::move(witness);
     }
@@ -192,7 +166,7 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness,
-          BuildSubtreeModificationWitness(r, insert_pattern, inserted,
+          BuildWitness(r, insert_pattern, inserted,
                                           below.witness_word, semantics));
       report.witness = std::move(witness);
     }

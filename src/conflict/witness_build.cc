@@ -1,14 +1,33 @@
 #include "conflict/witness_build.h"
 
+#include <set>
+#include <string>
+
 #include "pattern/pattern_ops.h"
 
 namespace xmlup {
 
+std::vector<Label> FillerLabels(std::initializer_list<const Pattern*> patterns,
+                                std::initializer_list<const Tree*> trees,
+                                size_t count) {
+  std::set<Label> taken;
+  std::shared_ptr<SymbolTable> symbols;
+  for (const Pattern* p : patterns) {
+    for (Label label : p->DistinctLabels()) taken.insert(label);
+    symbols = p->symbols();
+  }
+  for (const Tree* tree : trees) {
+    if (tree == nullptr) continue;
+    for (NodeId n : tree->PreOrder()) taken.insert(tree->label(n));
+  }
+  XMLUP_CHECK(symbols != nullptr);
+  return symbols->ReservedOutside(taken, count);
+}
+
 Tree MatchWordToPath(const ClassWord& word,
-                     const std::shared_ptr<SymbolTable>& symbols,
+                     const std::shared_ptr<SymbolTable>& symbols, Label filler,
                      NodeId* deepest) {
   XMLUP_CHECK(!word.empty());
-  const Label filler = symbols->Fresh("wfill");
   Tree tree = WordToPathTree(word, symbols, filler);
   if (deepest != nullptr) {
     NodeId n = tree.root();
@@ -18,7 +37,18 @@ Tree MatchWordToPath(const ClassWord& word,
   return tree;
 }
 
-void GraftBranchModelsEverywhere(Tree* tree, const Pattern& update) {
+Result<Tree> VerifiedWitness(Tree witness, Label unique,
+                             const std::function<bool(const Tree&)>& is_witness,
+                             std::string_view what) {
+  if (is_witness(witness)) return witness;
+  for (NodeId n : witness.PreOrder()) witness.AddChild(n, unique);
+  if (is_witness(witness)) return witness;
+  return Status::Internal("constructed " + std::string(what) +
+                          " witness failed verification");
+}
+
+void GraftBranchModelsEverywhere(Tree* tree, const Pattern& update,
+                                 Label filler) {
   // Branch children: children of mainline nodes that are not themselves on
   // the mainline.
   std::vector<PatternNodeId> branches;
@@ -29,7 +59,6 @@ void GraftBranchModelsEverywhere(Tree* tree, const Pattern& update) {
     }
   }
   if (branches.empty()) return;
-  const Label filler = tree->symbols()->Fresh("bfill");
   // Snapshot the node set first: models are grafted onto the original
   // nodes only (the Lemma 4 proof adds M_c to each node of W).
   const std::vector<NodeId> nodes = tree->PreOrder();

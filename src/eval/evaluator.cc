@@ -5,104 +5,6 @@
 namespace xmlup {
 namespace {
 
-/// Dense boolean table indexed by [pattern node][tree node slot].
-class BoolTable {
- public:
-  BoolTable(size_t pattern_size, size_t tree_capacity)
-      : stride_(tree_capacity), bits_(pattern_size * tree_capacity, false) {}
-
-  bool get(PatternNodeId q, NodeId n) const { return bits_[q * stride_ + n]; }
-  void set(PatternNodeId q, NodeId n, bool v) { bits_[q * stride_ + n] = v; }
-
- private:
-  size_t stride_;
-  std::vector<bool> bits_;
-};
-
-bool LabelOk(const Pattern& p, PatternNodeId q, const Tree& t, NodeId n) {
-  return p.is_wildcard(q) || p.label(q) == t.label(n);
-}
-
-/// Computes sat[q][n] = "the subpattern rooted at q embeds with q ↦ n" and
-/// dsat[q][n] = "sat[q][m] for some proper descendant m of n".
-void ComputeSat(const Pattern& p, const Tree& t, BoolTable* sat,
-                BoolTable* dsat) {
-  const std::vector<NodeId> tree_post = t.PostOrder();
-  const std::vector<PatternNodeId> pat_post = p.PostOrder();
-  for (NodeId n : tree_post) {
-    for (PatternNodeId q : pat_post) {
-      bool ok = LabelOk(p, q, t, n);
-      for (PatternNodeId c = p.first_child(q); ok && c != kNullPatternNode;
-           c = p.next_sibling(c)) {
-        bool edge_ok = false;
-        if (p.axis(c) == Axis::kChild) {
-          for (NodeId m = t.first_child(n); m != kNullNode;
-               m = t.next_sibling(m)) {
-            if (sat->get(c, m)) {
-              edge_ok = true;
-              break;
-            }
-          }
-        } else {
-          // Descendant: sat in some child's subtree (child itself or below).
-          for (NodeId m = t.first_child(n); m != kNullNode;
-               m = t.next_sibling(m)) {
-            if (sat->get(c, m) || dsat->get(c, m)) {
-              edge_ok = true;
-              break;
-            }
-          }
-        }
-        ok = edge_ok;
-      }
-      sat->set(q, n, ok);
-      bool below = false;
-      for (NodeId m = t.first_child(n); !below && m != kNullNode;
-           m = t.next_sibling(m)) {
-        below = sat->get(q, m) || dsat->get(q, m);
-      }
-      dsat->set(q, n, below);
-    }
-  }
-}
-
-/// Computes cand[q][n] = "some full (root-preserving) embedding maps q ↦ n"
-/// given sat. Anchored at (p.root() ↦ anchor).
-void ComputeCand(const Pattern& p, const Tree& t, NodeId anchor,
-                 const BoolTable& sat, BoolTable* cand) {
-  if (!sat.get(p.root(), anchor)) return;
-  cand->set(p.root(), anchor, true);
-  // Pattern nodes in preorder; parents processed before children.
-  for (PatternNodeId c : p.PreOrder()) {
-    if (c == p.root()) continue;
-    const PatternNodeId q = p.parent(c);
-    if (p.axis(c) == Axis::kChild) {
-      // cand[c][m] = sat[c][m] and cand[q][parent(m)].
-      for (NodeId m : t.SubtreeNodes(anchor)) {
-        if (m == anchor) continue;
-        if (sat.get(c, m) && cand->get(q, t.parent(m))) {
-          cand->set(c, m, true);
-        }
-      }
-    } else {
-      // cand[c][m] = sat[c][m] and some proper ancestor a (within the
-      // anchor's subtree) has cand[q][a]. One preorder sweep with an
-      // ancestor flag.
-      std::vector<std::pair<NodeId, bool>> stack = {{anchor, false}};
-      while (!stack.empty()) {
-        auto [n, anc_flag] = stack.back();
-        stack.pop_back();
-        if (n != anchor && anc_flag && sat.get(c, n)) cand->set(c, n, true);
-        const bool flag_for_children = anc_flag || cand->get(q, n);
-        for (NodeId m = t.first_child(n); m != kNullNode;
-             m = t.next_sibling(m)) {
-          stack.emplace_back(m, flag_for_children);
-        }
-      }
-    }
-  }
-}
-
 uint64_t SatAdd(uint64_t a, uint64_t b) {
   return a > UINT64_MAX - b ? UINT64_MAX : a + b;
 }
@@ -112,7 +14,106 @@ uint64_t SatMul(uint64_t a, uint64_t b) {
   return a > UINT64_MAX / b ? UINT64_MAX : a * b;
 }
 
+/// The sat and below rows (PatternMasks::Step) of tree slots lo and up.
+struct SatRows {
+  size_t words;
+  NodeId lo;
+  std::vector<uint64_t> rows;
+
+  uint64_t* Sat(NodeId n) { return &rows[(n - lo) * 2 * words]; }
+  uint64_t* Below(NodeId n) { return Sat(n) + words; }
+};
+
+/// One sweep over the slots [lo, capacity) in descending id order. A
+/// parent's id is smaller than its children's (see Tree), so a node comes
+/// after all its children: by then its rows hold the unions of theirs (cs,
+/// cb), which Step turns into its own before they are added to its
+/// parent's. Dead slots stay empty.
+SatRows SweepFrom(const Pattern& p, const Tree& t, NodeId lo) {
+  const Pattern* const forest[] = {&p};
+  const PatternMasks masks(forest);
+  const size_t words = masks.words();
+  // One slot more than the tree has, for the sat row Step writes.
+  SatRows out{words, lo,
+              std::vector<uint64_t>((t.capacity() - lo + 1) * 2 * words, 0)};
+  uint64_t* const base = out.rows.data();
+  uint64_t* const sat = base + out.rows.size() - words;
+  for (NodeId n = static_cast<NodeId>(t.capacity()); n-- > lo;) {
+    if (!t.alive(n)) continue;
+    uint64_t* const cs = base + (n - lo) * 2 * words;
+    uint64_t* const cb = cs + words;
+    const uint64_t* const labels = masks.LabelRow(t.label(n));
+    // A label no pattern node accepts, with nothing embedded below, leaves
+    // the rows of the node and of its parent as they are.
+    uint64_t live = 0;
+    for (size_t w = 0; w < words; ++w) live |= labels[w] | cb[w];
+    if (live == 0) continue;
+    masks.Step(labels, cs, cb, sat, cb);
+    std::copy(sat, sat + words, cs);
+    const NodeId parent = t.parent(n);
+    if (parent == kNullNode || parent < lo) continue;
+    // The parent's sat row, then its below row.
+    uint64_t* const up = base + (parent - lo) * 2 * words;
+    for (size_t w = 0; w < 2 * words; ++w) up[w] |= cs[w];
+  }
+  return out;
+}
+
 }  // namespace
+
+PatternMasks::PatternMasks(std::span<const Pattern* const> patterns) {
+  size_t nodes = 0;
+  for (const Pattern* p : patterns) {
+    offsets_.push_back(nodes);
+    nodes += p->size();
+    for (PatternNodeId q = 0; q < p->size(); ++q) {
+      if (!p->is_wildcard(q) &&
+          std::find(labels_.begin(), labels_.end(), p->label(q)) ==
+              labels_.end()) {
+        labels_.push_back(p->label(q));
+      }
+    }
+  }
+  words_ = (nodes + 63) / 64;
+  const size_t other = labels_.size();
+  rows_.assign((other + 2) * words_, 0);
+  uint64_t* const leaves = &rows_[(other + 1) * words_];
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const Pattern& p = *patterns[i];
+    for (PatternNodeId q = 0; q < p.size(); ++q) {
+      const size_t bit = Bit(i, q);
+      const uint64_t mask = uint64_t{1} << (bit % 64);
+      if (p.is_wildcard(q)) {
+        for (size_t row = 0; row <= other; ++row) {
+          rows_[row * words_ + bit / 64] |= mask;
+        }
+      } else {
+        const size_t row =
+            std::find(labels_.begin(), labels_.end(), p.label(q)) -
+            labels_.begin();
+        rows_[row * words_ + bit / 64] |= mask;
+      }
+      if (p.first_child(q) == kNullPatternNode) {
+        leaves[bit / 64] |= mask;
+        continue;
+      }
+      const uint32_t begin = static_cast<uint32_t>(needs_.size());
+      for (PatternNodeId c = p.first_child(q); c != kNullPatternNode;
+           c = p.next_sibling(c)) {
+        const size_t child = Bit(i, c);
+        const uint32_t word = static_cast<uint32_t>(child / 64);
+        if (needs_.size() == begin || needs_.back().word != word) {
+          needs_.push_back({word, 0, 0});
+        }
+        Need& need = needs_.back();
+        (p.axis(c) == Axis::kChild ? need.child : need.desc) |=
+            uint64_t{1} << (child % 64);
+      }
+      inner_.push_back({static_cast<uint32_t>(bit), begin,
+                        static_cast<uint32_t>(needs_.size())});
+    }
+  }
+}
 
 uint64_t CountEmbeddings(const Pattern& p, const Tree& t) {
   XMLUP_CHECK(p.has_root());
@@ -126,7 +127,7 @@ uint64_t CountEmbeddings(const Pattern& p, const Tree& t) {
   const std::vector<PatternNodeId> pat_post = p.PostOrder();
   for (NodeId n : tree_post) {
     for (PatternNodeId q : pat_post) {
-      uint64_t total = LabelOk(p, q, t, n) ? 1 : 0;
+      uint64_t total = p.is_wildcard(q) || p.label(q) == t.label(n) ? 1 : 0;
       for (PatternNodeId c = p.first_child(q);
            total != 0 && c != kNullPatternNode; c = p.next_sibling(c)) {
         uint64_t ways = 0;
@@ -155,47 +156,75 @@ uint64_t CountEmbeddings(const Pattern& p, const Tree& t) {
 std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t) {
   XMLUP_CHECK(p.has_root());
   if (!t.has_root() || t.size() == 0) return {};
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  BoolTable cand(p.size(), t.capacity());
-  ComputeCand(p, t, t.root(), sat, &cand);
-  std::vector<NodeId> result;
-  for (NodeId n : t.PreOrder()) {
-    if (cand.get(p.output(), n)) result.push_back(n);
+  const NodeId root = t.root();
+  SatRows rows = SweepFrom(p, t, root);
+  if (!PatternMasks::Test(rows.Sat(root), p.root())) return {};
+  if (p.output() == p.root()) return {root};
+  // Only the path ROOT(p) → O(p) decides where O(p) maps. In ascending id
+  // order, parents first, each node's rows are rewritten on that path: sat
+  // becomes cand (the path nodes some full embedding maps to the node) and
+  // below becomes reach (cand of the node or of a proper ancestor). A path
+  // node q joins cand(n) iff q ∈ sat(n) and its parent is in cand (child
+  // axis) or reach (descendant axis) of n's parent.
+  struct Link {
+    size_t word, up_word;
+    uint64_t bit, up_bit;
+    bool child;
+  };
+  std::vector<Link> path;
+  for (PatternNodeId q = p.output(); q != p.root(); q = p.parent(q)) {
+    const PatternNodeId up = p.parent(q);
+    path.push_back({q / 64, up / 64, uint64_t{1} << (q % 64),
+                    uint64_t{1} << (up % 64), p.axis(q) == Axis::kChild});
   }
-  std::sort(result.begin(), result.end());
+  std::reverse(path.begin(), path.end());
+  const size_t root_word = p.root() / 64;
+  const uint64_t root_bit = uint64_t{1} << (p.root() % 64);
+  // At the tree root only ROOT(p) is a candidate.
+  std::fill(rows.Sat(root), rows.Sat(root) + 2 * rows.words, 0);
+  rows.Sat(root)[root_word] = root_bit;
+  rows.Below(root)[root_word] = root_bit;
+  const Link& output = path.back();
+  std::vector<NodeId> result;
+  for (NodeId n = root + 1; n < t.capacity(); ++n) {
+    if (!t.alive(n)) continue;
+    const uint64_t* const cand_up = rows.Sat(t.parent(n));
+    const uint64_t* const reach_up = rows.Below(t.parent(n));
+    uint64_t* const cand = rows.Sat(n);
+    uint64_t* const reach = rows.Below(n);
+    cand[root_word] &= ~root_bit;
+    reach[root_word] |= root_bit;
+    for (const Link& link : path) {
+      const uint64_t* const from = link.child ? cand_up : reach_up;
+      const uint64_t on = ((cand[link.word] & link.bit) != 0) &
+                                  ((from[link.up_word] & link.up_bit) != 0)
+                              ? link.bit
+                              : 0;
+      cand[link.word] = (cand[link.word] & ~link.bit) | on;
+      reach[link.word] = (reach[link.word] & ~link.bit) | on |
+                         (reach_up[link.word] & link.bit);
+    }
+    if ((cand[output.word] & output.bit) != 0) result.push_back(n);
+  }
   return result;
 }
 
 bool HasEmbedding(const Pattern& p, const Tree& t) {
   XMLUP_CHECK(p.has_root());
   if (!t.has_root() || t.size() == 0) return false;
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  return sat.get(p.root(), t.root());
+  return EmbedsAt(p, t, t.root());
 }
 
 bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at) {
   XMLUP_CHECK(p.has_root());
   XMLUP_DCHECK(t.alive(at));
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  return sat.get(p.root(), at);
+  return PatternMasks::Test(SweepFrom(p, t, at).Sat(at), p.root());
 }
 
 bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope) {
   XMLUP_CHECK(p.has_root());
   XMLUP_DCHECK(t.alive(scope));
-  BoolTable sat(p.size(), t.capacity());
-  BoolTable dsat(p.size(), t.capacity());
-  ComputeSat(p, t, &sat, &dsat);
-  for (NodeId n : t.SubtreeNodes(scope)) {
-    if (sat.get(p.root(), n)) return true;
-  }
-  return false;
+  return PatternMasks::Test(SweepFrom(p, t, scope).Below(scope), p.root());
 }
 
 }  // namespace xmlup

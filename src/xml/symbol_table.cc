@@ -31,10 +31,15 @@ Label SymbolTable::Fresh(std::string_view prefix) {
   return FreshLocked(prefix);
 }
 
-Label SymbolTable::Reserved(size_t index) {
+std::vector<Label> SymbolTable::ReservedOutside(const std::set<Label>& taken,
+                                                size_t count) {
+  std::vector<Label> out;
   MutexLock lock(mu_);
-  while (reserved_.size() <= index) reserved_.push_back(FreshLocked("alpha"));
-  return reserved_[index];
+  for (size_t i = 0; out.size() < count; ++i) {
+    if (reserved_.size() <= i) reserved_.push_back(FreshLocked("alpha"));
+    if (taken.count(reserved_[i]) == 0) out.push_back(reserved_[i]);
+  }
+  return out;
 }
 
 Label SymbolTable::FreshLocked(std::string_view prefix) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,13 +54,16 @@ class SymbolTable {
   /// Mints a label whose name (`<prefix>$<n>`) has never been interned.
   Label Fresh(std::string_view prefix);
 
-  /// The `index`-th label of this table's reserved pool: minted by
-  /// Fresh("alpha") the first time it is asked for, and the same label on
-  /// every later call. Repeated constructions that each need a few symbols
-  /// α (the bounded searches) draw them here instead of growing the table
-  /// per call; since a reserved label may have been interned since, such a
-  /// caller skips the ones its inputs use.
-  Label Reserved(size_t index);
+  /// The first `count` labels of this table's reserved pool that are not
+  /// in `taken`: labels fresh with respect to a construction whose inputs
+  /// use `taken`. The pool's i-th label is minted by Fresh("alpha") the
+  /// first time it is needed and is the same label on every later call, so
+  /// repeated constructions (the bounded searches' α, the witness
+  /// builders' fillers) draw their symbols here instead of growing the
+  /// table per call. A reserved label may have been interned since it was
+  /// minted; `taken` skips the ones a construction's inputs use.
+  std::vector<Label> ReservedOutside(const std::set<Label>& taken,
+                                     size_t count);
 
   /// Number of distinct labels interned so far.
   size_t size() const;
@@ -79,7 +83,7 @@ class SymbolTable {
   /// references stay valid after the lock is dropped.
   std::deque<std::string> names_ XMLUP_GUARDED_BY(mu_);
   uint64_t fresh_counter_ XMLUP_GUARDED_BY(mu_) = 0;
-  /// Reserved() pool, in index order.
+  /// ReservedOutside() pool, in minting order.
   std::vector<Label> reserved_ XMLUP_GUARDED_BY(mu_);
 };
 

@@ -188,6 +188,7 @@ Status Tree::Validate() const {
     NodeId prev = kNullNode;
     for (NodeId c = first_child(n); c != kNullNode; c = next_sibling(c)) {
       if (parent(c) != n) return Status::Internal("child/parent mismatch");
+      if (c <= n) return Status::Internal("child id not above its parent's");
       if (node(c).prev_sibling != prev) {
         return Status::Internal("sibling links inconsistent");
       }

@@ -31,6 +31,13 @@ inline constexpr NodeId kNullNode = 0xFFFFFFFFu;
 ///    Tombstoned ids are never reused, so a NodeId observed before a
 ///    mutation still denotes the same (possibly dead) node afterwards.
 ///
+/// Id order: a parent's id is smaller than its children's. Every node is
+/// created in a fresh slot under an existing live parent (CreateRoot,
+/// AddChild, GraftCopy) and nothing re-links a node, so one pass over the
+/// slots in descending id order sees every child before its parent, and in
+/// ascending order every parent before its children. The evaluator's
+/// sweeps rely on this; Validate checks it.
+///
 /// Although the data model is unordered, child lists have a deterministic
 /// stored order so that traversals, serialization and tests are
 /// reproducible. No algorithm in the library depends on that order.
@@ -118,7 +125,8 @@ class Tree {
   }
 
   /// Verifies structural invariants (link symmetry, acyclicity, live
-  /// counts). Used by tests and after complex mutations in debug builds.
+  /// counts, id order). Used by tests and after complex mutations in debug
+  /// builds.
   Status Validate() const;
 
  private:

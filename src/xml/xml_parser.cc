@@ -1,6 +1,7 @@
 #include "xml/xml_parser.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -21,7 +22,7 @@ bool IsSpace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
 }
 
-/// Recursive-descent parser over a single input buffer. Tracks line/column
+/// Single-pass parser over one input buffer. Tracks line/column
 /// for error messages. Elements become tree nodes; attributes, text,
 /// comments, PIs and CDATA are validated syntactically and discarded.
 class Parser {
@@ -32,7 +33,7 @@ class Parser {
 
   Result<Tree> Parse() {
     SkipProlog();
-    XMLUP_RETURN_NOT_OK(ParseElement(kNullNode));
+    XMLUP_RETURN_NOT_OK(ParseDocumentElement());
     SkipMisc();
     if (!AtEnd()) {
       return Error("trailing content after the document element");
@@ -130,27 +131,14 @@ class Parser {
     }
   }
 
-  Status ParseElement(NodeId parent) {
-    if (AtEnd() || Peek() != '<') return Error("expected '<'");
-    Advance();
-    XMLUP_ASSIGN_OR_RETURN(std::string name, ParseName());
-    const Label label = tree_.symbols()->Intern(name);
-    const NodeId node = parent == kNullNode
-                            ? tree_.CreateRoot(label)
-                            : tree_.AddChild(parent, label);
-    XMLUP_RETURN_NOT_OK(ParseAttributes());
-    if (Peek() == '/') {
-      Advance();
-      if (AtEnd() || Peek() != '>') return Error("expected '>' after '/'");
-      Advance();
-      return Status::OK();
-    }
-    Advance();  // consume '>'
-    return ParseContent(node, name);
-  }
-
-  Status ParseContent(NodeId node, const std::string& name) {
-    for (;;) {
+  /// Parses the document element and everything inside it. Iterative: an
+  /// explicit stack of open elements replaces one recursion per level, so
+  /// depth is bounded by memory, not by the call stack.
+  Status ParseDocumentElement() {
+    std::vector<std::pair<NodeId, std::string>> open;  // node, name
+    XMLUP_RETURN_NOT_OK(ParseStartTag(&open));
+    while (!open.empty()) {
+      const std::string& name = open.back().second;
       if (AtEnd()) return Error("unexpected end of input in <" + name + ">");
       if (Peek() == '<') {
         if (PeekIs("</")) {
@@ -163,7 +151,8 @@ class Parser {
           SkipWhitespace();
           if (AtEnd() || Peek() != '>') return Error("expected '>'");
           Advance();
-          return Status::OK();
+          open.pop_back();
+          continue;
         }
         if (PeekIs("<!--")) {
           SkipUntil("-->");
@@ -180,7 +169,7 @@ class Parser {
           SkipUntil("?>");
           continue;
         }
-        XMLUP_RETURN_NOT_OK(ParseElement(node));
+        XMLUP_RETURN_NOT_OK(ParseStartTag(&open));
         continue;
       }
       // Text content.
@@ -194,6 +183,30 @@ class Parser {
         }
       }
     }
+    return Status::OK();
+  }
+
+  /// Parses a start tag and adds its element under the innermost open one
+  /// (as the root when none is open); the element stays open unless the
+  /// tag is self-closing.
+  Status ParseStartTag(std::vector<std::pair<NodeId, std::string>>* open) {
+    if (AtEnd() || Peek() != '<') return Error("expected '<'");
+    Advance();
+    XMLUP_ASSIGN_OR_RETURN(std::string name, ParseName());
+    const Label label = tree_.symbols()->Intern(name);
+    const NodeId node = open->empty()
+                            ? tree_.CreateRoot(label)
+                            : tree_.AddChild(open->back().first, label);
+    XMLUP_RETURN_NOT_OK(ParseAttributes());
+    if (Peek() == '/') {
+      Advance();
+      if (AtEnd() || Peek() != '>') return Error("expected '>' after '/'");
+      Advance();
+      return Status::OK();
+    }
+    Advance();  // consume '>'
+    open->emplace_back(node, std::move(name));
+    return Status::OK();
   }
 
   std::string_view input_;

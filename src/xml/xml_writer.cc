@@ -1,36 +1,45 @@
 #include "xml/xml_writer.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace xmlup {
 namespace {
 
-void WriteNode(const Tree& tree, NodeId node, const XmlWriteOptions& options,
-               int depth, std::string* out) {
-  const std::string& name = tree.LabelName(node);
-  if (options.indent > 0) {
-    out->append(static_cast<size_t>(depth * options.indent), ' ');
-  }
-  out->push_back('<');
-  out->append(name);
-  if (tree.first_child(node) == kNullNode) {
-    out->append("/>");
+/// Writes the subtree at `root` with an explicit stack of open elements,
+/// each with its next child to write, so depth is bounded by memory rather
+/// than by the call stack.
+void WriteNode(const Tree& tree, NodeId root, const XmlWriteOptions& options,
+               std::string* out) {
+  // One tag of `node` at `depth`, on a line of its own when indenting.
+  const auto tag = [&](NodeId node, size_t depth, const char* open,
+                       const char* close) {
+    if (options.indent > 0) {
+      out->append(depth * static_cast<size_t>(options.indent), ' ');
+    }
+    out->append(open);
+    out->append(tree.LabelName(node));
+    out->append(close);
     if (options.indent > 0) out->push_back('\n');
-    return;
+  };
+  std::vector<std::pair<NodeId, NodeId>> open;  // element, next child
+  for (NodeId start = root;;) {
+    if (start != kNullNode) {
+      const NodeId first = tree.first_child(start);
+      tag(start, open.size(), "<", first == kNullNode ? "/>" : ">");
+      if (first != kNullNode) open.emplace_back(start, first);
+    }
+    if (open.empty()) return;
+    auto& [element, next] = open.back();
+    start = next;
+    if (next != kNullNode) {
+      next = tree.next_sibling(next);
+      continue;
+    }
+    tag(element, open.size() - 1, "</", ">");
+    open.pop_back();
   }
-  out->push_back('>');
-  if (options.indent > 0) out->push_back('\n');
-  for (NodeId c = tree.first_child(node); c != kNullNode;
-       c = tree.next_sibling(c)) {
-    WriteNode(tree, c, options, depth + 1, out);
-  }
-  if (options.indent > 0) {
-    out->append(static_cast<size_t>(depth * options.indent), ' ');
-  }
-  out->append("</");
-  out->append(name);
-  out->push_back('>');
-  if (options.indent > 0) out->push_back('\n');
 }
 
 }  // namespace
@@ -38,7 +47,7 @@ void WriteNode(const Tree& tree, NodeId node, const XmlWriteOptions& options,
 std::string WriteXml(const Tree& tree, NodeId node,
                      const XmlWriteOptions& options) {
   std::string out;
-  WriteNode(tree, node, options, 0, &out);
+  WriteNode(tree, node, options, &out);
   return out;
 }
 

@@ -637,9 +637,10 @@ TEST(SearchAlphabetTest, RepeatedSearchesMintNoSymbols) {
 TEST(SearchAlphabetTest, SkipsReservedLabelsTheInstanceUses) {
   std::shared_ptr<SymbolTable> symbols = NewSymbols();
   const Label a = symbols->Intern("a");
-  const Label r0 = symbols->Reserved(0);
-  const Label r1 = symbols->Reserved(1);
-  EXPECT_EQ(symbols->Reserved(0), r0);  // reused, not re-minted
+  const std::vector<Label> pool = symbols->ReservedOutside({}, 3);
+  const Label r0 = pool[0];
+  const Label r1 = pool[1];
+  EXPECT_EQ(symbols->ReservedOutside({}, 1)[0], r0);  // reused, not re-minted
   EXPECT_EQ(SearchAlphabet(*symbols, {a}, {}, 1),
             (std::vector<Label>{a, r0}));
   // r0 in the patterns, r1 in the inserted content: α is the next one.
@@ -649,7 +650,7 @@ TEST(SearchAlphabetTest, SkipsReservedLabelsTheInstanceUses) {
   EXPECT_EQ(alphabet[0], a);
   EXPECT_EQ(alphabet[1], r0);
   EXPECT_NE(alphabet[2], r1);
-  EXPECT_EQ(alphabet[2], symbols->Reserved(2));
+  EXPECT_EQ(alphabet[2], pool[2]);
   // An empty instance still gets one label.
   EXPECT_EQ(SearchAlphabet(*symbols, {}, {}, 0), (std::vector<Label>{r0}));
 }
@@ -679,7 +680,7 @@ TEST(ShapeTableTest, ColdCacheRaceBuildsOneTablePerKey) {
   const Pattern reads[] = {Xp("a[b]/b", symbols), Xp("a[b]//c", symbols)};
   const Pattern ins = Xp("a/b", symbols);
   const Tree x = Xml("<b/>", symbols);
-  symbols->Reserved(0);  // mint α before the threads start
+  symbols->ReservedOutside({}, 1);  // mint α before the threads start
   BoundedSearchOptions options;
   options.max_nodes = 5;
   options.max_trees = 1'999'999;

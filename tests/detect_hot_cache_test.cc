@@ -36,11 +36,9 @@ using testing_util::NewSymbols;
 using testing_util::Xml;
 using testing_util::Xp;
 
-/// Field-by-field agreement on everything deterministic across calls.
-/// Witness *trees* are excluded: their construction mints fresh labels
-/// ("mfill$n"/"uniq$n"), so trees differ textually between any two runs —
-/// both sides' witnesses are already re-verified by the Lemma 1 checkers
-/// inside the detectors, so presence is the right comparison here.
+/// Field-by-field agreement on verdict, method, trees_checked and detail.
+/// Witness *trees* are compared by presence only: both sides' witnesses are
+/// already re-verified by the Lemma 1 checkers inside the detectors.
 void ExpectSameReport(const Result<ConflictReport>& by_value,
                       const Result<ConflictReport>& by_ref,
                       const std::string& label) {

@@ -1,8 +1,7 @@
 // The Detect() facade's two entry points must agree: the ref overload
 // (interned PatternRef resolved through a PatternStore) and the value
-// overload must produce the same report on every field that is
-// deterministic across calls (verdict, method, trees_checked, detail —
-// witnesses may differ only in fresh-label ids). Since the store hands the
+// overload must produce the same report on verdict, method, trees_checked
+// and detail (witnesses are compared by presence). Since the store hands the
 // detector the *minimized* read, this doubles as an end-to-end check that
 // minimization is conflict-preserving. Also covers metric side effects: a
 // Detect call bumps the dispatch and verdict counters in the default

@@ -1,7 +1,11 @@
 #include "conflict/detector.h"
 
+#include <set>
+
 #include "common/random.h"
+#include "conflict/update_independence.h"
 #include "gtest/gtest.h"
+#include "pattern/pattern_store.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "xml/tree_algos.h"
@@ -255,6 +259,74 @@ TEST_P(DetectorPropertyTest, BranchingReadDispatchIsSound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DetectorPropertyTest, ::testing::Range(0, 8));
+
+/// Witness constructions take their labels from the table's reserved pool:
+/// after one pass over every witness-building path (linear read-insert and
+/// read-delete witnesses with their Lemma 2 fallbacks, the mainline
+/// heuristic, the bounded search, commutativity certificates; value and
+/// interned reads alike), repeating the pass leaves the table as it is.
+TEST_F(DetectorTest, RepeatedWitnessBuildsLeaveTheSymbolTableFlat) {
+  auto store = std::make_shared<PatternStore>(symbols_);
+  std::vector<Pattern> reads;
+  for (const char* x : {"a/b", "a//b", "a/*/c", "a//b/c", "*//*", "a/b/*",
+                        "a[c]/b", "a[.//c]//b", "a/b[c]", "a[b][c]"}) {
+    reads.push_back(Xp(x, symbols_));
+  }
+  std::vector<UpdateOp> updates;
+  // "a/*[b]" with <b/> under value semantics reaches the Lemma 2 fallback
+  // of the read-insert cut-edge witness (for the read a//b).
+  for (const char* x : {"a/b", "a//b", "a/*", "a", "a/*[b]"}) {
+    for (const char* content : {"<b><c/></b>", "<c/>", "<b/>"}) {
+      updates.push_back(UpdateOp::MakeInsert(
+          Xp(x, symbols_),
+          std::make_shared<const Tree>(Xml(content, symbols_))));
+    }
+  }
+  for (const char* x : {"a/b", "a//c", "a/b[c]", "a/*", "*/*//b"}) {
+    updates.push_back(UpdateOp::MakeDelete(Xp(x, symbols_)).value());
+  }
+  std::set<DetectorMethod> witnessed;
+  size_t certified = 0;
+  const auto pass = [&] {
+    for (ConflictSemantics semantics :
+         {ConflictSemantics::kNode, ConflictSemantics::kTree,
+          ConflictSemantics::kValue}) {
+      DetectorOptions options;
+      options.semantics = semantics;
+      options.search.max_nodes = 4;
+      for (const Pattern& read : reads) {
+        const PatternRef ref = store->Intern(read);
+        for (const UpdateOp& update : updates) {
+          for (const Result<ConflictReport>& report :
+               {Detect(read, update, options),
+                Detect(*store, ref, update.Bind(store), options)}) {
+            ASSERT_TRUE(report.ok()) << report.status();
+            if (report->witness.has_value()) witnessed.insert(report->method);
+          }
+        }
+      }
+      for (const UpdateOp& a : updates) {
+        for (const UpdateOp& b : updates) {
+          Result<IndependenceReport> report =
+              CertifyUpdatesCommute(a, b, options);
+          ASSERT_TRUE(report.ok()) << report.status();
+          certified +=
+              report->certificate == CommutativityCertificate::kCertified;
+        }
+      }
+    }
+  };
+  pass();
+  const size_t size = symbols_->size();
+  pass();
+  pass();
+  EXPECT_EQ(symbols_->size(), size);
+  EXPECT_EQ(witnessed, (std::set<DetectorMethod>{
+                           DetectorMethod::kLinearPtime,
+                           DetectorMethod::kMainlineHeuristic,
+                           DetectorMethod::kBoundedSearch}));
+  EXPECT_GT(certified, 0u);
+}
 
 }  // namespace
 }  // namespace xmlup

@@ -1,15 +1,17 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 
 #include "common/random.h"
 #include "eval/embedding_enumerator.h"
-#include "eval/fast_evaluator.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "workload/tree_generator.h"
+#include "xml/tree_algos.h"
 
 namespace xmlup {
 namespace {
@@ -149,8 +151,135 @@ TEST_F(EvaluatorTest, CountEmbeddingsLargeWithoutOverflowIssues) {
   EXPECT_EQ(CountEmbeddings(Xp("a[*][*][*]", symbols_), t), 1000000u);
 }
 
-/// Property sweep: the polynomial evaluator agrees with explicit embedding
-/// enumeration on random (tree, pattern) pairs.
+/// A chain of `size` nodes labeled `label` joined by `axis` edges; the
+/// output is the last node.
+Pattern ChainPattern(const std::shared_ptr<SymbolTable>& symbols,
+                     const char* label, Axis axis, size_t size) {
+  Pattern p(symbols);
+  PatternNodeId node = p.CreateRoot(symbols->Intern(label));
+  for (size_t i = 1; i < size; ++i) {
+    node = p.AddChild(node, symbols->Intern(label), axis);
+  }
+  p.SetOutput(node);
+  return p;
+}
+
+/// A path of `size` nodes labeled `label`; node ids equal depths.
+Tree ChainTree(const std::shared_ptr<SymbolTable>& symbols, const char* label,
+               size_t size) {
+  Tree t(symbols);
+  NodeId node = t.CreateRoot(symbols->Intern(label));
+  for (size_t i = 1; i < size; ++i) {
+    node = t.AddChild(node, symbols->Intern(label));
+  }
+  return t;
+}
+
+TEST_F(EvaluatorTest, PatternsLongerThanOneWord) {
+  for (size_t k : {65, 100, 130}) {
+    const Pattern child = ChainPattern(symbols_, "a", Axis::kChild, k);
+    const Pattern desc = ChainPattern(symbols_, "a", Axis::kDescendant, k);
+    const Tree shorter = ChainTree(symbols_, "a", k - 1);
+    const Tree longer = ChainTree(symbols_, "a", k + 1);
+    const NodeId depth = static_cast<NodeId>(k - 1);  // O(p)'s lowest image
+    EXPECT_TRUE(Evaluate(child, shorter).empty()) << k;
+    EXPECT_TRUE(Evaluate(desc, shorter).empty()) << k;
+    EXPECT_FALSE(HasEmbedding(desc, shorter)) << k;
+    EXPECT_EQ(Evaluate(child, longer), std::vector<NodeId>{depth}) << k;
+    EXPECT_EQ(Evaluate(desc, longer), (std::vector<NodeId>{depth, depth + 1}))
+        << k;
+    EXPECT_TRUE(HasEmbedding(child, longer)) << k;
+    // Below node 1 the path has k nodes left, below node 2 only k - 1.
+    EXPECT_TRUE(EmbedsAt(child, longer, 1)) << k;
+    EXPECT_FALSE(EmbedsAt(child, longer, 2)) << k;
+    EXPECT_TRUE(EmbedsAnywhereIn(desc, longer, 1)) << k;
+    EXPECT_FALSE(EmbedsAnywhereIn(desc, longer, 2)) << k;
+  }
+  // a[b]...[b] with 100 predicates, then one more [c] in the second word.
+  Pattern star(symbols_);
+  star.CreateRoot(symbols_->Intern("a"));
+  for (int i = 0; i < 100; ++i) {
+    star.AddChild(star.root(), symbols_->Intern("b"), Axis::kChild);
+  }
+  EXPECT_EQ(Evaluate(star, Xml("<a><b/></a>", symbols_)),
+            std::vector<NodeId>{0});
+  EXPECT_TRUE(Evaluate(star, Xml("<a><c><b/></c></a>", symbols_)).empty());
+  star.AddChild(star.root(), symbols_->Intern("c"), Axis::kDescendant);
+  ASSERT_EQ(star.size(), 102u);
+  EXPECT_TRUE(Evaluate(star, Xml("<a><b/></a>", symbols_)).empty());
+  const Tree both = Xml("<a><b/><x><c/></x></a>", symbols_);
+  EXPECT_EQ(Evaluate(star, both), std::vector<NodeId>{0});
+  EXPECT_TRUE(EmbedsAnywhereIn(star, both, both.root()));
+  EXPECT_FALSE(EmbedsAt(star, both, both.first_child(both.root())));
+}
+
+TEST_F(EvaluatorTest, HundredThousandNodeChainAndStar) {
+  const size_t n = 100000;
+  const Tree chain = ChainTree(symbols_, "a", n);
+  EXPECT_EQ(Evaluate(Xp("a//a", symbols_), chain).size(), n - 1);
+  const Pattern three = Xp("a/a/a", symbols_);
+  EXPECT_EQ(Evaluate(three, chain), std::vector<NodeId>{2});
+  EXPECT_TRUE(HasEmbedding(three, chain));
+  EXPECT_TRUE(EmbedsAt(three, chain, n - 3));
+  EXPECT_FALSE(EmbedsAt(three, chain, n - 2));
+  EXPECT_TRUE(EmbedsAnywhereIn(three, chain, n - 3));
+  EXPECT_FALSE(EmbedsAnywhereIn(three, chain, n - 2));
+
+  Tree star(symbols_);
+  const NodeId root = star.CreateRoot(symbols_->Intern("r"));
+  NodeId last = kNullNode;
+  for (size_t i = 0; i < n; ++i) {
+    last = star.AddChild(root, symbols_->Intern("b"));
+  }
+  star.AddChild(last, symbols_->Intern("c"));
+  const NodeId first = star.first_child(root);
+  EXPECT_EQ(Evaluate(Xp("r/b", symbols_), star).size(), n);
+  EXPECT_EQ(Evaluate(Xp("r/b[c]", symbols_), star), std::vector<NodeId>{last});
+  EXPECT_TRUE(HasEmbedding(Xp("r[b/c]", symbols_), star));
+  EXPECT_FALSE(HasEmbedding(Xp("r/c", symbols_), star));
+  const Pattern bc = Xp("b/c", symbols_);
+  EXPECT_TRUE(EmbedsAt(bc, star, last));
+  EXPECT_FALSE(EmbedsAt(bc, star, first));
+  EXPECT_TRUE(EmbedsAnywhereIn(bc, star, root));
+  EXPECT_FALSE(EmbedsAnywhereIn(bc, star, first));
+}
+
+/// Checks all four entry points and the counting DP against explicit
+/// embedding enumeration, the definition: [[p]](t) is the set of images of
+/// O(p), and the anchored forms enumerate on a copy of each node's subtree.
+void ExpectMatchesEnumeration(const Pattern& p, const Tree& t,
+                              const std::string& where) {
+  bool truncated = false;
+  const std::vector<Embedding> embeddings =
+      EnumerateEmbeddings(p, t, 200000, &truncated);
+  ASSERT_FALSE(truncated) << where;
+  std::set<NodeId> selected;
+  for (const Embedding& e : embeddings) {
+    EXPECT_TRUE(IsValidEmbedding(p, t, e)) << where;
+    selected.insert(e[p.output()]);
+  }
+  // Sorted and duplicate-free.
+  EXPECT_EQ(Evaluate(p, t),
+            std::vector<NodeId>(selected.begin(), selected.end()))
+      << where;
+  EXPECT_EQ(HasEmbedding(p, t), !embeddings.empty()) << where;
+  EXPECT_EQ(CountEmbeddings(p, t), embeddings.size()) << where;
+  std::map<NodeId, bool> anchored;
+  for (NodeId n : t.PreOrder()) {
+    anchored[n] = !EnumerateEmbeddings(p, CopySubtree(t, n), 1).empty();
+  }
+  for (NodeId n : t.PreOrder()) {
+    bool anywhere = false;
+    for (NodeId m : t.SubtreeNodes(n)) anywhere = anywhere || anchored[m];
+    EXPECT_EQ(EmbedsAt(p, t, n), anchored[n]) << where << " node " << n;
+    EXPECT_EQ(EmbedsAnywhereIn(p, t, n), anywhere) << where << " node " << n;
+  }
+}
+
+/// Property sweep: the evaluator agrees with explicit embedding enumeration
+/// on random (tree, pattern) pairs. Every other tree is first mutated by
+/// random deletes and grafts, so the id-order sweeps meet tombstoned slots
+/// and grafted ids.
 class EvaluatorPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
@@ -161,6 +290,9 @@ TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
   tree_options.target_size = 18;
   tree_options.alphabet = RandomTreeGenerator::MakeAlphabet(symbols.get(), 3);
   RandomTreeGenerator trees(symbols, tree_options);
+  TreeGenOptions graft_options = tree_options;
+  graft_options.target_size = 4;
+  RandomTreeGenerator grafts(symbols, graft_options);
 
   PatternGenOptions pat_options;
   pat_options.size = 4;
@@ -168,28 +300,24 @@ TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
   RandomPatternGenerator patterns(symbols, pat_options);
 
   for (int iter = 0; iter < 20; ++iter) {
-    const Tree t = trees.Generate(&rng);
+    Tree t = trees.Generate(&rng);
+    if (iter % 2 == 1) {
+      for (int step = 0; step < 4; ++step) {
+        const std::vector<NodeId> live = t.PreOrder();
+        const NodeId n = live[rng.NextBounded(live.size())];
+        if (n != t.root() && rng.NextBool(0.5)) {
+          t.DeleteSubtree(n);
+        } else {
+          const Tree source = grafts.Generate(&rng);
+          t.GraftCopy(n, source, source.root());
+        }
+      }
+    }
     const Pattern p = rng.NextBool(0.5) ? patterns.GenerateLinear(&rng)
                                         : patterns.GenerateBranching(&rng);
-    const std::vector<NodeId> fast = Evaluate(p, t);
-
-    bool truncated = false;
-    const std::vector<Embedding> embeddings =
-        EnumerateEmbeddings(p, t, 200000, &truncated);
-    ASSERT_FALSE(truncated);
-    std::set<NodeId> slow;
-    for (const Embedding& e : embeddings) {
-      EXPECT_TRUE(IsValidEmbedding(p, t, e));
-      slow.insert(e[p.output()]);
-    }
-    EXPECT_EQ(std::set<NodeId>(fast.begin(), fast.end()), slow)
-        << "seed=" << GetParam() << " iter=" << iter;
-    // The counting DP agrees with explicit enumeration.
-    EXPECT_EQ(CountEmbeddings(p, t), embeddings.size())
-        << "seed=" << GetParam() << " iter=" << iter;
-    // The bit-parallel evaluator agrees with the baseline.
-    EXPECT_EQ(EvaluateFast(p, t), fast)
-        << "seed=" << GetParam() << " iter=" << iter;
+    ExpectMatchesEnumeration(
+        p, t,
+        "seed=" + std::to_string(GetParam()) + " iter=" + std::to_string(iter));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/random.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "xml/tree_algos.h"
@@ -120,6 +121,35 @@ TEST_F(TreeTest, GraftCopyPreservesChildOrder) {
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(t.LabelName(kids[0]), "p");
   EXPECT_EQ(t.LabelName(kids[1]), "q");
+}
+
+TEST_F(TreeTest, ValidateHoldsAfterRandomGraftsAndDeletes) {
+  // Validate includes the id-order invariant the evaluator's sweeps rely
+  // on: every child's id is above its parent's, tombstoned gaps and all.
+  Tree src(symbols_);
+  const NodeId sr = src.CreateRoot(L("x"));
+  src.AddChild(src.AddChild(sr, L("y")), L("z"));
+  Tree t(symbols_);
+  t.CreateRoot(L("r"));
+  Rng rng(7);
+  for (int step = 0; step < 1000; ++step) {
+    const std::vector<NodeId> live = t.PreOrder();
+    const NodeId n = live[rng.NextBounded(live.size())];
+    if (n != t.root() && rng.NextBool(0.3)) {
+      t.DeleteSubtree(n);
+    } else if (rng.NextBool(0.5)) {
+      t.GraftCopy(n, src, src.root());
+    } else {
+      t.AddChild(n, L("w"));
+    }
+    ASSERT_TRUE(t.Validate().ok()) << "step " << step;
+  }
+  EXPECT_LT(t.size(), t.capacity());  // deletes left gaps
+  for (NodeId n : t.PreOrder()) {
+    if (n != t.root()) {
+      EXPECT_LT(t.parent(n), n);
+    }
+  }
 }
 
 TEST_F(TreeTest, VersionBumpsOnMutation) {

@@ -1,6 +1,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "xml/tree_algos.h"
@@ -11,6 +12,7 @@ namespace xmlup {
 namespace {
 
 using testing_util::NewSymbols;
+using testing_util::Xp;
 
 class XmlIoTest : public ::testing::Test {
  protected:
@@ -162,6 +164,30 @@ TEST_F(XmlIoTest, DeepNestingParses) {
   Result<Tree> t = ParseXml(doc, symbols_);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->size(), static_cast<size_t>(depth + 1));
+}
+
+TEST_F(XmlIoTest, HundredThousandLevelsParseWriteAndReparse) {
+  // Parser and writer keep explicit stacks, so depth is bounded by memory.
+  // (CanonicalCode is quadratic on chains; OrderedEqual is not.)
+  const int depth = 100000;
+  std::string closing;
+  for (int i = 0; i < depth; ++i) closing += "</a>";
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "<a>";
+  text += closing;
+  Result<Tree> t = ParseXml(text, symbols_);
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_EQ(t->size(), static_cast<size_t>(depth));
+  EXPECT_EQ(Evaluate(Xp("a//a", symbols_), *t).size(),
+            static_cast<size_t>(depth - 1));
+  Result<Tree> again = ParseXml(WriteXml(*t), symbols_);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(OrderedEqual(*t, *again));
+  // Without the innermost closing tag the input ends inside an element.
+  Result<Tree> cut = ParseXml(
+      text.substr(0, 3 * depth) + closing.substr(4), symbols_);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), StatusCode::kParseError);
 }
 
 }  // namespace
