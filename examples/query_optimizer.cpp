@@ -3,7 +3,8 @@
 // hoisted and repeated reads eliminated (CSE), then both versions are
 // executed to show they observe the same results.
 //
-// Build & run:  ./build/examples/query_optimizer
+// Build & run:  ./build/examples/query_optimizer   (exits 1 if any read of
+// the optimized program differs from the original)
 
 #include <iostream>
 
@@ -74,12 +75,14 @@ int main() {
     return 1;
   }
   std::cout << "read results (original == optimized):\n";
-  for (size_t i = 0; i < t1->reads.size(); ++i) {
+  bool all_identical = t1->reads.size() == t2->reads.size();
+  for (size_t i = 0; i < t1->reads.size() && i < t2->reads.size(); ++i) {
+    const bool identical = t1->reads[i].nodes == t2->reads[i].nodes;
+    all_identical = all_identical && identical;
     std::cout << "  " << t1->reads[i].result_var << ": "
               << t1->reads[i].nodes.size() << " node(s)"
-              << (t1->reads[i].nodes == t2->reads[i].nodes ? "  ✓ identical"
-                                                           : "  ✗ DIFFER")
-              << "\n";
+              << (identical ? "  ✓ identical" : "  ✗ DIFFER") << "\n";
   }
-  return 0;
+  // Nonzero exit on any mismatch, so CI catches an unsound CSE.
+  return all_identical ? 0 : 1;
 }

@@ -1,12 +1,7 @@
 #include "analysis/dependence.h"
 
-#include <optional>
-#include <unordered_map>
-
-#include "conflict/update_independence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pattern/pattern_store.h"
 
 namespace xmlup {
 namespace {
@@ -30,134 +25,42 @@ struct DependenceMetrics {
   }
 };
 
-bool IsUpdate(const Statement& s) {
-  return s.kind == Statement::Kind::kInsert ||
-         s.kind == Statement::Kind::kDelete;
-}
-
-std::optional<UpdateOp> ToUpdateOp(const Statement& s) {
-  if (s.kind == Statement::Kind::kInsert) {
-    return UpdateOp::MakeInsert(s.pattern, s.content);
-  }
-  Result<UpdateOp> del = UpdateOp::MakeDelete(s.pattern);
-  if (!del.ok()) return std::nullopt;
-  return std::move(del).value();
-}
-
 }  // namespace
 
+DependenceAnalysisResult SummarizeDependences(
+    const std::vector<Statement>& statements, const DependenceGraph& graph) {
+  DependenceAnalysisResult result;
+  for (const DependenceEdge& edge : graph.edges()) {
+    result.dependences.push_back(
+        {edge.from, edge.to, statements[edge.from].target_var});
+  }
+  const size_t n = statements.size();
+  result.pairs_total = n < 2 ? 0 : n * (n - 1) / 2;
+  result.pairs_independent = result.pairs_total - result.dependences.size();
+  const DependenceMetrics& metrics = DependenceMetrics::Get();
+  metrics.pairs_analyzed.Increment(result.pairs_total);
+  metrics.edges_pruned.Increment(result.pairs_independent);
+  return result;
+}
+
 DependenceAnalyzer::DependenceAnalyzer(DetectorOptions options)
-    : DependenceAnalyzer(BatchDetectorOptions{options, 0, true, true}) {}
+    : DependenceAnalyzer(
+          BatchDetectorOptions{.detector = options, .store = nullptr}) {}
 
 DependenceAnalyzer::DependenceAnalyzer(BatchDetectorOptions options)
-    : options_(options), batch_(options) {}
+    : batch_(std::move(options)) {}
 
-bool DependenceAnalyzer::MustOrder(const Statement& a,
-                                   const Statement& b) const {
-  if (a.target_var != b.target_var) return false;
-  if (a.kind == Statement::Kind::kRead && b.kind == Statement::Kind::kRead) {
-    return false;
-  }
-  if (IsUpdate(a) && IsUpdate(b)) {
-    // §6: update-update conflicts are NP-hard in general, but the sound
-    // commutativity certificate of update_independence.h proves many pairs
-    // reorderable; anything uncertified stays ordered.
-    std::optional<UpdateOp> op_a = ToUpdateOp(a);
-    std::optional<UpdateOp> op_b = ToUpdateOp(b);
-    if (!op_a.has_value() || !op_b.has_value()) return true;
-    Result<IndependenceReport> cert =
-        CertifyUpdatesCommute(*op_a, *op_b, options_.detector);
-    return !cert.ok() ||
-           cert->certificate != CommutativityCertificate::kCertified;
-  }
-
-  const Statement& read = a.kind == Statement::Kind::kRead ? a : b;
-  const Statement& update = a.kind == Statement::Kind::kRead ? b : a;
-
-  std::optional<UpdateOp> op = ToUpdateOp(update);
-  if (!op.has_value()) return true;  // malformed update: stay conservative
-  Result<ConflictReport> report = Detect(read.pattern, *op, options_.detector);
-  if (!report.ok()) return true;
-  return report->verdict != ConflictVerdict::kNoConflict;
+DependenceGraph DependenceAnalyzer::Graph(const Program& program) const {
+  const std::vector<Statement>& statements = program.statements();
+  return BuildDependenceGraph(
+      statements, BindStatements(statements, batch_.pattern_store()), batch_);
 }
 
 DependenceAnalysisResult DependenceAnalyzer::Analyze(
     const Program& program) const {
   obs::TraceSpan span("DependenceAnalyze");
-  DependenceAnalysisResult result;
-  const auto& statements = program.statements();
-
-  // Pass 1: collect every read/update pair on a shared variable for the
-  // batch engine; each statement enters the read/update pools once, and
-  // its pattern is interned into the engine's store here — the batch call
-  // below then runs entirely on refs, with no per-pair canonicalization.
-  const std::shared_ptr<PatternStore>& store = batch_.pattern_store();
-  std::vector<PatternRef> reads;
-  std::vector<UpdateOp> updates;
-  std::unordered_map<size_t, size_t> read_slot;    // statement → reads idx
-  std::unordered_map<size_t, size_t> update_slot;  // statement → updates idx
-  std::vector<ReadUpdatePair> pairs;
-  auto read_index_of = [&](size_t s) {
-    auto [it, inserted] = read_slot.emplace(s, reads.size());
-    if (inserted) reads.push_back(store->Intern(statements[s].pattern));
-    return it->second;
-  };
-  auto update_index_of = [&](size_t s) -> std::optional<size_t> {
-    auto it = update_slot.find(s);
-    if (it != update_slot.end()) return it->second;
-    std::optional<UpdateOp> op = ToUpdateOp(statements[s]);
-    if (!op.has_value()) return std::nullopt;  // malformed: resolved inline
-    update_slot.emplace(s, updates.size());
-    updates.push_back(op->Bind(store));
-    return updates.size() - 1;
-  };
-  for (size_t i = 0; i < statements.size(); ++i) {
-    for (size_t j = i + 1; j < statements.size(); ++j) {
-      const Statement& a = statements[i];
-      const Statement& b = statements[j];
-      if (a.target_var != b.target_var) continue;
-      if (IsUpdate(a) == IsUpdate(b)) continue;  // read/read, update/update
-      const size_t read_stmt = IsUpdate(a) ? j : i;
-      const size_t update_stmt = IsUpdate(a) ? i : j;
-      std::optional<size_t> u = update_index_of(update_stmt);
-      if (!u.has_value()) continue;
-      pairs.push_back({read_index_of(read_stmt), *u});
-    }
-  }
-  const std::vector<SharedConflictResult> verdicts =
-      batch_.DetectPairs(reads, updates, pairs);
-
-  // Pass 2: classify every pair in order, consuming batch verdicts in the
-  // order pass 1 enqueued them.
-  size_t next_verdict = 0;
-  for (size_t i = 0; i < statements.size(); ++i) {
-    for (size_t j = i + 1; j < statements.size(); ++j) {
-      ++result.pairs_total;
-      const Statement& a = statements[i];
-      const Statement& b = statements[j];
-      bool ordered;
-      if (a.target_var != b.target_var || (!IsUpdate(a) && !IsUpdate(b))) {
-        ordered = false;
-      } else if (IsUpdate(a) && IsUpdate(b)) {
-        ordered = MustOrder(a, b);
-      } else if (update_slot.count(IsUpdate(a) ? i : j) != 0) {
-        const Result<ConflictReport>& report = *verdicts[next_verdict++];
-        ordered = !report.ok() ||
-                  report->verdict != ConflictVerdict::kNoConflict;
-      } else {
-        ordered = true;  // malformed update: stay conservative
-      }
-      if (ordered) {
-        std::string reason = statements[i].target_var;
-        result.dependences.push_back({i, j, std::move(reason)});
-      } else {
-        ++result.pairs_independent;
-      }
-    }
-  }
-  const DependenceMetrics& metrics = DependenceMetrics::Get();
-  metrics.pairs_analyzed.Increment(result.pairs_total);
-  metrics.edges_pruned.Increment(result.pairs_independent);
+  DependenceAnalysisResult result =
+      SummarizeDependences(program.statements(), Graph(program));
   result.batch_stats = batch_.stats();
   return result;
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dependence_graph.h"
 #include "analysis/program.h"
 #include "conflict/batch_detector.h"
 #include "conflict/detector.h"
@@ -15,22 +16,24 @@ namespace xmlup {
 /// does not conflict with an update enables code motion and common
 /// subexpression elimination.
 ///
-/// Pairwise classification:
+/// Pairs are classified by the shared dependence core
+/// (analysis/dependence_graph.h):
 ///  - statements on different tree variables are independent;
 ///  - read/read pairs are independent;
 ///  - read/update pairs use the unified conflict detector (complete for
 ///    linear reads, Theorems 1-2); an Unknown verdict is treated as a
 ///    dependence (conservative);
-///  - update/update pairs on the same variable are conservatively
-///    dependent (see §6 on the subtleties of update-update semantics;
-///    commutativity checking is available separately).
+///  - update/update pairs on the same variable stay ordered unless the §6
+///    commutativity certificate (update_independence.h) clears them;
+///  - a malformed update is dependent on every statement on its variable.
 ///
 /// Analyze() routes all read/update pairs through the batch
 /// conflict-matrix engine (conflict/batch_detector.h): the full pair set
 /// is solved on a thread pool with memoization on canonical pattern
 /// pairs, so programs with repeated patterns — the common case for
-/// generated programs — pay for each distinct pair once. The memo cache
-/// persists across Analyze() calls on the same analyzer.
+/// generated programs — pay for each distinct pair once. Updates are bound
+/// to the engine's store, so the certificates run on interned refs too.
+/// The memo cache persists across Analyze() calls on the same analyzer.
 struct Dependence {
   size_t from;  // earlier statement index
   size_t to;    // later statement index
@@ -48,20 +51,26 @@ struct DependenceAnalysisResult {
   BatchStats batch_stats;
 };
 
+/// `graph` over `statements` as an analysis result: one Dependence per
+/// edge, its reason the shared tree variable, and the pair counts. Records
+/// the dependence.* counters; both dependence analyzers report through it.
+DependenceAnalysisResult SummarizeDependences(
+    const std::vector<Statement>& statements, const DependenceGraph& graph);
+
 class DependenceAnalyzer {
  public:
   explicit DependenceAnalyzer(DetectorOptions options = {});
   /// Full control over threading and memoization of the batch engine.
   explicit DependenceAnalyzer(BatchDetectorOptions options);
 
-  /// True if statements a (earlier) and b (later) must stay ordered.
-  /// Single-pair entry point; Analyze() is the batched equivalent.
-  bool MustOrder(const Statement& a, const Statement& b) const;
+  /// The classified dependence graph of `program`, edge reasons included
+  /// (one DetectPairs call plus the shared pair classifier).
+  DependenceGraph Graph(const Program& program) const;
 
+  /// Graph() summarized as a dependence list.
   DependenceAnalysisResult Analyze(const Program& program) const;
 
  private:
-  BatchDetectorOptions options_;
   /// Mutable: the memoization cache warms across Analyze() calls; the
   /// analysis result itself is deterministic either way.
   mutable BatchConflictDetector batch_;

@@ -4,105 +4,68 @@
 
 #include "common/check.h"
 #include "conflict/update_independence.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace xmlup {
-namespace {
-
-bool IsUpdate(const Statement& s) {
-  return s.kind == Statement::Kind::kInsert ||
-         s.kind == Statement::Kind::kDelete;
-}
-
-std::optional<UpdateOp> ToUpdateOp(const Statement& s) {
-  if (s.kind == Statement::Kind::kInsert) {
-    return UpdateOp::MakeInsert(s.pattern, s.content);
-  }
-  Result<UpdateOp> del = UpdateOp::MakeDelete(s.pattern);
-  if (!del.ok()) return std::nullopt;
-  return std::move(del).value();
-}
-
-}  // namespace
-
-size_t IncrementalDependenceAnalyzer::UpdatePairKeyHash::operator()(
-    const UpdatePairKey& k) const {
-  uint64_t h = (static_cast<uint64_t>(k.ref_a) << 32) ^ k.ref_b;
-  h ^= (static_cast<uint64_t>(k.content_a) << 32) ^ k.content_b ^
-       (static_cast<uint64_t>(k.kind_a) << 17) ^
-       (static_cast<uint64_t>(k.kind_b) << 9);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return static_cast<size_t>(h);
-}
 
 IncrementalDependenceAnalyzer::IncrementalDependenceAnalyzer(
     DetectorOptions options)
     : IncrementalDependenceAnalyzer(
-          BatchDetectorOptions{options, 0, true, true}) {}
+          BatchDetectorOptions{.detector = options, .store = nullptr}) {}
 
 IncrementalDependenceAnalyzer::IncrementalDependenceAnalyzer(
     BatchDetectorOptions options)
-    : options_(std::move(options)), matrix_(options_) {}
+    : matrix_(std::move(options)) {}
 
 const Statement& IncrementalDependenceAnalyzer::statement(size_t index) const {
   XMLUP_CHECK(index < stmts_.size());
-  return stmts_[index].stmt;
+  return stmts_[index];
 }
 
 void IncrementalDependenceAnalyzer::SetProgram(const Program& program) {
   obs::TraceSpan span("IncrementalDependence.set_program");
-  stmts_.clear();
+  stmts_ = program.statements();
+  ops_ = BindStatements(stmts_, matrix_.engine().pattern_store());
+  slots_.assign(stmts_.size(), std::nullopt);
   std::vector<Pattern> reads;
   std::vector<UpdateOp> updates;
-  for (const Statement& s : program.statements()) {
-    StmtInfo info{s, std::nullopt, std::nullopt};
-    if (s.kind == Statement::Kind::kRead) {
-      info.read_slot = reads.size();
-      reads.push_back(s.pattern);
-    } else if (std::optional<UpdateOp> op = ToUpdateOp(s)) {
-      info.update_slot = updates.size();
-      updates.push_back(std::move(*op));
+  for (size_t i = 0; i < stmts_.size(); ++i) {
+    if (stmts_[i].kind == Statement::Kind::kRead) {
+      slots_[i] = reads.size();
+      reads.push_back(stmts_[i].pattern);
+    } else if (ops_[i].ok()) {
+      slots_[i] = updates.size();
+      updates.push_back(*ops_[i]);
     }
-    stmts_.push_back(std::move(info));
   }
-  // uu_memo_ survives: its facts are keyed on canonical op pairs, which a
-  // new program may well repeat.
+  // certificates_ survives: its facts are keyed on canonical op pairs,
+  // which a new program may well repeat.
   matrix_.Assign(reads, updates);
 }
 
-void IncrementalDependenceAnalyzer::AttachSlots(size_t index) {
-  StmtInfo& info = stmts_[index];
-  if (info.stmt.kind == Statement::Kind::kRead) {
-    info.read_slot = matrix_.AddRead(info.stmt.pattern);
-  } else if (std::optional<UpdateOp> op = ToUpdateOp(info.stmt)) {
-    info.update_slot = matrix_.AddUpdate(*op);
+void IncrementalDependenceAnalyzer::AttachSlot(size_t index) {
+  const Statement& s = stmts_[index];
+  if (s.kind == Statement::Kind::kRead) {
+    slots_[index] = matrix_.AddRead(s.pattern);
+  } else if (ops_[index].ok()) {
+    slots_[index] = matrix_.AddUpdate(*ops_[index]);
+    ops_[index] = matrix_.update(*slots_[index]);
   }
 }
 
-void IncrementalDependenceAnalyzer::DetachSlots(size_t index) {
-  StmtInfo& info = stmts_[index];
-  if (info.read_slot.has_value()) {
-    const size_t row = *info.read_slot;
-    matrix_.RemoveRead(row);
-    info.read_slot.reset();
-    for (StmtInfo& other : stmts_) {
-      if (other.read_slot.has_value() && *other.read_slot > row) {
-        --*other.read_slot;
-      }
-    }
+void IncrementalDependenceAnalyzer::DetachSlot(size_t index) {
+  if (!slots_[index].has_value()) return;
+  const bool read = stmts_[index].kind == Statement::Kind::kRead;
+  const size_t slot = *slots_[index];
+  if (read) {
+    matrix_.RemoveRead(slot);
+  } else {
+    matrix_.RemoveUpdate(slot);
   }
-  if (info.update_slot.has_value()) {
-    const size_t column = *info.update_slot;
-    matrix_.RemoveUpdate(column);
-    info.update_slot.reset();
-    for (StmtInfo& other : stmts_) {
-      if (other.update_slot.has_value() && *other.update_slot > column) {
-        --*other.update_slot;
-      }
-    }
+  slots_[index].reset();
+  for (size_t i = 0; i < stmts_.size(); ++i) {
+    const bool same_side = (stmts_[i].kind == Statement::Kind::kRead) == read;
+    if (same_side && slots_[i].has_value() && *slots_[i] > slot) --*slots_[i];
   }
 }
 
@@ -110,126 +73,95 @@ void IncrementalDependenceAnalyzer::InsertStatement(size_t index,
                                                     const Statement& statement) {
   obs::TraceSpan span("IncrementalDependence.insert");
   XMLUP_CHECK(index <= stmts_.size());
-  stmts_.insert(stmts_.begin() + static_cast<ptrdiff_t>(index),
-                StmtInfo{statement, std::nullopt, std::nullopt});
-  AttachSlots(index);
+  const auto at = static_cast<ptrdiff_t>(index);
+  stmts_.insert(stmts_.begin() + at, statement);
+  ops_.insert(ops_.begin() + at, ToUpdateOp(statement));
+  slots_.insert(slots_.begin() + at, std::nullopt);
+  AttachSlot(index);
 }
 
 void IncrementalDependenceAnalyzer::RemoveStatement(size_t index) {
   obs::TraceSpan span("IncrementalDependence.remove");
   XMLUP_CHECK(index < stmts_.size());
-  DetachSlots(index);
-  stmts_.erase(stmts_.begin() + static_cast<ptrdiff_t>(index));
+  DetachSlot(index);
+  const auto at = static_cast<ptrdiff_t>(index);
+  stmts_.erase(stmts_.begin() + at);
+  ops_.erase(ops_.begin() + at);
+  slots_.erase(slots_.begin() + at);
 }
 
 void IncrementalDependenceAnalyzer::ReplaceStatement(
     size_t index, const Statement& statement) {
   obs::TraceSpan span("IncrementalDependence.replace");
   XMLUP_CHECK(index < stmts_.size());
-  StmtInfo& info = stmts_[index];
-  const bool old_read = info.stmt.kind == Statement::Kind::kRead;
+  const bool old_read = stmts_[index].kind == Statement::Kind::kRead;
   const bool new_read = statement.kind == Statement::Kind::kRead;
   if (old_read && new_read) {
-    matrix_.ReplaceRead(*info.read_slot, statement.pattern);
-    info.stmt = statement;
+    matrix_.ReplaceRead(*slots_[index], statement.pattern);
+    stmts_[index] = statement;
     return;
   }
-  if (!old_read && !new_read && info.update_slot.has_value()) {
-    if (std::optional<UpdateOp> op = ToUpdateOp(statement)) {
-      matrix_.ReplaceUpdate(*info.update_slot, *op);
-      info.stmt = statement;
+  if (!old_read && !new_read && slots_[index].has_value()) {
+    if (Result<UpdateOp> op = ToUpdateOp(statement); op.ok()) {
+      matrix_.ReplaceUpdate(*slots_[index], *op);
+      ops_[index] = matrix_.update(*slots_[index]);
+      stmts_[index] = statement;
       return;
     }
   }
   // Kind change (or a malformed update on either side): fall back to
   // detach + attach, still one row/column of work.
-  DetachSlots(index);
-  info.stmt = statement;
-  info.read_slot.reset();
-  info.update_slot.reset();
-  AttachSlots(index);
+  DetachSlot(index);
+  stmts_[index] = statement;
+  ops_[index] = ToUpdateOp(statement);
+  AttachSlot(index);
 }
 
-bool IncrementalDependenceAnalyzer::MustOrderUpdates(
-    const Statement& earlier, const Statement& later) const {
-  // §6: update-update conflicts are NP-hard in general; the sound
-  // commutativity certificate proves many pairs reorderable, and its
-  // verdict for a canonical op pair never changes — memoize it.
-  std::optional<UpdateOp> op_a = ToUpdateOp(earlier);
-  std::optional<UpdateOp> op_b = ToUpdateOp(later);
-  if (!op_a.has_value() || !op_b.has_value()) return true;
-  auto leg = [&](const UpdateOp& op, uint32_t* ref, uint32_t* content,
-                 uint8_t* kind) {
-    *ref = uu_store_.Intern(op.pattern()).id();
-    *kind = static_cast<uint8_t>(op.kind());
-    *content = op.kind() == UpdateOp::Kind::kInsert
-                   ? uu_store_.InternContentCode(op.content())
-                   : 0;
+DependenceGraph IncrementalDependenceAnalyzer::Graph() const {
+  // §6 certificates never change for a canonical op pair: memoize them on
+  // the matrix store's ids.
+  const std::shared_ptr<PatternStore>& store = matrix_.engine().pattern_store();
+  auto leg = [&](size_t s, uint32_t* key) {
+    const UpdateOp& op = *ops_[s];
+    const bool insert = op.kind() == UpdateOp::Kind::kInsert;
+    key[0] = op.pattern_ref().id();
+    key[1] = insert ? store->InternContentCode(op.content()) : 0;
+    key[2] = insert ? 1 : 0;
   };
-  UpdatePairKey key;
-  leg(*op_a, &key.ref_a, &key.content_a, &key.kind_a);
-  leg(*op_b, &key.ref_b, &key.content_b, &key.kind_b);
-  auto it = uu_memo_.find(key);
-  if (it != uu_memo_.end()) return it->second;
-  Result<IndependenceReport> cert =
-      CertifyUpdatesCommute(*op_a, *op_b, options_.detector);
-  const bool ordered =
-      !cert.ok() || cert->certificate != CommutativityCertificate::kCertified;
-  uu_memo_.emplace(key, ordered);
-  return ordered;
+  return ClassifyPairs(
+      stmts_, ops_,
+      [&](size_t read, size_t update) -> const Result<ConflictReport>& {
+        return *matrix_.cell(*slots_[read], *slots_[update]);
+      },
+      [&](size_t earlier, size_t later) {
+        std::array<uint32_t, 6> key;
+        leg(earlier, &key[0]);
+        leg(later, &key[3]);
+        auto it = certificates_.find(key);
+        if (it == certificates_.end()) {
+          Result<IndependenceReport> cert =
+              CertifyUpdatesCommute(*ops_[earlier], *ops_[later],
+                                    matrix_.engine().options().detector);
+          it = certificates_.emplace(key, std::move(cert)).first;
+        }
+        return it->second;
+      });
 }
 
 DependenceAnalysisResult IncrementalDependenceAnalyzer::Analyze() const {
   obs::TraceSpan span("IncrementalDependenceAnalyze");
-  DependenceAnalysisResult result;
-  for (size_t i = 0; i < stmts_.size(); ++i) {
-    for (size_t j = i + 1; j < stmts_.size(); ++j) {
-      ++result.pairs_total;
-      const Statement& a = stmts_[i].stmt;
-      const Statement& b = stmts_[j].stmt;
-      bool ordered;
-      if (a.target_var != b.target_var || (!IsUpdate(a) && !IsUpdate(b))) {
-        ordered = false;
-      } else if (IsUpdate(a) && IsUpdate(b)) {
-        ordered = MustOrderUpdates(a, b);
-      } else {
-        const StmtInfo& read_info = IsUpdate(a) ? stmts_[j] : stmts_[i];
-        const StmtInfo& update_info = IsUpdate(a) ? stmts_[i] : stmts_[j];
-        if (!update_info.update_slot.has_value()) {
-          ordered = true;  // malformed update: stay conservative
-        } else {
-          const SharedConflictResult& cell =
-              matrix_.cell(*read_info.read_slot, *update_info.update_slot);
-          ordered = !cell->ok() ||
-                    (*cell)->verdict != ConflictVerdict::kNoConflict;
-        }
-      }
-      if (ordered) {
-        result.dependences.push_back({i, j, a.target_var});
-      } else {
-        ++result.pairs_independent;
-      }
-    }
-  }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  reg.GetCounter("dependence.pairs_analyzed").Increment(result.pairs_total);
-  reg.GetCounter("dependence.edges_pruned").Increment(result.pairs_independent);
+  DependenceAnalysisResult result = SummarizeDependences(stmts_, Graph());
   result.batch_stats = matrix_.engine().stats();
   return result;
 }
 
 std::vector<std::pair<size_t, size_t>>
 IncrementalDependenceAnalyzer::IndependentPairs() const {
-  const DependenceAnalysisResult result = Analyze();
-  std::vector<bool> dependent(stmts_.size() * stmts_.size(), false);
-  for (const Dependence& d : result.dependences) {
-    dependent[d.from * stmts_.size() + d.to] = true;
-  }
+  const DependenceGraph graph = Graph();
   std::vector<std::pair<size_t, size_t>> independent;
-  independent.reserve(result.pairs_independent);
   for (size_t i = 0; i < stmts_.size(); ++i) {
     for (size_t j = i + 1; j < stmts_.size(); ++j) {
-      if (!dependent[i * stmts_.size() + j]) independent.emplace_back(i, j);
+      if (!graph.Ordered(i, j)) independent.emplace_back(i, j);
     }
   }
   return independent;

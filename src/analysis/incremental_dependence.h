@@ -1,10 +1,11 @@
 #ifndef XMLUP_ANALYSIS_INCREMENTAL_DEPENDENCE_H_
 #define XMLUP_ANALYSIS_INCREMENTAL_DEPENDENCE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,16 +24,17 @@ namespace xmlup {
 /// The analyzer keeps every read statement as a row and every well-formed
 /// update statement as a column of a MaintainedConflictMatrix, so a
 /// single-statement edit triggers at most one row or column recompute
-/// (≤ max(#reads, #updates) batch-engine requests, mostly memo hits), plus
-/// — for update statements — commutativity certificates against the other
-/// updates, which are memoized on canonical (ref, content, kind) pairs so
-/// each distinct update pair is certified once per analyzer lifetime.
+/// (≤ max(#reads, #updates) batch-engine requests, mostly memo hits).
+/// Update/update commutativity certificates run on the matrix's bound ops
+/// and are memoized on their (ref, content, kind) pairs, so each distinct
+/// update pair is certified once per analyzer lifetime.
 ///
-/// Analyze() then classifies statement pairs from the maintained cells
-/// exactly as DependenceAnalyzer::Analyze would from a fresh matrix; the
-/// two agree dependence-for-dependence on the equivalent Program (the
-/// oracle property the tests enforce). Statement indices follow program
-/// order; Remove/Insert shift later statements like a text edit would.
+/// Analyze() feeds the maintained cells and the memoized certificates to
+/// the shared pair classifier (analysis/dependence_graph.h), so it agrees
+/// dependence-for-dependence with DependenceAnalyzer::Analyze on the
+/// equivalent Program (the oracle property the tests enforce). Statement
+/// indices follow program order; Remove/Insert shift later statements like
+/// a text edit would.
 ///
 /// Cross-variable note: the matrix holds a cell for *every* read/update
 /// statement pair, including pairs on different tree variables whose
@@ -71,52 +73,29 @@ class IncrementalDependenceAnalyzer {
   const DeltaStats& delta_stats() const { return matrix_.delta_stats(); }
 
  private:
-  struct StmtInfo {
-    Statement stmt;
-    /// Row in matrix_ for reads; column for well-formed updates. A
-    /// malformed update (root-selecting delete) gets neither and is
-    /// treated as conservatively dependent on everything sharing its
-    /// variable, matching DependenceAnalyzer.
-    std::optional<size_t> read_slot;
-    std::optional<size_t> update_slot;
-  };
-
-  /// Memo key for an *ordered* update-statement pair: canonical store ids
-  /// of both ops in (earlier, later) call order, so memoized answers
-  /// reproduce DependenceAnalyzer::MustOrder call-for-call.
-  struct UpdatePairKey {
-    uint32_t ref_a = 0, ref_b = 0;
-    uint32_t content_a = 0, content_b = 0;
-    uint8_t kind_a = 0, kind_b = 0;
-
-    friend bool operator==(const UpdatePairKey& x, const UpdatePairKey& y) {
-      return x.ref_a == y.ref_a && x.ref_b == y.ref_b &&
-             x.content_a == y.content_a && x.content_b == y.content_b &&
-             x.kind_a == y.kind_a && x.kind_b == y.kind_b;
-    }
-  };
-  struct UpdatePairKeyHash {
-    size_t operator()(const UpdatePairKey& k) const;
-  };
-
-  /// Detaches matrix slots held by stmts_[index] (decrementing later
+  /// Detaches the matrix row/column of statement `index` (shifting later
   /// slots), used by Remove/Replace.
-  void DetachSlots(size_t index);
-  /// Attaches stmts_[index] to the matrix (AddRead / AddUpdate).
-  void AttachSlots(size_t index);
+  void DetachSlot(size_t index);
+  /// Attaches statement `index`, already modeled in ops_, to the matrix
+  /// (AddRead / AddUpdate).
+  void AttachSlot(size_t index);
+  /// The shared classifier over the maintained cells and the memoized
+  /// certificates.
+  DependenceGraph Graph() const;
 
-  /// DependenceAnalyzer::MustOrder's update-update branch, memoized.
-  bool MustOrderUpdates(const Statement& earlier, const Statement& later) const;
-
-  BatchDetectorOptions options_;
   MaintainedConflictMatrix matrix_;
-  std::vector<StmtInfo> stmts_;
-  /// Exact-canonical (non-minimizing) interner for uu_memo_ keys: certify
-  /// runs on the raw statement ops (exactly what DependenceAnalyzer
-  /// does), so the memo must not conflate patterns that only minimization
-  /// would merge.
-  mutable PatternStore uu_store_{nullptr, PatternStoreOptions{false}};
-  mutable std::unordered_map<UpdatePairKey, bool, UpdatePairKeyHash> uu_memo_;
+  std::vector<Statement> stmts_;
+  /// The statement model (ToUpdateOp) of each statement; well-formed
+  /// updates hold their matrix column's op, bound to the matrix's store.
+  std::vector<Result<UpdateOp>> ops_;
+  /// Matrix row of a read, column of a well-formed update; empty for a
+  /// malformed update, which is conservatively dependent on everything
+  /// sharing its variable.
+  std::vector<std::optional<size_t>> slots_;
+  /// Update/update certificates, keyed on the matrix store's (ref,
+  /// content id, kind) of both bound ops in (earlier, later) order.
+  mutable std::map<std::array<uint32_t, 6>, Result<IndependenceReport>>
+      certificates_;
 };
 
 }  // namespace xmlup

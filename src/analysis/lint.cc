@@ -5,13 +5,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/dependence_graph.h"
 #include "analysis/optimizer.h"
 #include "common/string_util.h"
 #include "conflict/minimize.h"
-#include "conflict/update_independence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pattern/pattern_ops.h"
 
 namespace xmlup {
 namespace {
@@ -48,40 +47,6 @@ struct LintMetrics {
     return *metrics;
   }
 };
-
-bool IsUpdate(const Statement& s) {
-  return s.kind == Statement::Kind::kInsert ||
-         s.kind == Statement::Kind::kDelete;
-}
-
-std::optional<UpdateOp> ToUpdateOp(const Statement& s) {
-  if (s.kind == Statement::Kind::kInsert) {
-    if (s.content == nullptr) return std::nullopt;
-    return UpdateOp::MakeInsert(s.pattern, s.content);
-  }
-  Result<UpdateOp> del = UpdateOp::MakeDelete(s.pattern);
-  if (!del.ok()) return std::nullopt;
-  return std::move(del).value();
-}
-
-/// Why two statements must stay ordered (the partitioner's edge labels).
-enum class EdgeReason {
-  kConflict,    // detector proved a read/update conflict
-  kUnknown,     // truncated verdict — conservatively ordered
-  kError,       // detector error — conservatively ordered
-  kUpdatePair,  // update/update without a commutativity certificate
-  kResultVar,   // write-after-write on one result variable
-  kAlias,       // CSE alias must follow its source
-  kMalformed,   // statement the detectors cannot model
-};
-
-struct DependenceEdge {
-  size_t from;
-  size_t to;
-  EdgeReason reason;
-};
-
-uint64_t PairKey(size_t a, size_t b, size_t n) { return a * n + b; }
 
 std::string StatementSummary(const Program& program, size_t index) {
   const Statement& s = program.statements()[index];
@@ -188,25 +153,12 @@ Result<Program> ApplyLintFixIt(const Program& program,
       Program out;
       for (size_t j = 0; j < n; ++j) {
         if (j == fixit.statement) continue;
-        const Statement& s = statements[j];
-        size_t index = 0;
-        switch (s.kind) {
-          case Statement::Kind::kRead:
-            index = out.AddRead(s.result_var, s.target_var, s.pattern);
-            break;
-          case Statement::Kind::kInsert:
-            index = out.AddInsert(s.target_var, s.pattern, s.content);
-            break;
-          case Statement::Kind::kDelete:
-            index = out.AddDelete(s.target_var, s.pattern);
-            break;
+        Statement s = statements[j];
+        // Indices past the removed statement shift down by one.
+        if (s.alias_of.has_value() && *s.alias_of > fixit.statement) {
+          --*s.alias_of;
         }
-        if (s.alias_of.has_value()) {
-          // Indices past the removed statement shift down by one.
-          const size_t source = *s.alias_of;
-          out.mutable_statements()[index].alias_of =
-              source > fixit.statement ? source - 1 : source;
-        }
+        out.mutable_statements().push_back(std::move(s));
       }
       return out;
     }
@@ -276,159 +228,40 @@ LintResult Linter::Lint(const Program& program) const {
   result.stats.statements = n;
   metrics.statements.Increment(n);
 
-  // --- Statement models -------------------------------------------------
-  // Bound UpdateOps for every well-formed update; `malformed` marks the
-  // rest (they stay conservatively dependent on everything on their
-  // variable and are reported by the malformed-update pass).
-  const std::shared_ptr<PatternStore>& store = batch_.pattern_store();
-  std::vector<std::optional<UpdateOp>> ops(n);
-  std::vector<bool> malformed(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    if (!IsUpdate(statements[i])) continue;
-    std::optional<UpdateOp> op = ToUpdateOp(statements[i]);
-    if (!op.has_value()) {
-      malformed[i] = true;
-    } else {
-      ops[i] = op->Bind(store);
-    }
-  }
-
-  // --- Read/update pair matrix via the batch engine ---------------------
-  // Mirrors DependenceAnalyzer::Analyze: every same-variable read/update
-  // pair enters the engine once, on interned refs.
-  std::unordered_map<uint64_t, SharedConflictResult> report_of;
-  {
-    obs::TraceSpan matrix_span("Lint.matrix");
-    std::vector<PatternRef> reads;
-    std::vector<UpdateOp> updates;
-    std::unordered_map<size_t, size_t> read_slot;
-    std::unordered_map<size_t, size_t> update_slot;
-    std::vector<ReadUpdatePair> pairs;
-    std::vector<uint64_t> pair_keys;  // (read stmt, update stmt) per pair
-    auto read_index_of = [&](size_t s) {
-      auto [it, inserted] = read_slot.emplace(s, reads.size());
-      if (inserted) reads.push_back(store->Intern(statements[s].pattern));
-      return it->second;
-    };
-    auto update_index_of = [&](size_t s) {
-      auto [it, inserted] = update_slot.emplace(s, updates.size());
-      if (inserted) updates.push_back(*ops[s]);
-      return it->second;
-    };
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        const Statement& a = statements[i];
-        const Statement& b = statements[j];
-        if (a.target_var != b.target_var) continue;
-        if (IsUpdate(a) == IsUpdate(b)) continue;
-        const size_t read_stmt = IsUpdate(a) ? j : i;
-        const size_t update_stmt = IsUpdate(a) ? i : j;
-        if (malformed[update_stmt]) continue;
-        pairs.push_back({read_index_of(read_stmt),
-                         update_index_of(update_stmt)});
-        pair_keys.push_back(PairKey(read_stmt, update_stmt, n));
-      }
-    }
-    const std::vector<SharedConflictResult> verdicts =
-        batch_.DetectPairs(reads, updates, pairs);
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      report_of.emplace(pair_keys[k], verdicts[k]);
-    }
-    result.stats.pairs_checked = pairs.size();
-  }
-  /// Verdict lookup; Unknown for anything the engine was not asked about.
-  auto verdict_of = [&](size_t read_stmt,
-                        size_t update_stmt) -> ConflictVerdict {
-    auto it = report_of.find(PairKey(read_stmt, update_stmt, n));
-    if (it == report_of.end() || !it->second->ok()) {
-      return ConflictVerdict::kUnknown;
-    }
-    return (*it->second)->verdict;
+  // --- Dependence graph (analysis/dependence_graph.h) --------------------
+  // Malformed updates stay dependent on everything on their variable and
+  // are reported by the malformed-update pass.
+  const std::vector<Result<UpdateOp>> ops =
+      BindStatements(statements, batch_.pattern_store());
+  auto malformed = [&](size_t i) {
+    return IsUpdate(statements[i]) && !ops[i].ok();
   };
+  DependenceGraph graph = [&] {
+    obs::TraceSpan graph_span("Lint.graph");
+    return BuildDependenceGraph(statements, ops, batch_);
+  }();
+  result.stats.pairs_checked = graph.verdicts_consulted();
+  result.stats.update_pairs_checked = graph.certificates_consulted();
+  const std::vector<std::optional<size_t>> aliases =
+      SelectReadAliases(statements, graph);
 
-  // --- Update/update commutativity certificates --------------------------
-  struct CertResult {
-    bool certified = false;
-    std::string detail;
-  };
-  std::unordered_map<uint64_t, CertResult> cert_of;
-  {
-    obs::TraceSpan cert_span("Lint.certificates");
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (!IsUpdate(statements[i]) || !IsUpdate(statements[j])) continue;
-        if (statements[i].target_var != statements[j].target_var) continue;
-        if (malformed[i] || malformed[j]) continue;
-        ++result.stats.update_pairs_checked;
-        Result<IndependenceReport> cert = CertifyUpdatesCommute(
-            *ops[i], *ops[j], options_.batch.detector);
-        CertResult entry;
-        if (cert.ok()) {
-          entry.certified =
-              cert->certificate == CommutativityCertificate::kCertified;
-          entry.detail = cert->detail;
-        } else {
-          entry.detail = cert.status().ToString();
-        }
-        cert_of.emplace(PairKey(i, j, n), std::move(entry));
-      }
-    }
-  }
-
-  // --- Conservative dependence edges -------------------------------------
-  // The partitioner's ground truth. Includes everything the dependence
-  // analyzer orders *plus* write-after-write edges on result variables
-  // (two reads into one variable must not swap — the dependence analyzer
-  // ignores result variables because it only tracks tree state).
-  std::vector<DependenceEdge> edges;
+  // Lint's own orderings, all between reads (which the classifier leaves
+  // unordered): an alias annotation follows its source, and two reads into
+  // one result variable keep their write-after-write order — the dependence
+  // analyzer ignores result variables because it only tracks tree state.
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       const Statement& a = statements[i];
       const Statement& b = statements[j];
-      if (b.alias_of.has_value() && *b.alias_of == i) {
-        edges.push_back({i, j, EdgeReason::kAlias});
-        continue;
-      }
-      if (a.kind == Statement::Kind::kRead &&
-          b.kind == Statement::Kind::kRead &&
-          !a.result_var.empty() && a.result_var == b.result_var) {
-        edges.push_back({i, j, EdgeReason::kResultVar});
-        continue;
-      }
-      if (a.target_var != b.target_var) continue;
-      if (!IsUpdate(a) && !IsUpdate(b)) continue;  // read/read
-      if (malformed[i] || malformed[j]) {
-        edges.push_back({i, j, EdgeReason::kMalformed});
-        continue;
-      }
-      if (IsUpdate(a) && IsUpdate(b)) {
-        const auto it = cert_of.find(PairKey(i, j, n));
-        if (it == cert_of.end() || !it->second.certified) {
-          edges.push_back({i, j, EdgeReason::kUpdatePair});
-        }
-        continue;
-      }
-      const size_t read_stmt = IsUpdate(a) ? j : i;
-      const size_t update_stmt = IsUpdate(a) ? i : j;
-      const auto it = report_of.find(PairKey(read_stmt, update_stmt, n));
-      if (it == report_of.end() || !it->second->ok()) {
-        edges.push_back({i, j, EdgeReason::kError});
-        continue;
-      }
-      switch ((*it->second)->verdict) {
-        case ConflictVerdict::kConflict:
-          edges.push_back({i, j, EdgeReason::kConflict});
-          break;
-        case ConflictVerdict::kUnknown:
-          // The soundness invariant: truncation is a dependence.
-          edges.push_back({i, j, EdgeReason::kUnknown});
-          break;
-        case ConflictVerdict::kNoConflict:
-          break;
+      if (IsUpdate(a) || IsUpdate(b)) continue;
+      if (b.alias_of == i) {
+        graph.AddEdge({i, j, EdgeReason::kAlias, ""});
+      } else if (!a.result_var.empty() && a.result_var == b.result_var) {
+        graph.AddEdge({i, j, EdgeReason::kResultVar, ""});
       }
     }
   }
-  result.stats.dependence_edges = edges.size();
+  result.stats.dependence_edges = graph.edges().size();
 
   auto emit = [&](LintRule rule, std::vector<size_t> stmts,
                   std::string message, std::optional<LintFixIt> fixit) {
@@ -452,13 +285,10 @@ LintResult Linter::Lint(const Program& program) const {
   {
     obs::TraceSpan span("Lint.malformed_update");
     for (size_t i = 0; i < n; ++i) {
-      if (!malformed[i]) continue;
-      const char* why = statements[i].kind == Statement::Kind::kInsert &&
-                                statements[i].content == nullptr
-                            ? "insert has no content tree"
-                            : "delete pattern selects the root of its tree";
+      if (!malformed(i)) continue;
       emit(LintRule::kMalformedUpdate, {i},
-           std::string(why) + "; the statement cannot execute", std::nullopt);
+           ops[i].status().message() + "; the statement cannot execute",
+           std::nullopt);
     }
   }
 
@@ -494,31 +324,24 @@ LintResult Linter::Lint(const Program& program) const {
     }
   }
 
-  // --- Pass: redundant-read (CSE via the Optimizer) ----------------------
-  // The Optimizer shares this linter's PatternStore and detector options,
-  // so its dependence edges agree verdict-for-verdict with ours; a read it
-  // aliases is exactly a read with no conflicting (or Unknown) update in
-  // between.
+  // --- Pass: redundant-read (the shared CSE alias selection) -------------
+  // A read gets an alias exactly when no update between it and an
+  // identical earlier read is ordered before it: no conflicting (or
+  // Unknown) update in between.
   {
     obs::TraceSpan span("Lint.redundant_read");
-    BatchDetectorOptions optimizer_options = options_.batch;
-    optimizer_options.store = store;
-    const Optimizer optimizer(optimizer_options);
-    const OptimizeResult optimized = optimizer.EliminateCommonReads(program);
     for (size_t j = 0; j < n; ++j) {
-      if (statements[j].alias_of.has_value()) continue;  // already aliased
-      const std::optional<size_t>& alias =
-          optimized.program.statements()[j].alias_of;
-      if (!alias.has_value()) continue;
+      if (!aliases[j].has_value()) continue;
+      const size_t alias = *aliases[j];
       LintFixIt fixit;
       fixit.kind = LintFixIt::Kind::kAliasRead;
       fixit.statement = j;
-      fixit.alias_of = *alias;
+      fixit.alias_of = alias;
       fixit.description = "alias statement " + std::to_string(j) +
                           " to the result of statement " +
-                          std::to_string(*alias);
-      emit(LintRule::kRedundantRead, {j, *alias},
-           "read repeats statement " + std::to_string(*alias) +
+                          std::to_string(alias);
+      emit(LintRule::kRedundantRead, {j, alias},
+           "read repeats statement " + std::to_string(alias) +
                " with no conflicting update in between (CSE candidate)",
            std::move(fixit));
     }
@@ -538,7 +361,7 @@ LintResult Linter::Lint(const Program& program) const {
   {
     obs::TraceSpan span("Lint.shadowed_update");
     for (size_t i = 0; i < n; ++i) {
-      if (statements[i].kind != Statement::Kind::kInsert || malformed[i]) {
+      if (statements[i].kind != Statement::Kind::kInsert || malformed(i)) {
         continue;
       }
       const Tree& content = *statements[i].content;
@@ -555,15 +378,13 @@ LintResult Linter::Lint(const Program& program) const {
       for (size_t j = i + 1; j < n && !blocked; ++j) {
         if (statements[j].target_var != statements[i].target_var) continue;
         if (statements[j].kind == Statement::Kind::kRead) {
-          // Condition (3): the read must be provably unaffected; any
-          // conflicting, Unknown, or unresolved verdict blocks every later
-          // delete as well.
-          if (verdict_of(j, i) != ConflictVerdict::kNoConflict) {
-            blocked = true;
-          }
+          // Condition (3): the read must be provably unaffected; a
+          // conflicting, Unknown or failed verdict orders the pair and
+          // blocks every later delete as well.
+          if (graph.Ordered(i, j)) blocked = true;
           continue;
         }
-        if (statements[j].kind != Statement::Kind::kDelete || malformed[j]) {
+        if (statements[j].kind != Statement::Kind::kDelete || malformed(j)) {
           blocked = true;  // another update intervenes before any shadow
           continue;
         }
@@ -599,17 +420,13 @@ LintResult Linter::Lint(const Program& program) const {
   // --- Pass: non-commuting-update-race -----------------------------------
   {
     obs::TraceSpan span("Lint.update_race");
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        const auto it = cert_of.find(PairKey(i, j, n));
-        if (it == cert_of.end() || it->second.certified) continue;
-        std::string message =
-            "updates may not commute; unsafe to reorder or parallelize";
-        if (!it->second.detail.empty()) {
-          message += " (" + it->second.detail + ")";
-        }
-        emit(LintRule::kUpdateRace, {i, j}, std::move(message), std::nullopt);
-      }
+    for (const DependenceEdge& edge : graph.edges()) {
+      if (edge.reason != EdgeReason::kUpdatePair) continue;
+      std::string message =
+          "updates may not commute; unsafe to reorder or parallelize";
+      if (!edge.detail.empty()) message += " (" + edge.detail + ")";
+      emit(LintRule::kUpdateRace, {edge.from, edge.to}, std::move(message),
+           std::nullopt);
     }
   }
 
@@ -622,7 +439,7 @@ LintResult Linter::Lint(const Program& program) const {
     obs::TraceSpan span("Lint.dtd_violation");
     const Dtd& dtd = *options_.dtd;
     for (size_t i = 0; i < n; ++i) {
-      if (statements[i].kind != Statement::Kind::kInsert || malformed[i]) {
+      if (statements[i].kind != Statement::Kind::kInsert || malformed(i)) {
         continue;
       }
       const Tree& content = *statements[i].content;
@@ -675,7 +492,7 @@ LintResult Linter::Lint(const Program& program) const {
   // learns which budget to raise.
   {
     obs::TraceSpan span("Lint.truncated_verdict");
-    for (const DependenceEdge& edge : edges) {
+    for (const DependenceEdge& edge : graph.edges()) {
       if (edge.reason != EdgeReason::kUnknown) continue;
       ++result.stats.unknown_verdicts;
       metrics.unknown_verdicts.Increment();
@@ -695,34 +512,19 @@ LintResult Linter::Lint(const Program& program) const {
   // are pairwise independent.
   if (options_.partition && n > 0) {
     obs::TraceSpan span("Lint.partition");
-    std::vector<size_t> level(n, 0);
-    for (const DependenceEdge& edge : edges) {
-      // Edges go from lower to higher index, so one forward sweep settles
-      // all longest paths.
-      level[edge.to] = std::max(level[edge.to], level[edge.from] + 1);
-    }
-    const size_t num_levels = 1 + *std::max_element(level.begin(), level.end());
-    result.partition.batches.assign(num_levels, {});
-    for (size_t i = 0; i < n; ++i) {
-      result.partition.batches[level[i]].push_back(i);
-    }
-    for (const auto& batch : result.partition.batches) {
-      result.partition.width = std::max(result.partition.width, batch.size());
-    }
+    Wavefronts waves = ComputeWavefronts(n, graph.edges());
+    result.partition.batches = std::move(waves.batches);
+    result.partition.width = waves.width;
+    const size_t num_levels = result.partition.batches.size();
     std::vector<size_t> schedule;
     for (const auto& batch : result.partition.batches) {
       schedule.insert(schedule.end(), batch.begin(), batch.end());
     }
-    bool has_alias = false;
-    for (const Statement& s : statements) {
-      has_alias = has_alias || s.alias_of.has_value();
-    }
-    const bool identity = [&] {
-      for (size_t i = 0; i < n; ++i) {
-        if (schedule[i] != i) return false;
-      }
-      return true;
-    }();
+    const bool has_alias =
+        std::any_of(statements.begin(), statements.end(),
+                    [](const Statement& s) { return s.alias_of.has_value(); });
+    // A sorted permutation is the identity: nothing to reorder.
+    const bool identity = std::is_sorted(schedule.begin(), schedule.end());
     std::optional<LintFixIt> fixit;
     if (!identity && !has_alias) {
       LintFixIt reorder;

@@ -36,15 +36,16 @@ std::string_view LintSeverityName(LintSeverity severity);
 
 /// Stable rule identifiers (also the SARIF rule ids).
 enum class LintRule {
-  /// A statement the detector stack cannot model (e.g. a delete selecting
-  /// the root, an insert without content). Error; blocks no other pass but
-  /// is conservatively dependent on everything on its variable.
+  /// A statement the detector stack cannot model (ToUpdateOp fails: a
+  /// delete selecting the root, an insert with null or rootless content).
+  /// Error; blocks no other pass but is conservatively dependent on
+  /// everything on its variable.
   kMalformedUpdate,
   /// A read whose result variable is overwritten by a later read before
   /// any use; reads are effect-free, so removal is unconditionally sound.
   kDeadRead,
   /// A read identical to an earlier read with no conflicting update in
-  /// between (the Optimizer's CSE condition); fix-it aliases it.
+  /// between (SelectReadAliases, the Optimizer's CSE); fix-it aliases it.
   kRedundantRead,
   /// An insert whose content is unconditionally deleted by a later delete
   /// with no intervening observer (containment-based); fix-it removes it.

@@ -1,8 +1,8 @@
 #include "analysis/optimizer.h"
 
-#include <algorithm>
+#include <optional>
 
-#include "pattern/pattern_ops.h"
+#include "common/check.h"
 
 namespace xmlup {
 
@@ -13,51 +13,23 @@ Optimizer::Optimizer(BatchDetectorOptions options) : analyzer_(options) {}
 OptimizeResult Optimizer::EliminateCommonReads(const Program& program) const {
   OptimizeResult result;
   result.program = program;
-  result.analysis = analyzer_.Analyze(program);
-
-  // dependents[j] = set of earlier statements j depends on, as a flat list.
-  auto depends = [&](size_t from, size_t to) {
-    for (const Dependence& d : result.analysis.dependences) {
-      if (d.from == from && d.to == to) return true;
-    }
-    return false;
-  };
-
-  auto& statements = result.program.mutable_statements();
-  for (size_t j = 0; j < statements.size(); ++j) {
-    Statement& later = statements[j];
-    if (later.kind != Statement::Kind::kRead || later.alias_of.has_value()) {
-      continue;
-    }
-    for (size_t i = 0; i < j; ++i) {
-      const Statement& earlier = statements[i];
-      if (earlier.kind != Statement::Kind::kRead) continue;
-      if (earlier.alias_of.has_value()) continue;
-      if (earlier.target_var != later.target_var) continue;
-      if (!PatternsIdentical(earlier.pattern, later.pattern)) continue;
-      // Safe iff no update between i and j conflicts with this read; the
-      // dependence edges (i..j, j) capture exactly that.
-      bool blocked = false;
-      for (size_t k = i + 1; k < j && !blocked; ++k) {
-        if (statements[k].kind == Statement::Kind::kRead) continue;
-        blocked = depends(k, j);
-      }
-      if (blocked) continue;
-      later.alias_of = i;
-      ++result.reads_aliased;
-      break;
-    }
+  const std::vector<std::optional<size_t>> aliases =
+      SelectReadAliases(program.statements(), analyzer_.Graph(program));
+  for (size_t j = 0; j < aliases.size(); ++j) {
+    if (!aliases[j].has_value()) continue;
+    result.program.mutable_statements()[j].alias_of = aliases[j];
+    ++result.reads_aliased;
   }
   return result;
 }
 
 std::vector<size_t> Optimizer::HoistReadsSchedule(
     const Program& program) const {
-  const DependenceAnalysisResult analysis = analyzer_.Analyze(program);
+  const DependenceGraph graph = analyzer_.Graph(program);
   const size_t n = program.size();
   std::vector<std::vector<size_t>> successors(n);
   std::vector<size_t> in_degree(n, 0);
-  for (const Dependence& d : analysis.dependences) {
+  for (const DependenceEdge& d : graph.edges()) {
     successors[d.from].push_back(d.to);
     ++in_degree[d.to];
   }
@@ -93,17 +65,7 @@ Program Optimizer::Reorder(const Program& program,
     const Statement& s = program.statements()[index];
     XMLUP_CHECK_STREAM(!s.alias_of.has_value())
         << "reorder CSE-annotated programs before aliasing, not after";
-    switch (s.kind) {
-      case Statement::Kind::kRead:
-        reordered.AddRead(s.result_var, s.target_var, s.pattern);
-        break;
-      case Statement::Kind::kInsert:
-        reordered.AddInsert(s.target_var, s.pattern, s.content);
-        break;
-      case Statement::Kind::kDelete:
-        reordered.AddDelete(s.target_var, s.pattern);
-        break;
-    }
+    reordered.mutable_statements().push_back(s);
   }
   return reordered;
 }

@@ -17,18 +17,19 @@ namespace xmlup {
 ///  - **Scheduling**: the dependence DAG admits reorderings; we expose a
 ///    hoisted schedule (reads as early as their dependences allow), the
 ///    enabling transformation for batching tree traversals.
+///
+/// Both run on DependenceAnalyzer::Graph; the CSE is the shared alias
+/// selection (SelectReadAliases) that the lint redundant-read rule reports.
 struct OptimizeResult {
   Program program;
   size_t reads_aliased = 0;
-  DependenceAnalysisResult analysis;
 };
 
 class Optimizer {
  public:
   explicit Optimizer(DetectorOptions options = {});
   /// Full control over the underlying batch engine (thread count, memo
-  /// cache, shared PatternStore) — used by the lint pass so optimizer and
-  /// linter intern into one store.
+  /// cache, shared PatternStore).
   explicit Optimizer(BatchDetectorOptions options);
 
   /// Applies read CSE; the returned program is observably equivalent under

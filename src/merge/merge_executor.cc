@@ -1,10 +1,10 @@
 #include "merge/merge_executor.h"
 
-#include <algorithm>
 #include <atomic>
 #include <string>
 #include <utility>
 
+#include "analysis/dependence_graph.h"
 #include "common/check.h"
 #include "eval/evaluator.h"
 #include "obs/metrics.h"
@@ -139,9 +139,9 @@ Result<MergeReport> MergeExecutor::Merge(
 
   // --- Certify all pairs; uncertified pairs become forward edges --------
   // Edges are built in (i, j) lexicographic order with i < j, so every
-  // edge into a node precedes every edge out of it — the one property the
-  // single forward sweeps below (admission, levels) rely on.
-  std::vector<std::pair<size_t, size_t>> edges;
+  // edge into a node precedes every edge out of it — the property the
+  // admission scan below relies on.
+  std::vector<DependenceEdge> edges;
   {
     obs::TraceSpan certify_span("Merge.certify");
     for (size_t i = 0; i < n; ++i) {
@@ -161,7 +161,7 @@ Result<MergeReport> MergeExecutor::Merge(
         } else {
           why = cert->detail;
         }
-        edges.emplace_back(i, j);
+        edges.push_back({i, j, EdgeReason::kUpdatePair, ""});
         if (slots[i].session != slots[j].session) {
           if (report.ops[i].detail.empty()) {
             report.ops[i].detail = PartnerDetail(slots[j], why);
@@ -181,39 +181,28 @@ Result<MergeReport> MergeExecutor::Merge(
   // any edge out of i is seen.
   std::vector<char> rejected(n, 0);
   if (options_.policy == ConflictPolicy::kReject) {
-    for (const auto& [i, j] : edges) {
-      if (slots[i].session == slots[j].session) continue;
-      if (!rejected[i]) rejected[j] = 1;
+    for (const DependenceEdge& edge : edges) {
+      if (slots[edge.from].session == slots[edge.to].session) continue;
+      if (!rejected[edge.from]) rejected[edge.to] = 1;
     }
+    std::erase_if(edges, [&](const DependenceEdge& edge) {
+      return rejected[edge.from] || rejected[edge.to];
+    });
   }
 
-  // --- Wavefront levels (the lint partitioner's construction) ------------
-  // Forward edges in index order settle all longest paths in one sweep;
-  // ops sharing a level have no edge between them, i.e. every pair in a
-  // level is certified to commute.
-  std::vector<size_t> level(n, 0);
-  for (const auto& [i, j] : edges) {
-    if (rejected[i] || rejected[j]) continue;
-    level[j] = std::max(level[j], level[i] + 1);
-  }
-  size_t num_levels = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!rejected[i]) num_levels = std::max(num_levels, level[i] + 1);
-  }
-  std::vector<std::vector<size_t>> batches(num_levels);
-  for (size_t i = 0; i < n; ++i) {
-    if (!rejected[i]) batches[level[i]].push_back(i);
-  }
+  // --- Wavefront levels (the shared dependence core) ---------------------
+  // Ops sharing a level have no edge between them, i.e. every pair in a
+  // level is certified to commute. Rejected ops join no level.
+  const Wavefronts waves = ComputeWavefronts(n, edges, rejected);
 
   // --- Outcomes ----------------------------------------------------------
   // Serialized = an uncertified cross-session pair between two *executed*
   // ops (under kReject such a pair cannot survive admission, so every
   // executed op there is accepted).
   std::vector<char> serialized(n, 0);
-  for (const auto& [i, j] : edges) {
-    if (slots[i].session == slots[j].session) continue;
-    if (rejected[i] || rejected[j]) continue;
-    serialized[i] = serialized[j] = 1;
+  for (const DependenceEdge& edge : edges) {
+    if (slots[edge.from].session == slots[edge.to].session) continue;
+    serialized[edge.from] = serialized[edge.to] = 1;
   }
   for (size_t i = 0; i < n; ++i) {
     MergeOpReport& op = report.ops[i];
@@ -222,7 +211,7 @@ Result<MergeReport> MergeExecutor::Merge(
       ++report.rejected;
       continue;
     }
-    op.level = level[i];
+    op.level = waves.level[i];
     if (serialized[i]) {
       op.outcome = MergeOutcome::kSerialized;
       ++report.serialized;
@@ -232,10 +221,8 @@ Result<MergeReport> MergeExecutor::Merge(
       ++report.accepted;
     }
   }
-  report.levels = num_levels;
-  for (const auto& batch : batches) {
-    report.width = std::max(report.width, batch.size());
-  }
+  report.levels = waves.batches.size();
+  report.width = waves.width;
 
   // --- Execute ------------------------------------------------------------
   // Split-phase per level: evaluations of the level's patterns run in
@@ -248,7 +235,7 @@ Result<MergeReport> MergeExecutor::Merge(
   {
     obs::TraceSpan execute_span("Merge.execute");
     std::vector<std::vector<NodeId>> points(n);
-    for (const auto& batch : batches) {
+    for (const std::vector<size_t>& batch : waves.batches) {
       obs::TraceSpan level_span("Merge.level");
       ParallelFor(pool_.get(), batch.size(), [&](size_t k) {
         const Slot& slot = slots[batch[k]];

@@ -97,8 +97,9 @@ struct MergeReport {
 ///      dependence edge oriented by the serial order (session, index).
 ///   3. Under kReject, a greedy scan in serial order drops ops with an
 ///      uncertified cross-session pair against an earlier admitted op.
-///   4. Wavefront levels of the DAG (the lint partitioner's construction):
-///      ops sharing a level are pairwise certified-commuting.
+///   4. Wavefront levels of the DAG (ComputeWavefronts, the dependence
+///      core's level pass that lint's partitioner also uses): ops sharing
+///      a level are pairwise certified-commuting.
 ///   5. Each level executes split-phase: pattern evaluations run in
 ///      parallel on the pool against the pre-level tree (read-only), then
 ///      mutations apply serially in serial order. Certified commutation

@@ -126,6 +126,31 @@ TEST_F(AnalysisTest, UpdateUpdateStaysOrderedWithoutCertificate) {
   EXPECT_EQ(analyzer.Analyze(program).dependences.size(), 1u);
 }
 
+TEST_F(AnalysisTest, MalformedInsertsAreDependentOnTheirVariable) {
+  // Inserts with null or rootless content are malformed: conservatively
+  // ordered against every statement on their variable, never modeled.
+  Program program;
+  program.AddInsert("x", Xp("x/a", symbols_), nullptr);
+  program.AddRead("r", "x", Xp("x/a/b", symbols_));
+  program.AddInsert("x", Xp("x/c", symbols_),
+                    std::make_shared<const Tree>(symbols_));
+  program.AddRead("s", "v", Xp("x/a/b", symbols_));
+  DependenceAnalyzer analyzer;
+  const DependenceAnalysisResult result = analyzer.Analyze(program);
+  ASSERT_EQ(result.dependences.size(), 3u);
+  EXPECT_EQ(result.dependences[0].from, 0u);
+  EXPECT_EQ(result.dependences[0].to, 1u);
+  EXPECT_EQ(result.dependences[1].from, 0u);
+  EXPECT_EQ(result.dependences[1].to, 2u);
+  EXPECT_EQ(result.dependences[2].from, 1u);
+  EXPECT_EQ(result.dependences[2].to, 2u);
+  EXPECT_EQ(result.pairs_independent, 3u);
+
+  Optimizer optimizer;
+  EXPECT_EQ(optimizer.EliminateCommonReads(program).reads_aliased, 0u);
+  EXPECT_EQ(optimizer.HoistReadsSchedule(program).size(), 4u);
+}
+
 TEST_F(AnalysisTest, CseAliasesRepeatedRead) {
   // The paper's functional example: the second read of the same pattern
   // can reuse the first result because the insert between them does not

@@ -76,7 +76,8 @@ class IncrementalDependenceTest : public ::testing::Test {
   }
 
   /// Statement pool over two variables, mixing reads, inserts, deletes and
-  /// one malformed (root-selecting) delete.
+  /// malformed updates: a root-selecting delete and inserts with null or
+  /// rootless content.
   std::vector<Statement> Pool() {
     return {
         Read("x", "a//b"),         Read("x", "a/b/c"),
@@ -85,6 +86,10 @@ class IncrementalDependenceTest : public ::testing::Test {
         Insert("v", "a/b", "<c/>"), Delete("x", "a//c"),
         Delete("x", "a/zzz"),      Delete("v", "b/c"),
         Delete("x", "a"),  // malformed: selects the root
+        Statement(Statement::Kind::kInsert, "x", "", Xp("a/b", symbols_),
+                  nullptr),  // malformed: no content
+        Statement(Statement::Kind::kInsert, "v", "", Xp("a", symbols_),
+                  std::make_shared<const Tree>(symbols_)),  // rootless
     };
   }
 };
@@ -96,6 +101,21 @@ TEST_F(IncrementalDependenceTest, SetProgramMatchesBatchAnalyzer) {
   IncrementalDependenceAnalyzer analyzer(Options(2));
   analyzer.SetProgram(ToProgram(stmts));
   ExpectMatchesBatchAnalyzer(analyzer, stmts);
+}
+
+TEST_F(IncrementalDependenceTest, LoneNullContentInsertIsModeledMalformed) {
+  std::vector<Statement> stmts = {Statement(
+      Statement::Kind::kInsert, "x", "", Xp("a", symbols_), nullptr)};
+  IncrementalDependenceAnalyzer analyzer(Options(1));
+  analyzer.SetProgram(ToProgram(stmts));
+  EXPECT_EQ(analyzer.matrix().num_updates(), 0u);
+  ExpectMatchesBatchAnalyzer(analyzer, stmts);
+
+  // Against a read on its variable it is a dependence, not a matrix cell.
+  analyzer.InsertStatement(1, Read("x", "a/b"));
+  stmts.push_back(Read("x", "a/b"));
+  ExpectMatchesBatchAnalyzer(analyzer, stmts);
+  EXPECT_EQ(analyzer.Analyze().dependences.size(), 1u);
 }
 
 TEST_F(IncrementalDependenceTest, PaperExampleDependences) {

@@ -8,6 +8,7 @@
 
 #include "analysis/program_parser.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace xmlup {
@@ -222,6 +223,51 @@ TEST_F(LintTest, MalformedInsertReported) {
   const auto malformed = ByRule(result, LintRule::kMalformedUpdate);
   ASSERT_EQ(malformed.size(), 1u);
   EXPECT_EQ(malformed[0]->severity, LintSeverity::kError);
+}
+
+TEST_F(LintTest, MalformedInsertBeforeReadIsReportedAndOrdered) {
+  // A null-content insert followed by a read on its variable: the insert is
+  // a malformed-update error and stays ordered before the read.
+  Program program;
+  program.AddInsert("x", Xp("x/a", symbols_), nullptr);
+  program.AddRead("r", "x", Xp("x/a/b", symbols_));
+  const Linter linter;
+  const LintResult result = linter.Lint(program);
+  const auto malformed = ByRule(result, LintRule::kMalformedUpdate);
+  ASSERT_EQ(malformed.size(), 1u);
+  EXPECT_EQ(malformed[0]->statements, (std::vector<size_t>{0}));
+  EXPECT_TRUE(result.HasErrors());
+  EXPECT_EQ(result.stats.pairs_checked, 0u);
+  EXPECT_EQ(result.partition.batches.size(), 2u);
+}
+
+TEST_F(LintTest, RootlessInsertContentIsReported) {
+  Program program;
+  program.AddInsert("x", Xp("a", symbols_),
+                    std::make_shared<const Tree>(symbols_));
+  const Linter linter;
+  const LintResult result = linter.Lint(program);
+  const auto malformed = ByRule(result, LintRule::kMalformedUpdate);
+  ASSERT_EQ(malformed.size(), 1u);
+  EXPECT_EQ(malformed[0]->severity, LintSeverity::kError);
+}
+
+TEST_F(LintTest, OneLintSolvesEachPairOnce) {
+  // Every read/update pair goes through the batch engine exactly once per
+  // Lint call: the redundant-read pass reuses the lint's own graph.
+  Program program;
+  program.AddRead("y", "x", Xp("a/b", symbols_));
+  program.AddInsert("x", Xp("a/c", symbols_), Content("<d/>"));
+  program.AddRead("z", "x", Xp("a/b", symbols_));
+  program.AddDelete("x", Xp("a//b", symbols_));
+  program.AddRead("w", "x", Xp("a//c", symbols_));
+  const obs::Counter& pairs_total =
+      obs::MetricsRegistry::Default().GetCounter("batch.pairs_total");
+  const Linter linter;
+  const uint64_t before = pairs_total.value();
+  const LintResult result = linter.Lint(program);
+  EXPECT_EQ(result.stats.pairs_checked, 6u);
+  EXPECT_EQ(pairs_total.value() - before, result.stats.pairs_checked);
 }
 
 /// The soundness satellite: force kUnknown via a bounded-search budget
