@@ -1,16 +1,14 @@
-// Hot-path detection ablation for the compiled-automata cache: the same
-// read×update matrix solved three ways —
-//   cold      value Detect: per-call regex build + Thompson construction
-//             (the pre-cache hot path);
-//   warm_nfa  ref Detect with the product cache disabled: compiled NFAs
-//             come from PatternStore::compiled, products are recomputed;
-//   warm      ref Detect, fully cached: compiled NFAs + memoized
-//             intersection products.
-// The harness times all three, checks the verdicts are identical, and
-// writes "detect_hot" (pairs, per-pair microseconds, speedups,
-// verdicts_identical) into BENCH_detect_hot.json next to the obs
-// counters (store.nfa.*, detector.product_cache.*); CI asserts
-// speedup >= 5 and the cache accounting invariants.
+// Hot-path detection ablation for the compiled-form store: the same
+// read×update matrix solved two ways —
+//   cold  value Detect: every call interns its operands into a call-local
+//         store and compiles both before matching;
+//   warm  ref Detect on a warm store: interned reads, bound updates and
+//         compiled forms are reused, so a call is the matching alone.
+// The harness times both, checks the verdicts are identical, and writes
+// "detect_hot" (pairs, per-pair microseconds, speedup,
+// verdicts_identical, and the warm phase's own store.nfa.hits/misses)
+// into BENCH_detect_hot.json next to the obs counters (store.nfa.*,
+// detector.*); CI asserts speedup >= 5.
 
 #include <algorithm>
 #include <chrono>
@@ -21,11 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "automata/nfa_ops.h"
 #include "bench/bench_util.h"
 #include "benchmark/benchmark.h"
 #include "conflict/detector.h"
 #include "conflict/update_op.h"
+#include "obs/metrics.h"
 #include "pattern/pattern_store.h"
 #include "xml/xml_parser.h"
 
@@ -35,10 +33,10 @@ namespace {
 constexpr size_t kReads = 24;
 constexpr size_t kUpdatesPerKind = 6;
 
-/// Verdict-only options: witness construction mints fresh labels and
-/// re-runs the Lemma 1 checker per conflicting pair, which would swamp
-/// the automata cost this bench isolates. All three phases use the same
-/// options, so the comparison stays apples-to-apples.
+/// Verdict-only options: witness construction re-runs the Lemma 1 checker
+/// per conflicting pair, which would swamp the interning and compilation
+/// cost this bench isolates. Both phases use the same options, so the
+/// comparison stays apples-to-apples.
 DetectorOptions HotOptions() {
   DetectorOptions options;
   options.build_witness = false;
@@ -83,7 +81,8 @@ Workload MakeWorkload() {
   return w;
 }
 
-/// One full matrix pass through the value facade (per-call construction).
+/// One full matrix pass through the value facade (per-call interning and
+/// compilation).
 uint64_t PassCold(const Workload& w, const DetectorOptions& options,
                   std::vector<ConflictVerdict>* verdicts) {
   uint64_t solved = 0;
@@ -100,7 +99,7 @@ uint64_t PassCold(const Workload& w, const DetectorOptions& options,
   return solved;
 }
 
-/// One full matrix pass through the ref facade (compiled automata).
+/// One full matrix pass through the ref facade (compiled forms reused).
 uint64_t PassCached(const Workload& w, const DetectorOptions& options,
                     std::vector<ConflictVerdict>* verdicts) {
   uint64_t solved = 0;
@@ -130,7 +129,7 @@ BENCHMARK(BM_DetectColdValuePath)->Unit(benchmark::kMicrosecond);
 void BM_DetectWarmCachedPath(benchmark::State& state) {
   const Workload w = MakeWorkload();
   const DetectorOptions options = HotOptions();
-  PassCached(w, options, nullptr);  // compile + fill the product cache
+  PassCached(w, options, nullptr);  // compile every entry
   for (auto _ : state) {
     benchmark::DoNotOptimize(PassCached(w, options, nullptr));
   }
@@ -139,25 +138,19 @@ void BM_DetectWarmCachedPath(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectWarmCachedPath)->Unit(benchmark::kMicrosecond);
 
-/// Harness-timed cold/warm-NFA/warm ablation — the acceptance numbers for
+/// Harness-timed cold/warm ablation — the acceptance numbers for
 /// BENCH_detect_hot.json. Best-of-reps per phase to shrug off scheduler
-/// noise; verdict vectors from the three paths are compared elementwise.
+/// noise; the verdict vectors of the two paths are compared elementwise.
+/// The compiled-form counters are read around the warm phase alone: the
+/// cold phase's call-local stores count a compile per operand, and so
+/// does every BM_DetectColdValuePath iteration.
 std::string MeasureDetectHot() {
   const Workload w = MakeWorkload();
   const DetectorOptions options = HotOptions();
-  NfaProductCache& products = NfaProductCache::Default();
-
-  // Verdict oracle: one pass per phase, orders identical by construction.
-  std::vector<ConflictVerdict> cold_verdicts, warm_nfa_verdicts,
-      warm_verdicts;
-  PassCold(w, options, &cold_verdicts);
-  products.set_enabled(false);
-  PassCached(w, options, &warm_nfa_verdicts);
-  products.set_enabled(true);
-  PassCached(w, options, &warm_verdicts);
-  const bool verdicts_identical = cold_verdicts == warm_nfa_verdicts &&
-                                  cold_verdicts == warm_verdicts &&
-                                  cold_verdicts.size() == w.pairs();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::Counter& compiled_hits = registry.GetCounter("store.nfa.hits");
+  const obs::Counter& compiled_misses =
+      registry.GetCounter("store.nfa.misses");
 
   constexpr int kReps = 7;
   constexpr int kInnerLoops = 3;
@@ -172,32 +165,39 @@ std::string MeasureDetectHot() {
     return best / (kInnerLoops * static_cast<double>(w.pairs()));
   };
 
+  // Verdict oracle: one pass per phase, orders identical by construction.
+  // The warm phase's first pass also compiles every entry before its
+  // timed reps.
+  std::vector<ConflictVerdict> cold_verdicts, warm_verdicts;
   uint64_t sink = 0;
-  // Cold: the value facade rebuilds regexes and NFAs on every call.
+  PassCold(w, options, &cold_verdicts);
   const double cold_s =
       time_best([&] { sink += PassCold(w, options, nullptr); });
-  // Warm NFA only: compiled automata reused, products recomputed per call.
-  products.set_enabled(false);
-  const double warm_nfa_s =
-      time_best([&] { sink += PassCached(w, options, nullptr); });
-  // Fully warm: automata + memoized products (populated above).
-  products.set_enabled(true);
+
+  const uint64_t hits_before = compiled_hits.value();
+  const uint64_t misses_before = compiled_misses.value();
+  PassCached(w, options, &warm_verdicts);
   const double warm_s =
       time_best([&] { sink += PassCached(w, options, nullptr); });
+  const uint64_t warm_hits = compiled_hits.value() - hits_before;
+  const uint64_t warm_misses = compiled_misses.value() - misses_before;
   benchmark::DoNotOptimize(sink);
 
-  const double speedup_nfa = cold_s / warm_nfa_s;
+  const bool verdicts_identical = cold_verdicts == warm_verdicts &&
+                                  cold_verdicts.size() == w.pairs();
+
   const double speedup = cold_s / warm_s;
   char buffer[512];
   snprintf(buffer, sizeof(buffer),
            "\"detect_hot\":{\"pairs\":%zu,\"cold_us\":%.3f,"
-           "\"warm_nfa_us\":%.3f,\"warm_us\":%.3f,\"speedup_nfa\":%.2f,"
-           "\"speedup\":%.2f,\"verdicts_identical\":%s}",
-           w.pairs(), cold_s * 1e6, warm_nfa_s * 1e6, warm_s * 1e6,
-           speedup_nfa, speedup, verdicts_identical ? "true" : "false");
-  std::cerr << "detect_hot speedup: " << speedup << "x warm (" << speedup_nfa
-            << "x NFA-only); per pair cold " << cold_s * 1e6 << " us, warm "
-            << warm_s * 1e6 << " us; verdicts "
+           "\"warm_us\":%.3f,\"speedup\":%.2f,\"verdicts_identical\":%s,"
+           "\"warm_compiled_hits\":%llu,\"warm_compiled_misses\":%llu}",
+           w.pairs(), cold_s * 1e6, warm_s * 1e6, speedup,
+           verdicts_identical ? "true" : "false",
+           static_cast<unsigned long long>(warm_hits),
+           static_cast<unsigned long long>(warm_misses));
+  std::cerr << "detect_hot speedup: " << speedup << "x warm; per pair cold "
+            << cold_s * 1e6 << " us, warm " << warm_s * 1e6 << " us; verdicts "
             << (verdicts_identical ? "identical" : "DIVERGED") << "\n";
   return buffer;
 }

@@ -43,8 +43,7 @@ void RunDetection(benchmark::State& state, size_t read_size,
   size_t conflicts = 0;
   for (auto _ : state) {
     auto result = DetectLinearReadInsertConflict(
-        read, ins, x, ConflictSemantics::kNode, MatcherKind::kNfa,
-        build_witness);
+        read, ins, x, ConflictSemantics::kNode, build_witness);
     conflicts += (result.ok() && result->conflict()) ? 1 : 0;
     benchmark::DoNotOptimize(conflicts);
   }

@@ -208,7 +208,7 @@ Linter::Linter(LintOptions options)
         // A linter given a schema treats documents as conformant to it:
         // the same Dtd that drives the dtd-violation pass also feeds the
         // detector's Stage 0 type filter, so schema-disjoint statement
-        // pairs prune before any automata work (callers that pre-set
+        // pairs prune before any matching work (callers that pre-set
         // detector.dtd — the Engine facade — keep their wiring).
         if (options.dtd != nullptr && options.batch.detector.dtd == nullptr) {
           options.batch.detector.dtd = options.dtd;

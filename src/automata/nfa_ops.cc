@@ -2,32 +2,12 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace xmlup {
 namespace {
 
-struct ProductCacheMetrics {
-  obs::Counter& lookups;
-  obs::Counter& hits;
-  obs::Counter& misses;
-
-  static ProductCacheMetrics& Get() {
-    static ProductCacheMetrics m = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      return ProductCacheMetrics{
-          reg.GetCounter("detector.product_cache.lookups"),
-          reg.GetCounter("detector.product_cache.hits"),
-          reg.GetCounter("detector.product_cache.misses"),
-      };
-    }();
-    return m;
-  }
-};
-
-/// Per-thread scratch for ProductSearch. The product BFS is the innermost
-/// loop of every match/detect call; reusing these buffers keeps the
-/// steady-state search allocation-free (capacity is retained across
+/// Per-thread scratch for ProductSearch, the BFS behind the §4.1 reference
+/// matcher (MatchViaNfa); reusing these buffers keeps the steady-state
+/// search allocation-free (capacity is retained across
 /// calls, assign() only memsets).
 struct SearchScratch {
   /// parent[state] = (previous state, class taken); only kept for
@@ -121,57 +101,6 @@ bool IntersectionNonEmpty(const Nfa& a, const Nfa& b) {
 
 std::optional<ClassWord> IntersectionWitness(const Nfa& a, const Nfa& b) {
   return ProductSearch(a, b, /*want_witness=*/true);
-}
-
-std::optional<ClassWord> NfaProductCache::Intersect(const Nfa& a,
-                                                    uint64_t a_uid,
-                                                    const Nfa& b,
-                                                    uint64_t b_uid) {
-  if (!enabled()) return IntersectionWitness(a, b);
-
-  ProductCacheMetrics& metrics = ProductCacheMetrics::Get();
-  metrics.lookups.Increment();
-
-  const PairKey key{a_uid, b_uid};
-  Shard& s = shard(key);
-  {
-    MutexLock lock(s.mu);
-    auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      metrics.hits.Increment();
-      return it->second;
-    }
-  }
-  // Compute outside the shard lock: products can be expensive and other
-  // pairs hashing to this shard should not wait on ours.
-  metrics.misses.Increment();
-  std::optional<ClassWord> result = IntersectionWitness(a, b);
-  {
-    MutexLock lock(s.mu);
-    s.map.emplace(key, result);
-  }
-  return result;
-}
-
-size_t NfaProductCache::size() const {
-  size_t total = 0;
-  for (const Shard& s : shards_) {
-    MutexLock lock(s.mu);
-    total += s.map.size();
-  }
-  return total;
-}
-
-void NfaProductCache::Clear() {
-  for (Shard& s : shards_) {
-    MutexLock lock(s.mu);
-    s.map.clear();
-  }
-}
-
-NfaProductCache& NfaProductCache::Default() {
-  static NfaProductCache* cache = new NfaProductCache();
-  return *cache;
 }
 
 }  // namespace xmlup

@@ -1,16 +1,11 @@
 #ifndef XMLUP_AUTOMATA_NFA_OPS_H_
 #define XMLUP_AUTOMATA_NFA_OPS_H_
 
-#include <array>
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "automata/nfa.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace xmlup {
 
@@ -30,96 +25,24 @@ bool IntersectionNonEmpty(const Nfa& a, const Nfa& b);
 /// building witness trees.
 std::optional<ClassWord> IntersectionWitness(const Nfa& a, const Nfa& b);
 
-/// Memoizes product-automaton results for *compiled* (immutable, uniquely
-/// identified) NFAs, so repeated (read prefix, update mainline) pairs skip
-/// product construction entirely — the detector hot path asks the same
-/// ref-pair questions over and over across a conflict matrix.
-///
-/// Keys are pairs of compiled-NFA uids (see pattern/compiled_pattern.h):
-/// a uid is minted exactly once per compiled automaton and never reused,
-/// so a cache entry is a pure fact about the two automata. The cached
-/// value is the full IntersectionWitness answer; IntersectionNonEmpty
-/// follows from has_value(), so both detector entry points share entries.
-///
-/// Thread safety: sharded by key hash; each shard is a mutex + map. Two
-/// threads racing on the same cold pair both compute the (identical,
-/// deterministic) result and the first insert wins — verdicts never depend
-/// on scheduling.
-///
-/// Observability (process-wide, into obs::MetricsRegistry::Default()):
-///   detector.product_cache.lookups — enabled lookups
-///   detector.product_cache.hits    — served from the cache
-///   detector.product_cache.misses  — computed (and stored)
-/// Invariant: lookups == hits + misses.
+/// An empty stub: nothing in the library memoizes products, because the
+/// linear detectors match with the DP matcher on compiled chains
+/// (match/dp_matcher.h), which builds no automata. It stays only because
+/// the repository benchmark (xbench/src/harness.cc) still calls
+/// Default().Clear() and .size(); delete it together with those calls.
 class NfaProductCache {
  public:
-  NfaProductCache() = default;
-  NfaProductCache(const NfaProductCache&) = delete;
-  NfaProductCache& operator=(const NfaProductCache&) = delete;
+  /// Always 0: nothing is retained.
+  size_t size() const { return 0; }
 
-  /// IntersectionWitness(a, b), memoized under (a_uid, b_uid). Both uids
-  /// must be nonzero and uniquely identify the automata for the process
-  /// lifetime. When the cache is disabled (ablation / benchmarks) the
-  /// product is computed directly and nothing is counted or stored.
-  std::optional<ClassWord> Intersect(const Nfa& a, uint64_t a_uid,
-                                     const Nfa& b, uint64_t b_uid);
+  /// No-op.
+  void Clear() {}
 
-  /// Ablation toggle for bench_detect_hot's warm-NFA-only leg. Disabling
-  /// does not drop existing entries; re-enabling resumes hitting them.
-  void set_enabled(bool enabled) {
-    // ordering: relaxed — an independent on/off flag; a lookup racing the
-    // toggle may take either path, both of which compute the same verdict
-    // (the cache is a pure memo).
-    enabled_.store(enabled, std::memory_order_relaxed);
+  /// Process-wide instance.
+  static NfaProductCache& Default() {
+    static NfaProductCache cache;
+    return cache;
   }
-  bool enabled() const {
-    // ordering: relaxed — see set_enabled.
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Memoized pairs currently retained (across all shards).
-  size_t size() const;
-
-  /// Drops every entry (counters are not reset).
-  void Clear();
-
-  /// Process-wide cache used by the compiled matching/detection hot path.
-  /// Never destroyed.
-  static NfaProductCache& Default();
-
- private:
-  struct PairKey {
-    uint64_t a = 0;
-    uint64_t b = 0;
-    friend bool operator==(const PairKey& x, const PairKey& y) {
-      return x.a == y.a && x.b == y.b;
-    }
-  };
-  struct PairKeyHash {
-    size_t operator()(const PairKey& k) const {
-      uint64_t packed = k.a * 0x9E3779B97F4A7C15ull ^ k.b;
-      packed ^= packed >> 33;
-      packed *= 0xff51afd7ed558ccdull;
-      packed ^= packed >> 33;
-      return static_cast<size_t>(packed);
-    }
-  };
-  /// One of 16 independent (shard mutexes are leaf locks, never nested
-  /// with each other or anything else) hash-partitioned memo maps.
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<PairKey, std::optional<ClassWord>, PairKeyHash> map
-        XMLUP_GUARDED_BY(mu);
-  };
-
-  static constexpr size_t kNumShards = 16;
-
-  Shard& shard(const PairKey& key) {
-    return shards_[PairKeyHash()(key) % kNumShards];
-  }
-
-  std::array<Shard, kNumShards> shards_;
-  std::atomic<bool> enabled_{true};
 };
 
 }  // namespace xmlup

@@ -51,8 +51,8 @@ bool KeyLess(const BatchPairKey& a, const BatchPairKey& b) {
 
 /// One job = one ref-facade call on the canonicalized pair. The op is
 /// re-bound to the engine's store so Detect takes the cached path —
-/// compiled automata by ref, memoized products — and the matrix pays zero
-/// per-pair compilation. The root-delete guard is re-checked by the
+/// compiled forms by ref — and the matrix pays zero per-pair
+/// compilation. The root-delete guard is re-checked by the
 /// factory and by the facade (centralized in ValidateDeletePattern), so a
 /// root-selecting delete cannot reach the detectors through this engine.
 Result<ConflictReport> SolvePair(

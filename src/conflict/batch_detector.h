@@ -27,10 +27,9 @@ namespace xmlup {
 /// distinct canonical pair is solved by exactly one detector invocation
 /// whose verdict does not depend on scheduling. The verdict, method and
 /// trees_checked fields of the returned matrix are therefore identical
-/// across runs and thread counts. So are the witnesses of the bounded
-/// search, whose symbols α come from the table's reserved pool; the other
-/// witness builders mint fresh labels, whose names depend on interning
-/// order.
+/// across runs and thread counts, and so are the witnesses: every witness
+/// builder, the bounded search included, takes its filler symbols from the
+/// table's reserved pool instead of minting fresh labels.
 ///
 /// Memoization: each input pattern is interned once into a PatternStore
 /// (which minimizes and canonicalizes exactly once per distinct pattern,

@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
-#include "pattern/pattern_ops.h"
 #include "xml/tree_algos.h"
 
 namespace xmlup {
@@ -97,29 +96,6 @@ void CountOutcome(const DetectorMetrics& metrics,
   }
 }
 
-/// Stage 0 for the value path: type summaries computed directly from the
-/// patterns (no store to cache them in). Returns the pruned report, or
-/// nullopt when Stage 0 is disabled or cannot prove independence.
-std::optional<ConflictReport> TypePruneValue(const Pattern& read,
-                                             const Pattern& update_pattern,
-                                             const Tree* insert_content,
-                                             const DetectorOptions& options) {
-  if (options.dtd == nullptr || !options.enable_type_pruning) {
-    return std::nullopt;
-  }
-  const TypeSummary read_summary = ComputeTypeSummary(read, *options.dtd);
-  const TypeSummary update_summary =
-      ComputeTypeSummary(update_pattern, *options.dtd);
-  const bool pruned =
-      insert_content != nullptr
-          ? TypePrunesReadInsert(read_summary, update_summary, *insert_content,
-                                 options.semantics)
-          : TypePrunesReadDelete(read_summary, update_summary,
-                                 options.semantics);
-  if (!pruned) return std::nullopt;
-  return TypePrunedReport();
-}
-
 /// Heuristic fast path for branching reads: run the complete linear
 /// algorithm on the read's mainline; if that conflicts, extend its witness
 /// with models of the read's branch subtrees (so the predicates hold) and
@@ -178,178 +154,90 @@ ConflictReport FromSearch(BruteForceResult search, size_t paper_bound,
   return report;
 }
 
-Result<ConflictReport> DetectInsertImpl(const Pattern& read,
-                                        const Pattern& insert_pattern,
-                                        const Tree& inserted,
-                                        const DetectorOptions& options) {
+/// The staged pipeline for a read interned in `store` and an update bound
+/// to it. The update's kind chooses only the Stage 1 linear core, the
+/// witness checker the heuristic extension must pass, and the Stage 2
+/// search; the linear path and the heuristic's mainline probe both run on
+/// the store's compiled forms (the compiled read *is* its mainline chain,
+/// so one call serves both), and only the heuristic extension and the
+/// bounded search touch the full stored read.
+Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
+                                    const UpdateOp& update,
+                                    const DetectorOptions& options) {
+  const Pattern& update_pattern = update.pattern();
+  const bool is_insert = update.kind() == UpdateOp::Kind::kInsert;
+  const Tree* inserted = is_insert ? &update.content() : nullptr;
+  if (!is_insert) XMLUP_RETURN_NOT_OK(ValidateDeletePattern(update_pattern));
   if (std::optional<ConflictReport> pruned =
-          TypePruneValue(read, insert_pattern, &inserted, options)) {
+          TypePruneStage(store, read, update.kind(), update.pattern_ref(),
+                         inserted, options)) {
     return std::move(*pruned);
   }
+  const CompiledPattern& read_compiled = store.compiled(read);
+  const CompiledPattern& update_compiled = store.compiled(update.pattern_ref());
+  auto linear_core = [&](bool build_witness) {
+    return is_insert ? DetectReadInsertConflictCompiled(
+                           read_compiled, update_compiled, update_pattern,
+                           *inserted, options.semantics, build_witness)
+                     : DetectReadDeleteConflictCompiled(
+                           read_compiled, update_compiled, update_pattern,
+                           options.semantics, build_witness);
+  };
   const DetectorMetrics& metrics = DetectorMetrics::Get();
-  if (read.IsLinear()) {
+  if (store.linear(read)) {
     metrics.dispatch_linear.Increment();
-    return DetectLinearReadInsertConflict(read, insert_pattern, inserted,
-                                          options.semantics, options.matcher,
-                                          options.build_witness);
+    return linear_core(options.build_witness);
   }
   metrics.dispatch_branching.Increment();
   // Heuristic: conflict of the read's mainline often extends to the full
   // branching read once its predicates are satisfiable everywhere. The
   // mainline call always builds its witness — TryMainlineWitness extends
-  // that verified tree.
-  Result<ConflictReport> mainline_report =
-      DetectLinearReadInsertConflict(Mainline(read), insert_pattern, inserted,
-                                     options.semantics, options.matcher,
-                                     /*build_witness=*/true);
-  // The mainline run uses the complete linear algorithm on valid inputs
-  // (the mainline of any read is linear); a failure is a real
-  // InvalidArgument/Internal error, not a heuristic miss — propagate it
-  // instead of masking it behind the bounded search.
-  if (!mainline_report.ok()) return mainline_report;
-  std::optional<Tree> candidate = TryMainlineWitness(
-      read, insert_pattern, &inserted, *mainline_report, [&](const Tree& t) {
-        return IsReadInsertWitness(read, insert_pattern, inserted, t,
-                                   options.semantics);
-      });
-  if (candidate.has_value()) {
-    return MainlineHeuristicReport(std::move(*candidate));
-  }
-  BruteForceResult search = BruteForceReadInsertSearch(
-      read, insert_pattern, inserted, options.semantics, options.search);
-  return FromSearch(std::move(search),
-                    PaperWitnessBound(read, insert_pattern),
-                    options.search.max_nodes);
-}
-
-Result<ConflictReport> DetectDeleteImpl(const Pattern& read,
-                                        const Pattern& delete_pattern,
-                                        const DetectorOptions& options) {
-  XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
-  if (std::optional<ConflictReport> pruned = TypePruneValue(
-          read, delete_pattern, /*insert_content=*/nullptr, options)) {
-    return std::move(*pruned);
-  }
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  if (read.IsLinear()) {
-    metrics.dispatch_linear.Increment();
-    return DetectLinearReadDeleteConflict(read, delete_pattern,
-                                          options.semantics, options.matcher,
-                                          options.build_witness);
-  }
-  metrics.dispatch_branching.Increment();
-  Result<ConflictReport> mainline_report =
-      DetectLinearReadDeleteConflict(Mainline(read), delete_pattern,
-                                     options.semantics, options.matcher,
-                                     /*build_witness=*/true);
-  // See DetectInsertImpl: a mainline failure is a real error, not a
-  // heuristic miss.
-  if (!mainline_report.ok()) return mainline_report;
-  std::optional<Tree> candidate = TryMainlineWitness(
-      read, delete_pattern, /*inserted=*/nullptr, *mainline_report,
-      [&](const Tree& t) {
-        return IsReadDeleteWitness(read, delete_pattern, t,
-                                   options.semantics);
-      });
-  if (candidate.has_value()) {
-    return MainlineHeuristicReport(std::move(*candidate));
-  }
-  BruteForceResult search = BruteForceReadDeleteSearch(
-      read, delete_pattern, options.semantics, options.search);
-  return FromSearch(std::move(search),
-                    PaperWitnessBound(read, delete_pattern),
-                    options.search.max_nodes);
-}
-
-/// Cached mirror of DetectInsertImpl: the linear path and the branching
-/// heuristic's mainline probe run on the store's compiled automata (the
-/// compiled read *is* its mainline chain, so one compiled core serves
-/// both); only the heuristic extension and the bounded search still touch
-/// the stored pattern. Dispatch counters and reports match the value impl
-/// exactly.
-Result<ConflictReport> DetectInsertCachedImpl(const PatternStore& store,
-                                              PatternRef read,
-                                              const Pattern& insert_pattern,
-                                              PatternRef insert_ref,
-                                              const Tree& inserted,
-                                              const DetectorOptions& options) {
-  if (std::optional<ConflictReport> pruned =
-          TypePruneStage(store, read, UpdateOp::Kind::kInsert, insert_ref,
-                         &inserted, options)) {
-    return std::move(*pruned);
-  }
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  const CompiledPattern& read_compiled = store.compiled(read);
-  const CompiledPattern& insert_compiled = store.compiled(insert_ref);
-  if (store.linear(read)) {
-    metrics.dispatch_linear.Increment();
-    return DetectReadInsertConflictCompiled(
-        read_compiled, insert_compiled, insert_pattern, inserted,
-        options.semantics, options.matcher, options.build_witness);
-  }
-  metrics.dispatch_branching.Increment();
-  Result<ConflictReport> mainline_report = DetectReadInsertConflictCompiled(
-      read_compiled, insert_compiled, insert_pattern, inserted,
-      options.semantics, options.matcher, /*build_witness=*/true);
+  // that verified tree. The mainline of any read is linear, so a failure
+  // here is a real InvalidArgument/Internal error, not a heuristic miss —
+  // propagate it instead of masking it behind the bounded search.
+  Result<ConflictReport> mainline_report = linear_core(/*build_witness=*/true);
   if (!mainline_report.ok()) return mainline_report;
   const Pattern& full_read = store.pattern(read);
   std::optional<Tree> candidate = TryMainlineWitness(
-      full_read, insert_pattern, &inserted, *mainline_report,
+      full_read, update_pattern, inserted, *mainline_report,
       [&](const Tree& t) {
-        return IsReadInsertWitness(full_read, insert_pattern, inserted, t,
-                                   options.semantics);
+        return is_insert ? IsReadInsertWitness(full_read, update_pattern,
+                                               *inserted, t, options.semantics)
+                         : IsReadDeleteWitness(full_read, update_pattern, t,
+                                               options.semantics);
       });
   if (candidate.has_value()) {
     return MainlineHeuristicReport(std::move(*candidate));
   }
-  BruteForceResult search = BruteForceReadInsertSearch(
-      full_read, insert_pattern, inserted, options.semantics, options.search);
+  BruteForceResult search =
+      is_insert ? BruteForceReadInsertSearch(full_read, update_pattern,
+                                             *inserted, options.semantics,
+                                             options.search)
+                : BruteForceReadDeleteSearch(full_read, update_pattern,
+                                             options.semantics,
+                                             options.search);
   return FromSearch(std::move(search),
-                    PaperWitnessBound(full_read, insert_pattern),
+                    PaperWitnessBound(full_read, update_pattern),
                     options.search.max_nodes);
 }
 
-/// Cached mirror of DetectDeleteImpl; see DetectInsertCachedImpl.
-Result<ConflictReport> DetectDeleteCachedImpl(const PatternStore& store,
-                                              PatternRef read,
-                                              const Pattern& delete_pattern,
-                                              PatternRef delete_ref,
-                                              const DetectorOptions& options) {
-  XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
-  if (std::optional<ConflictReport> pruned =
-          TypePruneStage(store, read, UpdateOp::Kind::kDelete, delete_ref,
-                         /*insert_content=*/nullptr, options)) {
-    return std::move(*pruned);
+/// The value facade's input checks, run before anything is interned: both
+/// patterns non-empty and every operand on the read's SymbolTable (labels
+/// are only comparable within one table, and interning into one store
+/// requires it).
+Status ValidateValueOperands(const Pattern& read, const UpdateOp& update) {
+  if (!read.has_root() || !update.pattern().has_root()) {
+    return Status::InvalidArgument("read and update patterns must be non-empty");
   }
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  const CompiledPattern& read_compiled = store.compiled(read);
-  const CompiledPattern& delete_compiled = store.compiled(delete_ref);
-  if (store.linear(read)) {
-    metrics.dispatch_linear.Increment();
-    return DetectReadDeleteConflictCompiled(
-        read_compiled, delete_compiled, delete_pattern, options.semantics,
-        options.matcher, options.build_witness);
+  const bool same_table =
+      SameSymbolTable(read.symbols(), update.pattern().symbols()) &&
+      (update.kind() == UpdateOp::Kind::kDelete ||
+       SameSymbolTable(read.symbols(), update.content().symbols()));
+  if (!same_table) {
+    return Status::InvalidArgument(
+        "read, update pattern and insert content must share one SymbolTable");
   }
-  metrics.dispatch_branching.Increment();
-  Result<ConflictReport> mainline_report = DetectReadDeleteConflictCompiled(
-      read_compiled, delete_compiled, delete_pattern, options.semantics,
-      options.matcher, /*build_witness=*/true);
-  if (!mainline_report.ok()) return mainline_report;
-  const Pattern& full_read = store.pattern(read);
-  std::optional<Tree> candidate = TryMainlineWitness(
-      full_read, delete_pattern, /*inserted=*/nullptr, *mainline_report,
-      [&](const Tree& t) {
-        return IsReadDeleteWitness(full_read, delete_pattern, t,
-                                   options.semantics);
-      });
-  if (candidate.has_value()) {
-    return MainlineHeuristicReport(std::move(*candidate));
-  }
-  BruteForceResult search = BruteForceReadDeleteSearch(
-      full_read, delete_pattern, options.semantics, options.search);
-  return FromSearch(std::move(search),
-                    PaperWitnessBound(full_read, delete_pattern),
-                    options.search.max_nodes);
+  return Status::OK();
 }
 
 }  // namespace
@@ -382,20 +270,19 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
 
 Result<ConflictReport> Detect(const Pattern& read, const UpdateOp& update,
                               const DetectorOptions& options) {
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  metrics.calls.Increment();
-  obs::ScopedTimer timer(&metrics.latency_us);
-  obs::TraceSpan span("Detect");
-  Result<ConflictReport> result = update.Visit(
-      [&](const UpdateOp::InsertDesc& insert) -> Result<ConflictReport> {
-        return DetectInsertImpl(read, insert.pattern, *insert.content,
-                                options);
-      },
-      [&](const UpdateOp::DeleteDesc& del) -> Result<ConflictReport> {
-        return DetectDeleteImpl(read, del.pattern, options);
-      });
-  CountOutcome(metrics, result);
-  return result;
+  if (Status status = ValidateValueOperands(read, update); !status.ok()) {
+    const DetectorMetrics& metrics = DetectorMetrics::Get();
+    metrics.calls.Increment();
+    metrics.errors.Increment();
+    return status;
+  }
+  // A call-local, non-minimizing store: the read and the update are
+  // detected exactly as given, so every report field matches a ref call on
+  // the same patterns.
+  auto store = std::make_shared<PatternStore>(
+      read.symbols(), PatternStoreOptions{.minimize = false});
+  const PatternRef ref = store->Intern(read);
+  return Detect(*store, ref, update.Bind(store), options);
 }
 
 Result<ConflictReport> Detect(const PatternStore& store, PatternRef read,
@@ -412,24 +299,15 @@ Result<ConflictReport> Detect(const PatternStore& store, PatternRef read,
         "PatternRef is invalid or does not belong to this store");
   }
   if (update.pattern_store() != &store || !update.pattern_ref().valid()) {
-    // Update not bound to this store: no compiled form to fetch for it —
-    // resolve the read and take the value path (which does its own call
-    // accounting).
+    // Update not bound to this store: resolve the read and take the value
+    // facade, which binds both into a call-local store (and does its own
+    // call accounting).
     return Detect(store.pattern(read), update, options);
   }
   metrics.calls.Increment();
   obs::ScopedTimer timer(&metrics.latency_us);
   obs::TraceSpan span("Detect");
-  const PatternRef update_ref = update.pattern_ref();
-  Result<ConflictReport> result = update.Visit(
-      [&](const UpdateOp::InsertDesc& insert) -> Result<ConflictReport> {
-        return DetectInsertCachedImpl(store, read, insert.pattern, update_ref,
-                                      *insert.content, options);
-      },
-      [&](const UpdateOp::DeleteDesc& del) -> Result<ConflictReport> {
-        return DetectDeleteCachedImpl(store, read, del.pattern, update_ref,
-                                      options);
-      });
+  Result<ConflictReport> result = DetectStaged(store, read, update, options);
   CountOutcome(metrics, result);
   return result;
 }

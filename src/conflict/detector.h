@@ -8,7 +8,6 @@
 #include "conflict/report.h"
 #include "conflict/update_op.h"
 #include "conflict/witness_check.h"
-#include "match/matching.h"
 #include "pattern/pattern.h"
 #include "pattern/pattern_store.h"
 #include "xml/tree.h"
@@ -19,7 +18,6 @@ class Dtd;
 
 struct DetectorOptions {
   ConflictSemantics semantics = ConflictSemantics::kNode;
-  MatcherKind matcher = MatcherKind::kNfa;
   /// Budget for the NP path (branching reads).
   BoundedSearchOptions search;
   /// Construct (and re-verify) a witness tree on kConflict verdicts.
@@ -72,7 +70,7 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
 /// detector stack, a staged verdict pipeline where each stage either
 /// returns a final report or hands the pair down:
 ///   - Stage 0 (only with options.dtd set): the schema-type disjointness
-///     filter — method kTypePruned, always kNoConflict, no automata work;
+///     filter — method kTypePruned, always kNoConflict, no matching work;
 ///   - Stage 1: dispatch on the update's kind and the read's shape —
 ///     linear read: the complete polynomial algorithms (Theorems 1-2,
 ///     Corollaries 1-2), method kLinearPtime, definitive verdict;
@@ -85,25 +83,27 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
 /// Per-call verdict/method counters and a latency histogram are reported
 /// into obs::MetricsRegistry::Default(); a "Detect" span is recorded when
 /// obs::TraceRecorder::Default() is enabled.
+///
+/// This value overload holds no algorithm: it interns the read and binds
+/// the update into a call-local PatternStore that does not minimize, so
+/// both are detected exactly as given, and runs the ref overload below.
+/// An empty read or update pattern, or operands from different
+/// SymbolTables (read, update pattern, insert content), return
+/// InvalidArgument and count under detector.errors.
 Result<ConflictReport> Detect(const Pattern& read, const UpdateOp& update,
                               const DetectorOptions& options = {});
 
-/// Ref-based entry point: the read is an interned pattern; the detector
-/// fetches its pre-minimized form from `store` (O(1), no canonicalization)
-/// and otherwise behaves exactly like the value overload. The verdict is
-/// identical to Detect(store.pattern(read), ...) by construction, and to
-/// detection on the original (un-minimized) pattern because minimization
-/// is equivalence-preserving.
+/// Ref-based entry point and the one implementation of the pipeline above:
+/// the read is an interned pattern whose stored (by default pre-minimized)
+/// form is fetched from `store` in O(1). The verdict equals detection on
+/// the original pattern because minimization is equivalence-preserving.
 ///
-/// This is the hot path: when `update` is bound to `store` (the ref
-/// factories or UpdateOp::Bind), detection runs on the store's compiled
-/// automata (PatternStore::compiled) with product results memoized in
-/// NfaProductCache::Default() — no per-call regex/NFA construction.
-/// Reports are identical to the value overload's on the stored pattern,
-/// field for field. An update not bound to this store falls back to the
-/// value overload on the resolved read. An invalid ref (or one minted by
-/// another store, when detectable) returns InvalidArgument and counts
-/// under detector.errors.
+/// When `update` is bound to `store` (the ref factories or UpdateOp::Bind),
+/// Stage 1 runs on the store's compiled forms (PatternStore::compiled) —
+/// the §4.1 DP matcher over precomputed chains, nothing rebuilt per call.
+/// An update not bound to this store goes through the value overload on
+/// the resolved read. An invalid ref (or one minted by another store, when
+/// detectable) returns InvalidArgument and counts under detector.errors.
 Result<ConflictReport> Detect(const PatternStore& store, PatternRef read,
                               const UpdateOp& update,
                               const DetectorOptions& options = {});

@@ -4,8 +4,8 @@
 
 #include "conflict/update_op.h"
 #include "conflict/witness_build.h"
+#include "match/dp_matcher.h"
 #include "pattern/pattern_ops.h"
-#include "pattern/pattern_writer.h"
 
 namespace xmlup {
 namespace {
@@ -66,106 +66,44 @@ Result<Tree> BuildSubtreeModificationWitness(const Pattern& read,
       "read-delete subtree");
 }
 
-}  // namespace
-
-Result<ConflictReport> DetectLinearReadDeleteConflict(
-    const Pattern& read, const Pattern& delete_pattern,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
-  if (!read.IsLinear()) {
-    return Status::InvalidArgument(
-        "read pattern must be linear (P^{//,*}) for polynomial detection");
-  }
-  XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
-
-  // Corollary 1: only the delete's mainline matters.
-  const Pattern mainline = Mainline(delete_pattern);
-
-  ConflictReport report;
-  report.verdict = ConflictVerdict::kNoConflict;
-  report.method = DetectorMethod::kLinearPtime;
-
-  // Lemma 3: scan the read's edges.
-  for (PatternNodeId n_prime : read.PreOrder()) {
-    if (n_prime == read.root()) continue;
-    const PatternNodeId n = read.parent(n_prime);
-    MatchResult match;
-    if (read.axis(n_prime) == Axis::kDescendant) {
-      match = MatchWeakly(mainline, ExtractSeq(read, read.root(), n), matcher);
-    } else {
-      match =
-          MatchStrongly(mainline, ExtractSeq(read, read.root(), n_prime),
-                        matcher);
-    }
-    if (!match.matches) continue;
-    report.verdict = ConflictVerdict::kConflict;
-    report.detail =
-        std::string("node conflict via ") +
-        (read.axis(n_prime) == Axis::kDescendant ? "descendant" : "child") +
-        " edge into read node " + read.LabelName(n_prime);
-    if (build_witness) {
-      XMLUP_ASSIGN_OR_RETURN(
-          Tree witness,
-          BuildNodeConflictWitness(read, delete_pattern, n_prime,
-                                   match.witness_word, semantics));
-      report.witness = std::move(witness);
-    }
-    return report;
-  }
-
-  if (semantics == ConflictSemantics::kNode) return report;
-
-  // Tree / value semantics (equivalent for linear patterns, Lemma 2): a
-  // conflict also exists when the deletion point can fall at-or-below a
-  // read result, modifying the returned subtree.
-  MatchResult below = MatchWeakly(mainline, read, matcher);
-  if (below.matches) {
-    report.verdict = ConflictVerdict::kConflict;
-    report.detail = "subtree-modification conflict (D weakly matches R)";
-    if (build_witness) {
-      XMLUP_ASSIGN_OR_RETURN(
-          Tree witness,
-          BuildSubtreeModificationWitness(read, delete_pattern,
-                                          below.witness_word, semantics));
-      report.witness = std::move(witness);
-    }
-  }
-  return report;
+Status NonLinearReadError() {
+  return Status::InvalidArgument(
+      "read pattern must be linear (P^{//,*}) for polynomial detection");
 }
+
+}  // namespace
 
 Result<ConflictReport> DetectReadDeleteConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& del,
     const Pattern& delete_pattern, ConflictSemantics semantics,
-    MatcherKind matcher, bool build_witness) {
+    bool build_witness) {
   XMLUP_RETURN_NOT_OK(ValidateDeletePattern(delete_pattern));
 
   // The compiled read *is* the mainline chain; for a linear read this is
   // the read itself (linear patterns are mainline fixpoints), so running
-  // on it is the Lemma 3 edge scan verbatim. chain index k has prefix
-  // SEQ_ROOT^chain[k] precompiled — the exact operand the value path
-  // extracts per edge.
+  // on it is the Lemma 3 edge scan verbatim. Corollary 1: only the
+  // delete's mainline matters, and `del` is exactly that chain.
   const Pattern& r = read.mainline_pattern();
 
   ConflictReport report;
   report.verdict = ConflictVerdict::kNoConflict;
   report.method = DetectorMethod::kLinearPtime;
 
+  // Lemma 3: scan the read's edges (n, n') = (chain[k-1], chain[k]).
   const size_t length = read.chain_length();
   for (size_t k = 1; k < length; ++k) {
     const PatternNodeId n_prime = read.mainline_node(k);
-    MatchResult match;
-    if (r.axis(n_prime) == Axis::kDescendant) {
-      // Weak match against SEQ_ROOT^n (the parent's prefix).
-      match = MatchCompiled(del, read, k - 1, /*weak=*/true, matcher);
-    } else {
-      // Strong match against SEQ_ROOT^n'.
-      match = MatchCompiled(del, read, k, /*weak=*/false, matcher);
-    }
+    const bool descendant = r.axis(n_prime) == Axis::kDescendant;
+    // Descendant edge: weak match against SEQ_ROOT^n (the parent's
+    // prefix, k nodes); child edge: strong match against SEQ_ROOT^n'.
+    MatchResult match = MatchDp(del.chain(),
+                                read.prefix(descendant ? k : k + 1),
+                                /*weak=*/descendant);
     if (!match.matches) continue;
     report.verdict = ConflictVerdict::kConflict;
-    report.detail =
-        std::string("node conflict via ") +
-        (r.axis(n_prime) == Axis::kDescendant ? "descendant" : "child") +
-        " edge into read node " + r.LabelName(n_prime);
+    report.detail = std::string("node conflict via ") +
+                    (descendant ? "descendant" : "child") +
+                    " edge into read node " + r.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness,
@@ -178,8 +116,10 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
 
   if (semantics == ConflictSemantics::kNode) return report;
 
-  MatchResult below = MatchCompiled(del, read, length - 1, /*weak=*/true,
-                                    matcher);
+  // Tree / value semantics (equivalent for linear patterns, Lemma 2): a
+  // conflict also exists when the deletion point can fall at-or-below a
+  // read result, modifying the returned subtree.
+  MatchResult below = MatchDp(del.chain(), read.chain(), /*weak=*/true);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (D weakly matches R)";
@@ -195,15 +135,21 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
 }
 
 Result<ConflictReport> DetectLinearReadDeleteConflict(
+    const Pattern& read, const Pattern& delete_pattern,
+    ConflictSemantics semantics, bool build_witness) {
+  if (!read.IsLinear()) return NonLinearReadError();
+  return DetectReadDeleteConflictCompiled(
+      CompiledPattern(read), CompiledPattern(delete_pattern), delete_pattern,
+      semantics, build_witness);
+}
+
+Result<ConflictReport> DetectLinearReadDeleteConflict(
     const PatternStore& store, PatternRef read, PatternRef delete_pattern,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
-  if (!store.linear(read)) {
-    return Status::InvalidArgument(
-        "read pattern must be linear (P^{//,*}) for polynomial detection");
-  }
+    ConflictSemantics semantics, bool build_witness) {
+  if (!store.linear(read)) return NonLinearReadError();
   return DetectReadDeleteConflictCompiled(
       store.compiled(read), store.compiled(delete_pattern),
-      store.pattern(delete_pattern), semantics, matcher, build_witness);
+      store.pattern(delete_pattern), semantics, build_witness);
 }
 
 }  // namespace xmlup

@@ -31,37 +31,35 @@ namespace xmlup {
 /// bug) surfaces as an Internal error.
 /// Returns a ConflictReport with method == kLinearPtime and a definitive
 /// verdict (the linear algorithms are complete — never kUnknown).
+///
+/// Compiles both operands on the spot and runs
+/// DetectReadDeleteConflictCompiled.
 Result<ConflictReport> DetectLinearReadDeleteConflict(
     const Pattern& read, const Pattern& delete_pattern,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
-/// Compiled-form core: the same algorithm and reports as the value
-/// overload, running on pre-built automata (MatchCompiled + the product
-/// cache) instead of per-call Thompson constructions. `read` is scanned
-/// along its mainline chain — for a linear read that is the read itself;
-/// the detector's branching heuristic passes a branching read's compiled
-/// form to get the Mainline(read) answer. `delete_pattern` is the full
-/// stored delete (the witness construction grafts its branch models);
-/// `del` must be its compiled form. Verdict, method, detail and witness
-/// words are identical to the value overload on the same operands.
+/// The one implementation of the algorithm above, on compiled forms: each
+/// edge test is one MatchDp call on a prefix view of the read's chain.
+/// `read` is scanned along its mainline chain — for a linear read that is
+/// the read itself; the detector's branching heuristic passes a branching
+/// read's compiled form to get the Mainline(read) answer.
+/// `delete_pattern` is the full delete (the witness construction grafts
+/// its branch models); `del` must be its compiled form.
 Result<ConflictReport> DetectReadDeleteConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& del,
     const Pattern& delete_pattern,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
 /// Ref-based entry point: both patterns are interned refs resolved
-/// against `store`; compiled automata are fetched (and lazily built) via
+/// against `store`; compiled forms are fetched (and lazily built) via
 /// PatternStore::compiled(). The read ref must denote a linear pattern and
 /// the delete ref must not select the root — both violations return
 /// InvalidArgument, exactly like the value overload.
 Result<ConflictReport> DetectLinearReadDeleteConflict(
     const PatternStore& store, PatternRef read, PatternRef delete_pattern,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
 }  // namespace xmlup

@@ -4,6 +4,7 @@
 
 #include "conflict/witness_build.h"
 #include "eval/evaluator.h"
+#include "match/dp_matcher.h"
 #include "pattern/pattern_ops.h"
 
 namespace xmlup {
@@ -32,55 +33,53 @@ Result<Tree> BuildWitness(const Pattern& read, const Pattern& insert_pattern,
       "read-insert");
 }
 
+Status NonLinearReadError() {
+  return Status::InvalidArgument(
+      "read pattern must be linear (P^{//,*}) for polynomial detection");
+}
+
 }  // namespace
 
-Result<ConflictReport> DetectLinearReadInsertConflict(
-    const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
-  if (!read.IsLinear()) {
-    return Status::InvalidArgument(
-        "read pattern must be linear (P^{//,*}) for polynomial detection");
-  }
+Result<ConflictReport> DetectReadInsertConflictCompiled(
+    const CompiledPattern& read, const CompiledPattern& ins,
+    const Pattern& insert_pattern, const Tree& inserted,
+    ConflictSemantics semantics, bool build_witness) {
   if (!inserted.has_root()) {
     return Status::InvalidArgument("inserted tree X is empty");
   }
 
-  // Corollary 2: only the insert's mainline matters.
-  const Pattern mainline = Mainline(insert_pattern);
+  // The compiled read *is* the mainline chain; for a linear read this is
+  // the read itself. Corollary 2: only the insert's mainline matters, and
+  // `ins` is exactly that chain.
+  const Pattern& r = read.mainline_pattern();
 
   ConflictReport report;
   report.verdict = ConflictVerdict::kNoConflict;
   report.method = DetectorMethod::kLinearPtime;
 
-  // Lemmas 5-7: scan the read's edges for a cut edge.
-  for (PatternNodeId n_prime : read.PreOrder()) {
-    if (n_prime == read.root()) continue;
-    const PatternNodeId n = read.parent(n_prime);
-    const Pattern prefix = ExtractSeq(read, read.root(), n);
-    const Pattern suffix = ExtractSeq(read, n_prime, read.output());
-    MatchResult match;
-    bool suffix_ok = false;
-    if (read.axis(n_prime) == Axis::kChild) {
-      match = MatchStrongly(mainline, prefix, matcher);
-      if (match.matches) {
-        suffix_ok = EmbedsAt(suffix, inserted, inserted.root());
-      }
-    } else {
-      match = MatchWeakly(mainline, prefix, matcher);
-      if (match.matches) {
-        suffix_ok = EmbedsAnywhereIn(suffix, inserted, inserted.root());
-      }
-    }
-    if (!match.matches || !suffix_ok) continue;
+  // Lemmas 5-7: scan the read's edges (n, n') = (chain[k-1], chain[k]) for
+  // a cut edge. The prefix SEQ_ROOT^n is a view of the chain; the suffix
+  // SEQ_{n'}^O is extracted only at an edge whose prefix matched.
+  const size_t length = read.chain_length();
+  for (size_t k = 1; k < length; ++k) {
+    const PatternNodeId n_prime = read.mainline_node(k);
+    const bool descendant = r.axis(n_prime) == Axis::kDescendant;
+    MatchResult match =
+        MatchDp(ins.chain(), read.prefix(k), /*weak=*/descendant);
+    if (!match.matches) continue;
+    const Pattern suffix = ExtractSeq(r, n_prime, r.output());
+    const bool suffix_ok =
+        descendant ? EmbedsAnywhereIn(suffix, inserted, inserted.root())
+                   : EmbedsAt(suffix, inserted, inserted.root());
+    if (!suffix_ok) continue;
     report.verdict = ConflictVerdict::kConflict;
-    report.detail =
-        std::string("cut edge (") +
-        (read.axis(n_prime) == Axis::kDescendant ? "descendant" : "child") +
-        ") into read node " + read.LabelName(n_prime);
+    report.detail = std::string("cut edge (") +
+                    (descendant ? "descendant" : "child") +
+                    ") into read node " + r.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
-          Tree witness, BuildWitness(read, insert_pattern, inserted,
-                                            match.witness_word, semantics));
+          Tree witness, BuildWitness(r, insert_pattern, inserted,
+                                     match.witness_word, semantics));
       report.witness = std::move(witness);
     }
     return report;
@@ -90,84 +89,14 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
 
   // Tree / value semantics: an insertion at-or-below a read result
   // modifies the returned subtree (paper REMARKS after Theorem 2).
-  MatchResult below = MatchWeakly(mainline, read, matcher);
+  MatchResult below = MatchDp(ins.chain(), read.chain(), /*weak=*/true);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (I weakly matches R)";
-    if (build_witness) {
-      XMLUP_ASSIGN_OR_RETURN(
-          Tree witness,
-          BuildWitness(read, insert_pattern, inserted,
-                                          below.witness_word, semantics));
-      report.witness = std::move(witness);
-    }
-  }
-  return report;
-}
-
-Result<ConflictReport> DetectReadInsertConflictCompiled(
-    const CompiledPattern& read, const CompiledPattern& ins,
-    const Pattern& insert_pattern, const Tree& inserted,
-    ConflictSemantics semantics, MatcherKind matcher, bool build_witness) {
-  if (!inserted.has_root()) {
-    return Status::InvalidArgument("inserted tree X is empty");
-  }
-
-  // The compiled read *is* the mainline chain; for a linear read this is
-  // the read itself. Chain index k carries both the prefix SEQ_ROOT^n
-  // (k-1) and the suffix SEQ_{n'}^O (k) the Lemma 5-7 cut-edge test needs,
-  // precompiled.
-  const Pattern& r = read.mainline_pattern();
-
-  ConflictReport report;
-  report.verdict = ConflictVerdict::kNoConflict;
-  report.method = DetectorMethod::kLinearPtime;
-
-  const size_t length = read.chain_length();
-  for (size_t k = 1; k < length; ++k) {
-    const PatternNodeId n_prime = read.mainline_node(k);
-    MatchResult match;
-    bool suffix_ok = false;
-    if (r.axis(n_prime) == Axis::kChild) {
-      match = MatchCompiled(ins, read, k - 1, /*weak=*/false, matcher);
-      if (match.matches) {
-        suffix_ok =
-            EmbedsAt(read.suffix_pattern(k), inserted, inserted.root());
-      }
-    } else {
-      match = MatchCompiled(ins, read, k - 1, /*weak=*/true, matcher);
-      if (match.matches) {
-        suffix_ok = EmbedsAnywhereIn(read.suffix_pattern(k), inserted,
-                                     inserted.root());
-      }
-    }
-    if (!match.matches || !suffix_ok) continue;
-    report.verdict = ConflictVerdict::kConflict;
-    report.detail =
-        std::string("cut edge (") +
-        (r.axis(n_prime) == Axis::kDescendant ? "descendant" : "child") +
-        ") into read node " + r.LabelName(n_prime);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness, BuildWitness(r, insert_pattern, inserted,
-                                            match.witness_word, semantics));
-      report.witness = std::move(witness);
-    }
-    return report;
-  }
-
-  if (semantics == ConflictSemantics::kNode) return report;
-
-  MatchResult below = MatchCompiled(ins, read, length - 1, /*weak=*/true,
-                                    matcher);
-  if (below.matches) {
-    report.verdict = ConflictVerdict::kConflict;
-    report.detail = "subtree-modification conflict (I weakly matches R)";
-    if (build_witness) {
-      XMLUP_ASSIGN_OR_RETURN(
-          Tree witness,
-          BuildWitness(r, insert_pattern, inserted,
-                                          below.witness_word, semantics));
+                                     below.witness_word, semantics));
       report.witness = std::move(witness);
     }
   }
@@ -175,17 +104,21 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
 }
 
 Result<ConflictReport> DetectLinearReadInsertConflict(
+    const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
+    ConflictSemantics semantics, bool build_witness) {
+  if (!read.IsLinear()) return NonLinearReadError();
+  return DetectReadInsertConflictCompiled(
+      CompiledPattern(read), CompiledPattern(insert_pattern), insert_pattern,
+      inserted, semantics, build_witness);
+}
+
+Result<ConflictReport> DetectLinearReadInsertConflict(
     const PatternStore& store, PatternRef read, PatternRef insert_pattern,
-    const Tree& inserted, ConflictSemantics semantics, MatcherKind matcher,
-    bool build_witness) {
-  if (!store.linear(read)) {
-    return Status::InvalidArgument(
-        "read pattern must be linear (P^{//,*}) for polynomial detection");
-  }
+    const Tree& inserted, ConflictSemantics semantics, bool build_witness) {
+  if (!store.linear(read)) return NonLinearReadError();
   return DetectReadInsertConflictCompiled(
       store.compiled(read), store.compiled(insert_pattern),
-      store.pattern(insert_pattern), inserted, semantics, matcher,
-      build_witness);
+      store.pattern(insert_pattern), inserted, semantics, build_witness);
 }
 
 }  // namespace xmlup

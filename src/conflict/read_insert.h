@@ -31,38 +31,36 @@ namespace xmlup {
 /// with the Lemma 1 checker.
 /// Returns a ConflictReport with method == kLinearPtime and a definitive
 /// verdict (the linear algorithms are complete — never kUnknown).
+///
+/// Compiles both operands on the spot and runs
+/// DetectReadInsertConflictCompiled.
 Result<ConflictReport> DetectLinearReadInsertConflict(
     const Pattern& read, const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
-/// Compiled-form core: the same algorithm and reports as the value
-/// overload, running on pre-built automata (MatchCompiled + the product
-/// cache) and the precompiled prefix/suffix patterns instead of per-call
-/// Thompson constructions and ExtractSeq copies. `read` is scanned along
-/// its mainline chain — for a linear read that is the read itself; the
-/// detector's branching heuristic passes a branching read's compiled form
-/// to get the Mainline(read) answer. `insert_pattern` is the full stored
-/// insert (the witness construction grafts its branch models); `ins` must
-/// be its compiled form. Verdict, method, detail and witness words are
-/// identical to the value overload on the same operands.
+/// The one implementation of the algorithm above, on compiled forms: each
+/// edge's prefix test is one MatchDp call on a prefix view of the read's
+/// chain, and the suffix SEQ_{n'}^O is extracted only at an edge whose
+/// prefix matched. `read` is scanned along its mainline chain — for a
+/// linear read that is the read itself; the detector's branching heuristic
+/// passes a branching read's compiled form to get the Mainline(read)
+/// answer. `insert_pattern` is the full insert (the witness construction
+/// grafts its branch models); `ins` must be its compiled form.
 Result<ConflictReport> DetectReadInsertConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& ins,
     const Pattern& insert_pattern, const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
 /// Ref-based entry point: both patterns are interned refs resolved
-/// against `store`; compiled automata are fetched (and lazily built) via
+/// against `store`; compiled forms are fetched (and lazily built) via
 /// PatternStore::compiled(). The read ref must denote a linear pattern
 /// (InvalidArgument otherwise, exactly like the value overload).
 Result<ConflictReport> DetectLinearReadInsertConflict(
     const PatternStore& store, PatternRef read, PatternRef insert_pattern,
     const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
-    MatcherKind matcher = MatcherKind::kNfa,
     bool build_witness = true);
 
 }  // namespace xmlup

@@ -34,7 +34,7 @@ enum class DetectorMethod {
   kBoundedSearch,
   /// Stage 0 of the staged pipeline: the schema-type disjointness filter
   /// (dtd/type_summary.h) proved the pair independent over DTD-conformant
-  /// documents before any automata work. Always kNoConflict.
+  /// documents before any matching work. Always kNoConflict.
   kTypePruned,
 };
 

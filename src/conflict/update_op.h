@@ -14,10 +14,10 @@ namespace xmlup {
 /// The one root-delete guard (paper §2.2: DELETE_p requires
 /// O(p) != ROOT(p) — deleting the root leaves no tree). Every layer that
 /// accepts a delete pattern validates through this — the MakeDelete
-/// factories, the linear detectors (value and compiled), and the Detect()
-/// facade — so no call path can smuggle a root-selecting delete past the
-/// check. The check is stable under minimization: a minimized root output
-/// is still the root.
+/// factories, the linear read-delete core, and the Detect() pipeline — so
+/// no call path can smuggle a root-selecting delete past the check. The
+/// check is stable under minimization: a minimized root output is still
+/// the root.
 Status ValidateDeletePattern(const Pattern& pattern);
 
 /// A single update operation — the paper's INSERT_{p,X} or DELETE_p — as a

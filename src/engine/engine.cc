@@ -56,7 +56,7 @@ UpdateOp Engine::Bind(const UpdateOp& op) const { return op.Bind(store_); }
 
 Result<ConflictReport> Engine::Detect(PatternRef read,
                                       const UpdateOp& update) const {
-  // Ops not bound to this store fall back to the value path inside the
+  // Ops not bound to this store are bound into a call-local store by the
   // facade below; pre-binding (Engine::Bind) keeps this integer-keyed.
   return xmlup::Detect(*store_, read, update, options_.batch.detector);
 }
@@ -126,7 +126,7 @@ LintResult Engine::Lint(const Program& program, const LintRunOptions& run) {
   CheckNotOnPoolWorker("Lint");
   MutexLock lock(batch_mu_);
   // A fresh Linter per call: its memo cache is cold, but the shared store
-  // keeps interned patterns and compiled automata warm — the distinct-pair
+  // keeps interned patterns and compiled forms warm — the distinct-pair
   // solves, the expensive part, are amortized process-wide.
   const Linter linter(lint_options);
   return linter.Lint(program);

@@ -24,10 +24,10 @@ namespace xmlup {
 
 /// Configuration of an Engine. One engine = one configuration: the
 /// detector options are fixed at construction because every cache in the
-/// stack below (the batch memo cache, the compiled-automata store, the
-/// product cache) assumes the verdict of a pattern pair is a function of
-/// the pair alone. Callers that need a second semantics build a second
-/// Engine (they can share a SymbolTable).
+/// stack below (the batch memo cache, the compiled-form store) assumes the
+/// verdict of a pattern pair is a function of the pair alone. Callers that
+/// need a second semantics build a second Engine (they can share a
+/// SymbolTable).
 struct EngineOptions {
   /// Detector semantics/budget, worker threads, memoization and cache
   /// bound for the matrix engine. `batch.store` is ignored — the Engine
@@ -41,13 +41,13 @@ struct EngineOptions {
   /// Must share the engine's SymbolTable (CHECK-failed at construction).
   /// Detection then becomes conservative under the schema: pairs with
   /// disjoint type footprints resolve to kNoConflict (method kTypePruned)
-  /// before any automata work — see DetectorOptions::dtd.
+  /// before any matching work — see DetectorOptions::dtd.
   std::shared_ptr<const Dtd> dtd;
 };
 
 /// The front door of the library: one object owning the shared state every
 /// layer below needs — the SymbolTable, the PatternStore (interned
-/// canonical patterns + compiled automata), the batch conflict-matrix
+/// canonical patterns + compiled forms), the batch conflict-matrix
 /// engine and its memo cache — and exposing the library's operations as
 /// methods: Detect, DetectMatrix, MakeSession, Lint, AnalyzeDependences,
 /// CertifyCommute.
@@ -75,7 +75,7 @@ struct EngineOptions {
 ///   - A Session is single-writer (as MaintainedConflictMatrix is), but
 ///     distinct sessions may be driven from distinct threads concurrently:
 ///     each session owns a private inline matrix engine over the shared
-///     store, so sessions share interned patterns and compiled automata
+///     store, so sessions share interned patterns and compiled forms
 ///     without sharing a mutable memo cache.
 class Engine {
  public:
@@ -113,8 +113,8 @@ class Engine {
   /// --- Single-pair detection (thread-safe hot path) ---
 
   /// Unified read/update conflict detection under the engine's options.
-  /// The ref overload runs on the store's compiled automata with product
-  /// memoization — no per-call canonicalization or NFA construction.
+  /// The ref overload runs on the store's compiled forms — no per-call
+  /// canonicalization or compilation.
   Result<ConflictReport> Detect(PatternRef read, const UpdateOp& update) const;
   Result<ConflictReport> Detect(const Pattern& read,
                                 const UpdateOp& update) const;
@@ -186,7 +186,7 @@ class Engine {
 
   /// Lints a straight-line update program with the engine's detector
   /// configuration. Serialized on the engine mutex; the shared store keeps
-  /// compiled automata warm across calls.
+  /// compiled forms warm across calls.
   LintResult Lint(const Program& program, const LintRunOptions& run)
       XMLUP_EXCLUDES(batch_mu_);
   LintResult Lint(const Program& program) {

@@ -1,43 +1,32 @@
 #include "match/dp_matcher.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace xmlup {
 namespace {
 
-/// Flattened view of a linear pattern: per-node symbol classes and the
-/// axis of the edge *into* each node (index 0 = root, no incoming edge).
-struct Flat {
-  std::vector<LabelClass> classes;
-  std::vector<Axis> axes;
-
-  explicit Flat(const Pattern& l) {
-    for (PatternNodeId n = l.root(); n != kNullPatternNode;
-         n = l.first_child(n)) {
-      classes.push_back(l.is_wildcard(n) ? LabelClass::Any()
-                                         : LabelClass::Of(l.label(n)));
-      axes.push_back(n == l.root() ? Axis::kChild : l.axis(n));
-    }
-  }
-
-  size_t size() const { return classes.size(); }
+/// How the breadth-first search first reached a grid cell. The symbol the
+/// move consumed follows from the move and the cell it left, so the grid
+/// stores one byte per cell and the witness word is rebuilt on the way
+/// back.
+enum Move : uint8_t {
+  kUnvisited,
+  kStart,
+  kBothAdvance,  // the symbol is l1's and l2's next node
+  kL1Advance,    // l1's next node; l2 gaps
+  kL2Advance,    // l2's next node; l1 gaps
 };
 
-struct Parent {
-  size_t prev = SIZE_MAX;
-  LabelClass on;
-  bool visited = false;
-};
-
-/// Per-thread scratch: the DP grid and the BFS queue are reused across
-/// calls (assign() keeps capacity), so a steady-state match allocates
-/// nothing. The queue is a vector with a head cursor — same FIFO order as
-/// std::queue with retained storage.
+/// Per-thread scratch: the grid of moves and the BFS queue are reused
+/// across calls (assign() keeps capacity), so a steady-state match
+/// allocates nothing. The queue is a vector with a head cursor — same
+/// FIFO order as std::queue with retained storage.
 struct DpScratch {
-  std::vector<Parent> table;
-  std::vector<std::pair<size_t, size_t>> queue;
+  std::vector<Move> grid;
+  std::vector<std::pair<uint32_t, uint32_t>> queue;
 
   static DpScratch& Get() {
     thread_local DpScratch scratch;
@@ -47,13 +36,17 @@ struct DpScratch {
 
 }  // namespace
 
-MatchResult MatchDp(const Pattern& l1, const Pattern& l2, bool weak) {
-  XMLUP_CHECK(l1.IsLinear());
-  XMLUP_CHECK(l2.IsLinear());
-  const Flat f1(l1);
-  const Flat f2(l2);
-  const size_t m1 = f1.size();
-  const size_t m2 = f2.size();
+MatchResult MatchDp(const LinearChain& l1, const LinearChain& l2, bool weak) {
+  const size_t m1 = l1.size();
+  const size_t m2 = l2.size();
+  LabelClass common;
+  // Every common word starts with both roots, and a strong match ends with
+  // both outputs on one symbol: without those the grid has no path.
+  if (!IntersectClasses(l1.classes[0], l2.classes[0], &common)) return {};
+  if (!weak &&
+      !IntersectClasses(l1.classes[m1 - 1], l2.classes[m2 - 1], &common)) {
+    return {};
+  }
 
   // State (i, j): i nodes of l1 and j nodes of l2 matched onto the prefix
   // of a common root-to-leaf path. Both patterns consume the same word;
@@ -62,55 +55,69 @@ MatchResult MatchDp(const Pattern& l1, const Pattern& l2, bool weak) {
   // an intermediate node under a pending descendant edge — or, in weak
   // mode, below l2's already-matched output).
   const size_t width = m2 + 1;
-  auto encode = [width](size_t i, size_t j) { return i * width + j; };
   DpScratch& scratch = DpScratch::Get();
-  std::vector<Parent>& table = scratch.table;
-  table.assign((m1 + 1) * (m2 + 1), Parent{});
+  std::vector<Move>& grid = scratch.grid;
+  grid.assign((m1 + 1) * width, kUnvisited);
 
   auto gap1_ok = [&](size_t i) {
-    return i >= 1 && i < m1 && f1.axes[i] == Axis::kDescendant;
+    return i >= 1 && i < m1 && l1.axes[i] == Axis::kDescendant;
   };
   auto gap2_ok = [&](size_t j) {
-    if (j >= 1 && j < m2 && f2.axes[j] == Axis::kDescendant) return true;
+    if (j >= 1 && j < m2 && l2.axes[j] == Axis::kDescendant) return true;
     return weak && j == m2;
   };
 
-  std::vector<std::pair<size_t, size_t>>& queue = scratch.queue;
+  std::vector<std::pair<uint32_t, uint32_t>>& queue = scratch.queue;
   queue.clear();
   size_t queue_head = 0;
-  auto visit = [&](size_t i, size_t j, size_t from, const LabelClass& on) {
-    Parent& cell = table[encode(i, j)];
-    if (cell.visited) return;
-    cell = {from, on, true};
-    queue.emplace_back(i, j);
+  auto visit = [&](size_t i, size_t j, Move move) {
+    Move& cell = grid[i * width + j];
+    if (cell != kUnvisited) return;
+    cell = move;
+    queue.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
   };
 
-  visit(0, 0, SIZE_MAX, LabelClass::Any());
+  visit(0, 0, kStart);
   while (queue_head < queue.size()) {
-    auto [i, j] = queue[queue_head++];
+    const auto [i, j] = queue[queue_head++];
     if (i == m1 && j == m2) {
+      // Walk the first-reached moves back to the start, re-deriving each
+      // consumed symbol's class.
       MatchResult result;
       result.matches = true;
-      size_t cur = encode(i, j);
-      while (table[cur].prev != SIZE_MAX) {
-        result.witness_word.push_back(table[cur].on);
-        cur = table[cur].prev;
+      size_t bi = i;
+      size_t bj = j;
+      for (Move move = grid[bi * width + bj]; move != kStart;
+           move = grid[bi * width + bj]) {
+        switch (move) {
+          case kBothAdvance:
+            --bi;
+            --bj;
+            IntersectClasses(l1.classes[bi], l2.classes[bj], &common);
+            result.witness_word.push_back(common);
+            break;
+          case kL1Advance:
+            --bi;
+            result.witness_word.push_back(l1.classes[bi]);
+            break;
+          default:  // kL2Advance
+            --bj;
+            result.witness_word.push_back(l2.classes[bj]);
+            break;
+        }
       }
       std::reverse(result.witness_word.begin(), result.witness_word.end());
       return result;
     }
-    const size_t id = encode(i, j);
     // Both sides advance.
-    if (i < m1 && j < m2) {
-      LabelClass common;
-      if (IntersectClasses(f1.classes[i], f2.classes[j], &common)) {
-        visit(i + 1, j + 1, id, common);
-      }
+    if (i < m1 && j < m2 &&
+        IntersectClasses(l1.classes[i], l2.classes[j], &common)) {
+      visit(i + 1, j + 1, kBothAdvance);
     }
     // l1 advances, l2 gaps.
-    if (i < m1 && gap2_ok(j)) visit(i + 1, j, id, f1.classes[i]);
+    if (i < m1 && gap2_ok(j)) visit(i + 1, j, kL1Advance);
     // l2 advances, l1 gaps.
-    if (j < m2 && gap1_ok(i)) visit(i, j + 1, id, f2.classes[j]);
+    if (j < m2 && gap1_ok(i)) visit(i, j + 1, kL2Advance);
   }
   return MatchResult{};
 }

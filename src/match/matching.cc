@@ -10,19 +10,12 @@ Regex NodeSymbol(const Pattern& p, PatternNodeId n) {
   return p.is_wildcard(n) ? Regex::Dot() : Regex::Symbol(p.label(n));
 }
 
-MatchResult MatchViaNfa(const Pattern& l1, const Pattern& l2, bool weak) {
-  Regex r1 = LinearPatternToRegex(l1);
-  Regex r2 = LinearPatternToRegex(l2);
-  if (weak) {
-    r2 = Regex::Concat(std::move(r2), Regex::Star(Regex::Dot()));
-  }
-  const Nfa a = Nfa::FromRegex(r1);
-  const Nfa b = Nfa::FromRegex(r2);
-  std::optional<ClassWord> word = IntersectionWitness(a, b);
-  MatchResult result;
-  result.matches = word.has_value();
-  if (word.has_value()) result.witness_word = std::move(*word);
-  return result;
+MatchResult MatchLinear(const Pattern& l1, const Pattern& l2, bool weak) {
+  XMLUP_CHECK(l1.IsLinear());
+  XMLUP_CHECK(l2.IsLinear());
+  const CompiledPattern c1(l1);
+  const CompiledPattern c2(l2);
+  return MatchDp(c1.chain(), c2.chain(), weak);
 }
 
 }  // namespace
@@ -40,57 +33,27 @@ Regex LinearPatternToRegex(const Pattern& linear) {
   return r;
 }
 
-MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2,
-                          MatcherKind kind) {
-  XMLUP_CHECK(l1.IsLinear());
-  XMLUP_CHECK(l2.IsLinear());
-  if (kind == MatcherKind::kDp) return MatchDp(l1, l2, /*weak=*/false);
-  return MatchViaNfa(l1, l2, /*weak=*/false);
+MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2) {
+  return MatchLinear(l1, l2, /*weak=*/false);
 }
 
-MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2,
-                        MatcherKind kind) {
-  XMLUP_CHECK(l1.IsLinear());
-  XMLUP_CHECK(l2.IsLinear());
-  if (kind == MatcherKind::kDp) return MatchDp(l1, l2, /*weak=*/true);
-  return MatchViaNfa(l1, l2, /*weak=*/true);
+MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2) {
+  return MatchLinear(l1, l2, /*weak=*/true);
 }
 
-MatchResult MatchCompiled(const CompiledPattern& l1, const CompiledPattern& l2,
-                          size_t l2_prefix, bool weak, MatcherKind kind) {
-  if (kind == MatcherKind::kDp) {
-    return MatchDp(l1.mainline_pattern(), l2.prefix_pattern(l2_prefix), weak);
+MatchResult MatchViaNfa(const Pattern& l1, const Pattern& l2, bool weak) {
+  Regex r1 = LinearPatternToRegex(l1);
+  Regex r2 = LinearPatternToRegex(l2);
+  if (weak) {
+    r2 = Regex::Concat(std::move(r2), Regex::Star(Regex::Dot()));
   }
-  NfaProductCache& cache = NfaProductCache::Default();
-  std::optional<ClassWord> word =
-      weak ? cache.Intersect(l1.mainline_nfa(), l1.mainline_uid(),
-                             l2.prefix_weak_nfa(l2_prefix),
-                             l2.prefix_weak_uid(l2_prefix))
-           : cache.Intersect(l1.mainline_nfa(), l1.mainline_uid(),
-                             l2.prefix_nfa(l2_prefix),
-                             l2.prefix_uid(l2_prefix));
+  const Nfa a = Nfa::FromRegex(r1);
+  const Nfa b = Nfa::FromRegex(r2);
+  std::optional<ClassWord> word = IntersectionWitness(a, b);
   MatchResult result;
   result.matches = word.has_value();
   if (word.has_value()) result.witness_word = std::move(*word);
   return result;
-}
-
-MatchResult MatchStrongly(const PatternStore& store, PatternRef l1,
-                          PatternRef l2, MatcherKind kind) {
-  XMLUP_CHECK_STREAM(store.linear(l1) && store.linear(l2))
-      << "ref matching requires linear patterns";
-  const CompiledPattern& c1 = store.compiled(l1);
-  const CompiledPattern& c2 = store.compiled(l2);
-  return MatchCompiled(c1, c2, c2.chain_length() - 1, /*weak=*/false, kind);
-}
-
-MatchResult MatchWeakly(const PatternStore& store, PatternRef l1,
-                        PatternRef l2, MatcherKind kind) {
-  XMLUP_CHECK_STREAM(store.linear(l1) && store.linear(l2))
-      << "ref matching requires linear patterns";
-  const CompiledPattern& c1 = store.compiled(l1);
-  const CompiledPattern& c2 = store.compiled(l2);
-  return MatchCompiled(c1, c2, c2.chain_length() - 1, /*weak=*/true, kind);
 }
 
 Tree WordToPathTree(const ClassWord& word,

@@ -1,26 +1,12 @@
 #ifndef XMLUP_MATCH_MATCHING_H_
 #define XMLUP_MATCH_MATCHING_H_
 
-#include <optional>
-
 #include "automata/nfa_ops.h"
 #include "automata/regex.h"
-#include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
-#include "pattern/pattern_store.h"
 #include "xml/tree.h"
 
 namespace xmlup {
-
-/// Which implementation of weak/strong matching to use. Both are
-/// polynomial; kNfa is the paper's construction (regular expressions +
-/// language intersection, §4.1), kDp is the dynamic-programming algorithm
-/// the paper's REMARKS suggest. They are equivalence-tested against each
-/// other.
-enum class MatcherKind {
-  kNfa,
-  kDp,
-};
 
 /// Result of a weak/strong matching query. When `matches` is true,
 /// `witness_word` holds the labels (symbol classes) of a root-to-deepest
@@ -43,40 +29,19 @@ Regex LinearPatternToRegex(const Pattern& linear);
 /// Weak:   additionally allows E1(O(l1)) to be a *descendant* of E2(O(l2))
 ///         — L(r1) ∩ L(r2·(.)*) ≠ ∅. (Note the asymmetry: l1's output is
 ///         the deeper one.)
-MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2,
-                          MatcherKind kind = MatcherKind::kNfa);
-MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2,
-                        MatcherKind kind = MatcherKind::kNfa);
-
-/// Ref-based entry points: both patterns are interned refs resolved
-/// against `store` (O(1) lookup of the pre-minimized forms). Matching is
-/// invariant under minimization (it is equivalence-preserving), so these
-/// agree with the value overloads on the original patterns. Both refs must
-/// denote linear patterns (PatternStore::linear()).
 ///
-/// These run on the store's compiled automata (PatternStore::compiled) and
-/// memoize product results in NfaProductCache::Default() — the answers are
-/// identical to the value overloads' (same regex construction, same BFS),
-/// just without the per-call rebuild.
-MatchResult MatchStrongly(const PatternStore& store, PatternRef l1,
-                          PatternRef l2, MatcherKind kind = MatcherKind::kNfa);
-MatchResult MatchWeakly(const PatternStore& store, PatternRef l1,
-                        PatternRef l2, MatcherKind kind = MatcherKind::kNfa);
+/// Both compile their operands on the spot and run the dynamic-programming
+/// matcher of match/dp_matcher.h, MatchDp, on their chains — the matcher
+/// the linear detectors call directly on prefix views of compiled chains.
+MatchResult MatchStrongly(const Pattern& l1, const Pattern& l2);
+MatchResult MatchWeakly(const Pattern& l1, const Pattern& l2);
 
-/// Compiled-form matching: `l1` contributes its full mainline automaton,
-/// `l2` the prefix at chain index `l2_prefix` — in the strong form
-/// R(prefix), or the weak form R(prefix)·(.)* when `weak` is set (the
-/// asymmetry of Definition 7: l1's output is the deeper one). With
-/// l2_prefix == l2.chain_length() - 1 this is exactly
-/// MatchStrongly/MatchWeakly(l1.mainline, l2.mainline).
-///
-/// kNfa consults NfaProductCache::Default() under the compiled uids, so
-/// repeated pairs skip the product BFS entirely; kDp runs the (pooled)
-/// dynamic-programming matcher on the compiled patterns. Witness words are
-/// byte-identical to the value matchers' for the same operands.
-MatchResult MatchCompiled(const CompiledPattern& l1, const CompiledPattern& l2,
-                          size_t l2_prefix, bool weak,
-                          MatcherKind kind = MatcherKind::kNfa);
+/// The §4.1 construction itself, kept as the reference the DP matcher is
+/// tested against: regular expressions R(l1) and R(l2) (or R(l2)·(.)* when
+/// `weak`), their Thompson NFAs, and a breadth-first search of the product
+/// automaton for a shortest common word. Same answers as MatchStrongly /
+/// MatchWeakly; the witness word may differ between equally short words.
+MatchResult MatchViaNfa(const Pattern& l1, const Pattern& l2, bool weak);
 
 /// Materializes a witness word as a path tree, resolving Any classes to
 /// `filler`. The word must be non-empty.

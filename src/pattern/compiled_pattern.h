@@ -2,31 +2,31 @@
 #define XMLUP_PATTERN_COMPILED_PATTERN_H_
 
 #include <cstddef>
-#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "automata/nfa.h"
+#include "automata/regex.h"
 #include "pattern/pattern.h"
 
 namespace xmlup {
 
-/// The compile-once artifacts of one interned pattern: its mainline
-/// (SEQ_ROOT^O(p)) and, for every node on that chain, the prefix pattern
-/// SEQ_ROOT^chain[k] together with its Thompson NFA in both the strong
-/// form (R(prefix)) and the weak form (R(prefix)·(.)* — the l2 side of
-/// MatchWeakly). These are exactly the automata the linear conflict
-/// algorithms rebuild per Detect() call today; a PatternStore entry builds
-/// them once and every later ref-based call reuses them.
-///
-/// NFAs are constructed through the same LinearPatternToRegex + FromRegex
-/// pipeline the value matchers use, on patterns built by the same
-/// ExtractSeq — so a compiled automaton is structurally identical to the
-/// throwaway one and every downstream BFS is bit-for-bit the same search.
-///
-/// Each automaton carries a process-unique 64-bit uid (minted from a
-/// global monotone counter, never reused, never zero). The uid pair keys
-/// NfaProductCache: since the automata behind a uid are immutable, a
-/// cached product result is valid forever.
+/// A linear pattern flattened for matching: the label class of each node,
+/// root first, and the axis of the edge *into* each node (axes[0] belongs
+/// to the root, is kChild and carries no meaning).
+struct LinearChain {
+  std::span<const LabelClass> classes;
+  std::span<const Axis> axes;
+
+  size_t size() const { return classes.size(); }
+};
+
+/// The compile-once form of one interned pattern: its mainline
+/// (SEQ_ROOT^O(p)) with the chain of mainline node ids and, per chain
+/// node, the label class and incoming axis the §4.1 DP matcher reads
+/// (match/dp_matcher.h). The chain's first k+1 nodes are exactly the
+/// prefix SEQ_ROOT^chain[k], so every prefix the linear detectors match
+/// against is a view of the one chain — the form is linear in the
+/// pattern's size, and a match allocates nothing to build its operands.
 ///
 /// Immutable after construction; safe to share across threads.
 class CompiledPattern {
@@ -48,43 +48,24 @@ class CompiledPattern {
   /// the root, k = chain_length()-1 the output).
   PatternNodeId mainline_node(size_t k) const { return chain_[k]; }
 
-  /// SEQ_ROOT^chain[k] of the mainline.
-  const Pattern& prefix_pattern(size_t k) const { return prefixes_[k]; }
-
-  /// SEQ_chain[k]^O of the mainline (suffix starting at chain[k]).
-  const Pattern& suffix_pattern(size_t k) const { return suffixes_[k]; }
-
-  /// NFA of R(prefix_pattern(k)).
-  const Nfa& prefix_nfa(size_t k) const { return prefix_nfas_[k]; }
-  uint64_t prefix_uid(size_t k) const { return uid_base_ + 2 * k; }
-
-  /// NFA of R(prefix_pattern(k))·(.)* — the weak-match l2 form.
-  const Nfa& prefix_weak_nfa(size_t k) const { return prefix_weak_nfas_[k]; }
-  uint64_t prefix_weak_uid(size_t k) const { return uid_base_ + 2 * k + 1; }
-
-  /// The full mainline's automata (== prefix at chain_length()-1); this is
-  /// the l1 side of every match the linear detectors issue.
-  const Nfa& mainline_nfa() const { return prefix_nfa(chain_.size() - 1); }
-  uint64_t mainline_uid() const { return prefix_uid(chain_.size() - 1); }
-  const Nfa& mainline_weak_nfa() const {
-    return prefix_weak_nfa(chain_.size() - 1);
-  }
-  uint64_t mainline_weak_uid() const {
-    return prefix_weak_uid(chain_.size() - 1);
+  /// The first `nodes` chain nodes: SEQ_ROOT^chain[nodes-1] as the matcher
+  /// reads it. `nodes` must be in [1, chain_length()].
+  LinearChain prefix(size_t nodes) const {
+    return {std::span<const LabelClass>(classes_).first(nodes),
+            std::span<const Axis>(axes_).first(nodes)};
   }
 
-  /// Retained-storage estimate (patterns + automata), for the
-  /// store.nfa.bytes counter.
+  /// The whole mainline chain (== prefix(chain_length())).
+  LinearChain chain() const { return prefix(chain_.size()); }
+
+  /// Retained-storage estimate, for the store.nfa.bytes counter.
   size_t bytes() const { return bytes_; }
 
  private:
   Pattern mainline_;
   std::vector<PatternNodeId> chain_;
-  std::vector<Pattern> prefixes_;
-  std::vector<Pattern> suffixes_;
-  std::vector<Nfa> prefix_nfas_;
-  std::vector<Nfa> prefix_weak_nfas_;
-  uint64_t uid_base_ = 0;
+  std::vector<LabelClass> classes_;
+  std::vector<Axis> axes_;
   size_t bytes_ = 0;
 };
 

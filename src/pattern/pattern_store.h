@@ -99,8 +99,11 @@ struct PatternStoreOptions {
 ///
 /// Observability: every store reports `pattern_store.hits`,
 /// `pattern_store.misses` (== distinct patterns interned) and
-/// `pattern_store.bytes` (retained storage estimate) into
-/// obs::MetricsRegistry::Default().
+/// `pattern_store.bytes` (storage estimate of what it built) into
+/// obs::MetricsRegistry::Default(). The counters sum over all stores,
+/// short-lived ones included — the value-facade Detect interns into a
+/// call-local store — so the bytes counters are totals built, not what is
+/// still retained.
 class PatternStore {
  public:
   /// `symbols` may be null: the table then binds on the first Intern.
@@ -130,17 +133,19 @@ class PatternStore {
   /// dispatch bit, precomputed at intern time).
   bool linear(PatternRef ref) const;
 
-  /// The compiled automata of the stored pattern (mainline chain, prefix
-  /// patterns, Thompson NFAs — see pattern/compiled_pattern.h), built
-  /// lazily on first request and retained for the store's lifetime. The
-  /// reference stays valid for the store's lifetime.
+  /// The compiled form of the stored pattern (its mainline chain with the
+  /// per-node classes and axes the matcher reads — see
+  /// pattern/compiled_pattern.h), built lazily on first request and
+  /// retained for the store's lifetime. The reference stays valid for the
+  /// store's lifetime.
   ///
   /// Thread-safe: a once-per-entry latch guarantees exactly one build per
   /// entry even under concurrent callers; construction runs outside the
   /// store mutex so distinct entries compile in parallel. Reports
   /// `store.nfa.hits` (compiled form already present), `store.nfa.misses`
   /// (== entries compiled, at most one per ref) and `store.nfa.bytes`
-  /// (retained automata estimate) into obs::MetricsRegistry::Default().
+  /// (compiled-form estimate) into obs::MetricsRegistry::Default(),
+  /// summed over all stores as above.
   const CompiledPattern& compiled(PatternRef ref) const;
 
   /// The schema-type summary of the stored pattern under `dtd` (the Stage 0
@@ -207,7 +212,7 @@ class PatternStore {
   /// count; readers acquire-load the count and reach any published entry
   /// with pure arithmetic — this keeps entry resolution off the mutex on
   /// the per-pair detection hot path (Stage 0 summary probes, compiled-
-  /// automata fetches).
+  /// form fetches).
   class EntryTable {
    public:
     /// Power of two; chunk c holds (kFirstChunkSize << c) entries, so 26

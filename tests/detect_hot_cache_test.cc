@@ -1,13 +1,13 @@
-// The compiled-automata hot path must be invisible except for speed: the
-// ref-based Detect (compiled NFAs from PatternStore::compiled + the
-// NfaProductCache) and the value Detect on the stored pattern must agree
-// on every deterministic report field, over an exhaustive small-pattern
-// sweep, randomized programs, and under 8-way concurrency on one shared
-// store. Also covers this PR's error-path fixes: the detector accounting
-// invariant (calls == conflict + no_conflict + unknown + errors), the
-// store.nfa.* / detector.product_cache.* counter contracts, and the
+// The ref-based hot path (PatternStore::compiled + the DP matcher) is the
+// one detection path: the value facade interns into a call-local store and
+// runs it too. These tests check it against the *definition* — the
+// Lemma 1 witness checkers and the exhaustive small-tree search — over an
+// exhaustive small-pattern sweep, check determinism under 8-way
+// concurrency on one shared store, and cover the error paths: the
+// detector accounting invariant (calls == conflict + no_conflict +
+// unknown + errors), the store.nfa.* counter contract, and the
 // centralized root-delete guard on every entry point (factories, value
-// and compiled detectors, batch engine).
+// and compiled detectors).
 
 #include <cstdint>
 #include <memory>
@@ -15,19 +15,16 @@
 #include <thread>
 #include <vector>
 
-#include "automata/nfa_ops.h"
-#include "common/random.h"
-#include "conflict/batch_detector.h"
+#include "conflict/bounded_search.h"
 #include "conflict/detector.h"
 #include "conflict/read_delete.h"
 #include "conflict/read_insert.h"
+#include "conflict/witness_check.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "pattern/compiled_pattern.h"
 #include "pattern/pattern_store.h"
 #include "tests/test_util.h"
-#include "workload/pattern_generator.h"
-#include "xml/tree_algos.h"
 
 namespace xmlup {
 namespace {
@@ -35,25 +32,6 @@ namespace {
 using testing_util::NewSymbols;
 using testing_util::Xml;
 using testing_util::Xp;
-
-/// Field-by-field agreement on verdict, method, trees_checked and detail.
-/// Witness *trees* are compared by presence only: both sides' witnesses are
-/// already re-verified by the Lemma 1 checkers inside the detectors.
-void ExpectSameReport(const Result<ConflictReport>& by_value,
-                      const Result<ConflictReport>& by_ref,
-                      const std::string& label) {
-  ASSERT_EQ(by_value.ok(), by_ref.ok()) << label;
-  if (!by_value.ok()) {
-    EXPECT_EQ(by_value.status().code(), by_ref.status().code()) << label;
-    return;
-  }
-  EXPECT_EQ(by_value->verdict, by_ref->verdict) << label;
-  EXPECT_EQ(by_value->method, by_ref->method) << label;
-  EXPECT_EQ(by_value->trees_checked, by_ref->trees_checked) << label;
-  EXPECT_EQ(by_value->detail, by_ref->detail) << label;
-  EXPECT_EQ(by_value->witness.has_value(), by_ref->witness.has_value())
-      << label;
-}
 
 /// Every linear pattern with 1..max_nodes nodes over `labels` (a chain per
 /// shape: all axis assignments × labelings; output = the unique leaf).
@@ -85,31 +63,41 @@ std::vector<Pattern> EnumerateLinearPatterns(
   return out;
 }
 
-/// A fixed mixed update workload bound to `store`: inserts and deletes
-/// whose patterns/content overlap the {a, b} read alphabet so the sweep
-/// hits conflicts, no-conflicts and the wildcard classes.
-std::vector<UpdateOp> BoundUpdates(
-    const std::shared_ptr<PatternStore>& store,
-    const std::shared_ptr<SymbolTable>& symbols) {
+/// A fixed mixed update workload: inserts and deletes whose patterns and
+/// content overlap the {a, b} read alphabet so the sweep hits conflicts,
+/// no-conflicts and the wildcard classes.
+std::vector<UpdateOp> Updates(const std::shared_ptr<SymbolTable>& symbols) {
   auto content_ab = std::make_shared<const Tree>(Xml("<a><b/></a>", symbols));
   auto content_b = std::make_shared<const Tree>(Xml("<b/>", symbols));
   std::vector<UpdateOp> updates;
-  updates.push_back(UpdateOp::MakeInsert(store, store->Intern(Xp("a/b", symbols)),
-                                         content_ab));
-  updates.push_back(UpdateOp::MakeInsert(
-      store, store->Intern(Xp("a//b", symbols)), content_b));
-  updates.push_back(UpdateOp::MakeInsert(store, store->Intern(Xp("b", symbols)),
-                                         content_ab));
+  updates.push_back(UpdateOp::MakeInsert(Xp("a/b", symbols), content_ab));
+  updates.push_back(UpdateOp::MakeInsert(Xp("a//b", symbols), content_b));
+  updates.push_back(UpdateOp::MakeInsert(Xp("b", symbols), content_ab));
   for (const char* del : {"a/b", "a//*", "b//a"}) {
-    Result<UpdateOp> op =
-        UpdateOp::MakeDelete(store, store->Intern(Xp(del, symbols)));
+    Result<UpdateOp> op = UpdateOp::MakeDelete(Xp(del, symbols));
     EXPECT_TRUE(op.ok()) << del;
     updates.push_back(*std::move(op));
   }
   return updates;
 }
 
-TEST(DetectHotCacheTest, ExhaustiveLinearSweepCachedEqualsUncached) {
+/// Updates(symbols), bound to `store`.
+std::vector<UpdateOp> BoundUpdates(
+    const std::shared_ptr<PatternStore>& store,
+    const std::shared_ptr<SymbolTable>& symbols) {
+  std::vector<UpdateOp> bound;
+  for (const UpdateOp& update : Updates(symbols)) {
+    bound.push_back(update.Bind(store));
+  }
+  return bound;
+}
+
+/// Every linear read of at most 4 nodes over {a, b, *} against the fixed
+/// updates, under node and value semantics, checked against the
+/// definition: every conflict's witness passes the Lemma 1 checker on the
+/// original patterns, and every pair for which the exhaustive search over
+/// trees of at most 4 nodes finds a witness is reported as a conflict.
+TEST(DetectHotCacheTest, ExhaustiveLinearSweepAgreesWithDefinition) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
   const std::vector<Label> labels = {symbols->Intern("a"),
@@ -118,98 +106,85 @@ TEST(DetectHotCacheTest, ExhaustiveLinearSweepCachedEqualsUncached) {
   const std::vector<Pattern> reads =
       EnumerateLinearPatterns(symbols, labels, 4);
   ASSERT_EQ(reads.size(), 777u);
-  const std::vector<UpdateOp> updates = BoundUpdates(store, symbols);
+  const std::vector<UpdateOp> updates = Updates(symbols);
+  const std::vector<UpdateOp> bound = BoundUpdates(store, symbols);
 
-  DetectorOptions options;
-  options.semantics = ConflictSemantics::kValue;
-  for (size_t i = 0; i < reads.size(); ++i) {
-    const PatternRef ref = store->Intern(reads[i]);
-    for (size_t j = 0; j < updates.size(); ++j) {
-      Result<ConflictReport> by_value =
-          Detect(store->pattern(ref), updates[j], options);
-      Result<ConflictReport> by_ref = Detect(*store, ref, updates[j], options);
-      ExpectSameReport(by_value, by_ref,
-                       "read " + std::to_string(i) + " update " +
-                           std::to_string(j));
-    }
-  }
-}
-
-TEST(DetectHotCacheTest, RandomizedProgramsCachedEqualsUncached) {
-  auto symbols = NewSymbols();
-  auto store = std::make_shared<PatternStore>(symbols);
-  Rng rng(20260807);
-  PatternGenOptions gen_options;
-  gen_options.size = 4;
-  gen_options.branch_prob = 0.4;
-  gen_options.alphabet = {symbols->Intern("a"), symbols->Intern("b"),
-                          symbols->Intern("c")};
-  RandomPatternGenerator gen(symbols, gen_options);
-  DetectorOptions options;
-  options.search.max_nodes = 4;
-
-  for (int iter = 0; iter < 80; ++iter) {
-    const bool linear_read = iter % 2 == 0;
-    const Pattern read =
-        linear_read ? gen.GenerateLinear(&rng) : gen.GenerateBranching(&rng);
-    const PatternRef read_ref = store->Intern(read);
-    const Pattern update = iter % 4 < 2 ? gen.GenerateLinear(&rng)
-                                        : gen.GenerateBranching(&rng);
-    UpdateOp op = [&]() -> UpdateOp {
-      if (iter % 3 == 0) {
-        Result<UpdateOp> del =
-            UpdateOp::MakeDelete(store, store->Intern(update));
-        if (del.ok()) return *std::move(del);
-        // Root-selecting delete generated: fall through to an insert.
+  BoundedSearchOptions search;
+  search.max_nodes = 4;
+  for (const ConflictSemantics semantics :
+       {ConflictSemantics::kNode, ConflictSemantics::kValue}) {
+    DetectorOptions options;
+    options.semantics = semantics;
+    for (size_t i = 0; i < reads.size(); ++i) {
+      const Pattern& read = reads[i];
+      const PatternRef ref = store->Intern(read);
+      for (size_t j = 0; j < updates.size(); ++j) {
+        const std::string label = "semantics " +
+                                  std::to_string(static_cast<int>(semantics)) +
+                                  " read " + std::to_string(i) + " update " +
+                                  std::to_string(j);
+        Result<ConflictReport> report =
+            Detect(*store, ref, bound[j], options);
+        ASSERT_TRUE(report.ok()) << label << ": " << report.status();
+        const UpdateOp& update = updates[j];
+        const bool is_insert = update.kind() == UpdateOp::Kind::kInsert;
+        if (report->conflict()) {
+          ASSERT_TRUE(report->witness.has_value()) << label;
+          EXPECT_TRUE(is_insert
+                          ? IsReadInsertWitness(read, update.pattern(),
+                                                update.content(),
+                                                *report->witness, semantics)
+                          : IsReadDeleteWitness(read, update.pattern(),
+                                                *report->witness, semantics))
+              << label;
+        }
+        const BruteForceResult brute =
+            is_insert ? BruteForceReadInsertSearch(read, update.pattern(),
+                                                   update.content(), semantics,
+                                                   search)
+                      : BruteForceReadDeleteSearch(read, update.pattern(),
+                                                   semantics, search);
+        if (brute.outcome == SearchOutcome::kWitnessFound) {
+          EXPECT_TRUE(report->conflict()) << label;
+        }
       }
-      Tree x(symbols);
-      x.CreateRoot(gen_options.alphabet[rng.NextBounded(3)]);
-      return UpdateOp::MakeInsert(store, store->Intern(update),
-                                  std::make_shared<const Tree>(CopyTree(x)));
-    }();
-    // Both sides run on the *stored* (minimized) read, so full field
-    // equality is expected even for branching reads — the minimization
-    // asymmetry of the facade tests does not arise here.
-    Result<ConflictReport> by_value =
-        Detect(store->pattern(read_ref), op, options);
-    Result<ConflictReport> by_ref = Detect(*store, read_ref, op, options);
-    ExpectSameReport(by_value, by_ref, "iter " + std::to_string(iter));
+    }
   }
 }
 
 TEST(DetectHotCacheTest, ConcurrentSharedStoreDeterminism) {
   auto symbols = NewSymbols();
-  // Expected reports from the value path (no shared caches involved).
-  auto reference_store = std::make_shared<PatternStore>(symbols);
   const std::vector<const char*> read_specs = {
       "a//b",       "a/b",     "a//*/b", "b//a",    "a[b]//c",
       "a[q]/b//c",  "*//b",    "a/a/b",  "a//b//*", "c/b/a",
   };
   DetectorOptions options;
   options.search.max_nodes = 4;
-
-  // A fresh store shared by all threads: every thread races the compiled()
-  // latches and the product cache on the same refs.
-  auto shared_store = std::make_shared<PatternStore>(symbols);
-  const std::vector<UpdateOp> updates = BoundUpdates(shared_store, symbols);
-  std::vector<PatternRef> read_refs;
-  std::vector<ConflictReport> expected;  // value-path reports, in pair order
   std::vector<Pattern> reads;
   for (const char* spec : read_specs) reads.push_back(Xp(spec, symbols));
-  for (const Pattern& read : reads) {
-    const PatternRef ref = shared_store->Intern(read);
-    read_refs.push_back(ref);
-    for (const UpdateOp& update : updates) {
-      Result<ConflictReport> r =
-          Detect(shared_store->pattern(ref), update, options);
-      ASSERT_TRUE(r.ok());
-      expected.push_back(std::move(r).value());
+
+  // Expected reports, in pair order, from a one-thread run on a store of
+  // its own: no compiled form or latch is shared with the legs below.
+  std::vector<ConflictReport> expected;
+  {
+    auto reference_store = std::make_shared<PatternStore>(symbols);
+    const std::vector<UpdateOp> updates =
+        BoundUpdates(reference_store, symbols);
+    for (const Pattern& read : reads) {
+      const PatternRef ref = reference_store->Intern(read);
+      for (const UpdateOp& update : updates) {
+        Result<ConflictReport> r =
+            Detect(*reference_store, ref, update, options);
+        ASSERT_TRUE(r.ok());
+        expected.push_back(std::move(r).value());
+      }
     }
   }
 
   for (const size_t num_threads : {size_t{1}, size_t{8}}) {
-    // A fresh shared store per thread count, so the 8-thread leg compiles
-    // every entry under contention rather than reusing the 1-thread run's.
+    // A fresh store shared by all threads of a leg, so the 8-thread leg
+    // races the compiled() latches on every entry rather than reusing the
+    // 1-thread leg's.
     auto store = std::make_shared<PatternStore>(symbols);
     const std::vector<UpdateOp> bound = BoundUpdates(store, symbols);
     std::vector<PatternRef> refs;
@@ -275,54 +250,9 @@ TEST(DetectHotCacheTest, StoreNfaCountersCountOneBuildPerEntry) {
             (kThreads - 1) * refs.size());
   EXPECT_GT(reg.GetCounter("store.nfa.bytes").value(), bytes_before);
 
-  // Compiled forms are stable (same object on re-request) and their uids
-  // are distinct across entries.
+  // Compiled forms are stable (same object on re-request).
   const CompiledPattern& again = store.compiled(refs[0]);
   EXPECT_EQ(&again, &store.compiled(refs[0]));
-  EXPECT_NE(store.compiled(refs[0]).mainline_uid(),
-            store.compiled(refs[1]).mainline_uid());
-}
-
-TEST(DetectHotCacheTest, ProductCacheAccountingAndWarmHits) {
-  auto symbols = NewSymbols();
-  auto store = std::make_shared<PatternStore>(symbols);
-  const std::vector<UpdateOp> updates = BoundUpdates(store, symbols);
-  std::vector<PatternRef> refs;
-  for (const char* spec : {"a//b", "a/b/c", "b//*", "a/a"}) {
-    refs.push_back(store->Intern(Xp(spec, symbols)));
-  }
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  auto lookups = [&] {
-    return reg.GetCounter("detector.product_cache.lookups").value();
-  };
-  auto hits = [&] {
-    return reg.GetCounter("detector.product_cache.hits").value();
-  };
-  auto misses = [&] {
-    return reg.GetCounter("detector.product_cache.misses").value();
-  };
-
-  const uint64_t l0 = lookups(), h0 = hits(), m0 = misses();
-  for (const PatternRef ref : refs) {
-    for (const UpdateOp& update : updates) {
-      ASSERT_TRUE(Detect(*store, ref, update).ok());
-    }
-  }
-  const uint64_t l1 = lookups(), h1 = hits(), m1 = misses();
-  EXPECT_EQ(l1 - l0, (h1 - h0) + (m1 - m0));
-  EXPECT_GT(m1 - m0, 0u);
-
-  // Second identical pass: every product was memoized — zero new misses.
-  for (const PatternRef ref : refs) {
-    for (const UpdateOp& update : updates) {
-      ASSERT_TRUE(Detect(*store, ref, update).ok());
-    }
-  }
-  const uint64_t l2 = lookups(), h2 = hits(), m2 = misses();
-  EXPECT_EQ(l2 - l1, h2 - h1);
-  EXPECT_EQ(m2 - m1, 0u);
-  EXPECT_EQ(l2 - l0, (h2 - h0) + (m2 - m0));
 }
 
 TEST(DetectHotCacheTest, DetectorAccountingInvariantIncludesErrors) {
@@ -415,46 +345,6 @@ TEST(DetectHotCacheTest, RootDeleteGuardIsCentralized) {
       read_compiled, del_compiled, root_only);
   ASSERT_FALSE(compiled_core.ok());
   EXPECT_EQ(compiled_core.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(DetectHotCacheTest, BatchEngineMatchesValueDetect) {
-  auto symbols = NewSymbols();
-  // The batch engine now routes SolvePair through the ref facade and the
-  // compiled caches; cell-by-cell its verdicts must still equal the plain
-  // value Detect on the canonicalized pair.
-  BatchDetectorOptions batch_options;
-  batch_options.num_threads = 4;
-  BatchConflictDetector engine(batch_options);
-  const std::shared_ptr<PatternStore>& store = engine.pattern_store();
-
-  std::vector<Pattern> reads;
-  for (const char* spec :
-       {"a//b", "a/b", "a[b]//c", "b//a", "a//*/b", "a/a/b"}) {
-    reads.push_back(Xp(spec, symbols));
-  }
-  const std::vector<UpdateOp> updates = [&] {
-    auto content = std::make_shared<const Tree>(Xml("<a><b/></a>", symbols));
-    std::vector<UpdateOp> out;
-    out.push_back(UpdateOp::MakeInsert(Xp("a/b", symbols), content));
-    out.push_back(UpdateOp::MakeInsert(Xp("b", symbols), content));
-    Result<UpdateOp> del = UpdateOp::MakeDelete(Xp("a//b", symbols));
-    EXPECT_TRUE(del.ok());
-    out.push_back(*std::move(del));
-    return out;
-  }();
-
-  const std::vector<SharedConflictResult> cells =
-      engine.DetectMatrix(reads, updates);
-  ASSERT_EQ(cells.size(), reads.size() * updates.size());
-  for (size_t i = 0; i < reads.size(); ++i) {
-    for (size_t j = 0; j < updates.size(); ++j) {
-      const PatternRef read_ref = store->Intern(reads[i]);
-      Result<ConflictReport> expected =
-          Detect(store->pattern(read_ref), updates[j].Bind(store));
-      ExpectSameReport(expected, *cells[i * updates.size() + j],
-                       "cell " + std::to_string(i) + "," + std::to_string(j));
-    }
-  }
 }
 
 TEST(DetectHotCacheTest, BuildWitnessOffPreservesVerdicts) {

@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "conflict/update_independence.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "pattern/pattern_store.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
@@ -210,6 +211,49 @@ TEST_F(DetectorTest, SemanticsFlowThrough) {
       DetectDelete(Xp("a/b", symbols_), Xp("a/b/c", symbols_));
   ASSERT_TRUE(node.ok());
   EXPECT_EQ(node->verdict, ConflictVerdict::kNoConflict);
+}
+
+/// The value facade interns its operands into a call-local store, so it
+/// rejects what a store cannot hold — an empty pattern, operands from
+/// different SymbolTables — as counted InvalidArgument errors instead of
+/// aborting (or, across tables, comparing unrelated label ids).
+TEST_F(DetectorTest, ValueFacadeRejectsInvalidOperands) {
+  obs::Counter& errors =
+      obs::MetricsRegistry::Default().GetCounter("detector.errors");
+  auto other = NewSymbols();
+  auto content = std::make_shared<const Tree>(Xml("<b/>", symbols_));
+  auto foreign_content = std::make_shared<const Tree>(Xml("<b/>", other));
+  const Pattern read = Xp("a//b", symbols_);
+  const Pattern empty(symbols_);
+  const UpdateOp insert = UpdateOp::MakeInsert(Xp("a", symbols_), content);
+
+  struct Case {
+    const char* what;
+    Pattern read;
+    UpdateOp update;
+  };
+  const Case cases[] = {
+      {"empty read", empty, insert},
+      {"empty update pattern", read, UpdateOp::MakeInsert(empty, content)},
+      {"read from another table", Xp("a//b", other), insert},
+      {"insert pattern from another table", read,
+       UpdateOp::MakeInsert(Xp("a", other), content)},
+      {"delete pattern from another table", read,
+       UpdateOp::MakeDelete(Xp("a/b", other)).value()},
+      {"insert content from another table", read,
+       UpdateOp::MakeInsert(Xp("a", symbols_), foreign_content)},
+  };
+  for (const Case& c : cases) {
+    const uint64_t errors_before = errors.value();
+    Result<ConflictReport> report = Detect(c.read, c.update);
+    ASSERT_FALSE(report.ok()) << c.what;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_EQ(errors.value() - errors_before, 1u) << c.what;
+  }
+  // Valid operands still detect.
+  Result<ConflictReport> ok = Detect(read, insert);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->verdict, ConflictVerdict::kConflict);
 }
 
 /// Soundness sweep for the branching-read dispatch (heuristic + bounded

@@ -6,6 +6,8 @@
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "match/dp_matcher.h"
+#include "pattern/compiled_pattern.h"
+#include "pattern/pattern_ops.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "xml/tree_algos.h"
@@ -112,6 +114,8 @@ TEST_F(MatchingTest, LinearPatternToRegexShape) {
   EXPECT_EQ(r.ToString(*symbols_), "a.((.))*.b.c");
 }
 
+/// The production matcher (the §4.1 REMARK's dynamic program) against the
+/// paper's NFA-intersection construction.
 TEST_F(MatchingTest, DpMatcherAgreesOnHandCases) {
   struct Case {
     const char* l1;
@@ -125,11 +129,11 @@ TEST_F(MatchingTest, DpMatcherAgreesOnHandCases) {
   for (const Case& c : cases) {
     Pattern l1 = Xp(c.l1, symbols_);
     Pattern l2 = Xp(c.l2, symbols_);
-    EXPECT_EQ(MatchStrongly(l1, l2, MatcherKind::kNfa).matches,
-              MatchStrongly(l1, l2, MatcherKind::kDp).matches)
+    EXPECT_EQ(MatchViaNfa(l1, l2, /*weak=*/false).matches,
+              MatchStrongly(l1, l2).matches)
         << c.l1 << " strong " << c.l2;
-    EXPECT_EQ(MatchWeakly(l1, l2, MatcherKind::kNfa).matches,
-              MatchWeakly(l1, l2, MatcherKind::kDp).matches)
+    EXPECT_EQ(MatchViaNfa(l1, l2, /*weak=*/true).matches,
+              MatchWeakly(l1, l2).matches)
         << c.l1 << " weak " << c.l2;
   }
 }
@@ -187,16 +191,30 @@ TEST_P(MatchingPropertyTest, NfaDpAndBruteForceAgree) {
     const Pattern l1 = gen.GenerateLinear(&rng);
     const Pattern l2 = gen.GenerateLinear(&rng);
     for (bool weak : {false, true}) {
-      const MatchResult nfa = weak ? MatchWeakly(l1, l2, MatcherKind::kNfa)
-                                   : MatchStrongly(l1, l2, MatcherKind::kNfa);
-      const MatchResult dp = weak ? MatchWeakly(l1, l2, MatcherKind::kDp)
-                                  : MatchStrongly(l1, l2, MatcherKind::kDp);
+      const MatchResult nfa = MatchViaNfa(l1, l2, weak);
+      const MatchResult dp =
+          weak ? MatchWeakly(l1, l2) : MatchStrongly(l1, l2);
       const bool brute = BruteMatch(l1, l2, weak, brute_alphabet, symbols);
       EXPECT_EQ(nfa.matches, dp.matches) << "seed=" << GetParam();
       EXPECT_EQ(nfa.matches, brute) << "seed=" << GetParam();
       if (nfa.matches) {
         ExpectWitnessValid(nfa.witness_word, l1, l2, weak, symbols);
         ExpectWitnessValid(dp.witness_word, l1, l2, weak, symbols);
+      }
+      // The detectors match against prefix views of a compiled chain:
+      // each must answer like the reference on the extracted prefix.
+      const CompiledPattern c1(l1);
+      const CompiledPattern c2(l2);
+      for (size_t k = 0; k < c2.chain_length(); ++k) {
+        const Pattern prefix =
+            ExtractSeq(c2.mainline_pattern(), c2.mainline_pattern().root(),
+                       c2.mainline_node(k));
+        const MatchResult view = MatchDp(c1.chain(), c2.prefix(k + 1), weak);
+        EXPECT_EQ(view.matches, MatchViaNfa(l1, prefix, weak).matches)
+            << "seed=" << GetParam() << " prefix " << k;
+        if (view.matches) {
+          ExpectWitnessValid(view.witness_word, l1, prefix, weak, symbols);
+        }
       }
     }
   }

@@ -9,8 +9,9 @@
 //     update) question got the same answer (the caches make verdicts a
 //     pure function of the pair, never of scheduling);
 //   - counter accounting: detector.calls == conflict + no_conflict +
-//     unknown + errors, and product-cache lookups == hits + misses, over
-//     the whole concurrent window (via MetricsSnapshot::DiffSince);
+//     unknown + errors, and at most one compiled-form build per interned
+//     entry, over the whole concurrent window (via
+//     MetricsSnapshot::DiffSince);
 //   - store stability: re-interning the whole pattern set after the storm
 //     adds nothing (interning deduplicated correctly under contention).
 //
@@ -196,9 +197,6 @@ TEST_F(RaceStressTest, MixedWorkloadKeepsVerdictsAndAccountingCoherent) {
                 Delta(diff, "detector.verdict.no_conflict") +
                 Delta(diff, "detector.verdict.unknown") +
                 Delta(diff, "detector.errors"));
-  EXPECT_EQ(Delta(diff, "detector.product_cache.lookups"),
-            Delta(diff, "detector.product_cache.hits") +
-                Delta(diff, "detector.product_cache.misses"));
   // Every compiled-form build is counted at most once per interned entry
   // (the once-latch), no matter how many threads raced it.
   EXPECT_LE(Delta(diff, "store.nfa.misses"), engine_.store()->size());

@@ -117,24 +117,6 @@ TEST_F(ReadDeleteTest, SingleNodeReadNeverConflicts) {
   EXPECT_TRUE(Detect("a", "a//b", ConflictSemantics::kTree).conflict());
 }
 
-TEST_F(ReadDeleteTest, DpMatcherGivesSameAnswers) {
-  const char* cases[][2] = {
-      {"a/b", "a/b"},     {"a/b", "a/c"},   {"a//b", "a//c"},
-      {"a/b", "a/b/c"},   {"a/*", "a/c"},   {"a/b", "a/c/b"},
-  };
-  for (const auto& c : cases) {
-    Result<ConflictReport> nfa = DetectLinearReadDeleteConflict(
-        Xp(c[0], symbols_), Xp(c[1], symbols_), ConflictSemantics::kNode,
-        MatcherKind::kNfa);
-    Result<ConflictReport> dp = DetectLinearReadDeleteConflict(
-        Xp(c[0], symbols_), Xp(c[1], symbols_), ConflictSemantics::kNode,
-        MatcherKind::kDp);
-    ASSERT_TRUE(nfa.ok());
-    ASSERT_TRUE(dp.ok());
-    EXPECT_EQ(nfa->conflict(), dp->conflict()) << c[0] << " vs " << c[1];
-  }
-}
-
 TEST_F(ReadDeleteTest, Section6SatisfiabilityEncoding) {
   // §6 "Fragments of XPath": satisfiability of a delete pattern is
   // encodable as a read-delete conflict against a read that selects all

@@ -8,6 +8,7 @@
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "ops/operations.h"
+#include "pattern/compiled_pattern.h"
 #include "tests/test_util.h"
 #include "workload/catalog_generator.h"
 #include "workload/tree_generator.h"
@@ -99,14 +100,31 @@ TEST(StressTest, DetectionWithLargePatterns) {
     n = del.AddChild(n, symbols->Intern("s"), Axis::kDescendant);
   }
   del.SetOutput(n);
-  Result<ConflictReport> report = DetectLinearReadDeleteConflict(
-      read, del, ConflictSemantics::kNode, MatcherKind::kDp);
+  Result<ConflictReport> report =
+      DetectLinearReadDeleteConflict(read, del, ConflictSemantics::kNode);
   ASSERT_TRUE(report.ok()) << report.status();
   if (report->conflict()) {
     ASSERT_TRUE(report->witness.has_value());
     EXPECT_TRUE(IsReadDeleteWitness(read, del, *report->witness,
                                     ConflictSemantics::kNode));
   }
+}
+
+TEST(StressTest, CompiledPatternIsLinearInPatternSize) {
+  // Every prefix the detectors match against is a view of the one chain of
+  // per-node classes and axes, so the compiled form is linear in the
+  // pattern's size: a 1 024-node chain stays far below 1 MB.
+  auto symbols = NewSymbols();
+  Pattern chain(symbols);
+  PatternNodeId n = chain.CreateRoot(symbols->Intern("a"));
+  for (int i = 1; i < 1024; ++i) {
+    n = chain.AddChild(n, i % 7 == 0 ? kWildcardLabel : symbols->Intern("s"),
+                       i % 3 == 0 ? Axis::kDescendant : Axis::kChild);
+  }
+  chain.SetOutput(n);
+  const CompiledPattern compiled(chain);
+  EXPECT_EQ(compiled.chain_length(), 1024u);
+  EXPECT_LT(compiled.bytes(), size_t{1} << 20);
 }
 
 }  // namespace
