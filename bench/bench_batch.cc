@@ -1,8 +1,8 @@
 // Batch conflict-matrix engine benchmarks: N×M matrix throughput of the
 // batch engine vs. the sequential per-pair detector loop, thread-pool
-// scaling at 1/2/4/8 workers, and memoization hit rates. The workload
+// scaling at 1/2/4/8 workers, and per-call dedup hit rates. The workload
 // mirrors generated programs (workload/program_generator): many pairs,
-// few distinct patterns.
+// few distinct patterns. BM_SequentialPairLoop is the no-dedup baseline.
 
 #include <chrono>
 #include <vector>
@@ -19,7 +19,7 @@ constexpr size_t kMatrix = 64;  // 64×64 = 4096 pairs
 
 /// 64 reads drawn from a pool of 12 distinct patterns (10 linear + 2
 /// branching), cycled — repetition is the point: it is what generated
-/// programs look like and what the memo layer exploits.
+/// programs look like and what the per-call dedup exploits.
 std::vector<Pattern> MakeReads() {
   std::vector<Pattern> pool;
   for (size_t i = 0; i < 10; ++i) {
@@ -87,8 +87,8 @@ void BM_SequentialPairLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SequentialPairLoop)->Unit(benchmark::kMillisecond);
 
-/// Full batch engine (cache + pool), cold engine per iteration so the
-/// measurement includes cache misses, at 1/2/4/8 threads.
+/// Full batch engine (dedup + pool), a new engine per iteration, at
+/// 1/2/4/8 threads.
 void BM_BatchMatrix(benchmark::State& state) {
   const std::vector<Pattern> reads = MakeReads();
   const std::vector<UpdateOp> updates = MakeUpdates();
@@ -108,25 +108,6 @@ void BM_BatchMatrix(benchmark::State& state) {
   state.counters["cache_hit_rate"] = hit_rate;
 }
 BENCHMARK(BM_BatchMatrix)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-/// Pool scaling in isolation: cache disabled, every pair solved.
-void BM_BatchMatrixNoCache(benchmark::State& state) {
-  const std::vector<Pattern> reads = MakeReads();
-  const std::vector<UpdateOp> updates = MakeUpdates();
-  BatchDetectorOptions options;
-  options.detector = MakeDetectorOptions();
-  options.num_threads = static_cast<size_t>(state.range(0));
-  options.enable_cache = false;
-  for (auto _ : state) {
-    BatchConflictDetector engine(options);
-    auto matrix = engine.DetectMatrix(reads, updates);
-    benchmark::DoNotOptimize(matrix.data());
-  }
-  state.counters["pairs"] = static_cast<double>(kMatrix * kMatrix);
-}
-BENCHMARK(BM_BatchMatrixNoCache)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 

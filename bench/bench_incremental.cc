@@ -2,9 +2,9 @@
 // editing one statement of a 64×64 read/update program wants the refreshed
 // verdict matrix. From-scratch recomputation rebuilds a cold engine per
 // edit (discarding everything the batch engine and PatternStore already
-// know); MaintainedConflictMatrix recomputes one row or column, mostly
-// from the memo cache. Workload shape matches bench_batch (E12): many
-// pairs, few distinct patterns.
+// know); MaintainedConflictMatrix recomputes one row or column, one solve
+// per distinct pair in it, over a warm PatternStore. Workload shape
+// matches bench_batch (E12): many pairs, few distinct patterns.
 
 #include <chrono>
 #include <cstdio>
@@ -66,7 +66,8 @@ BatchDetectorOptions MakeOptions() {
 /// One deterministic single-statement edit: replace a read or an update at
 /// a pseudo-random position. Half the replacement patterns are fresh
 /// (never seen before — the incremental layer must solve a real row for
-/// them), half revisit the pool (pure memo hits).
+/// them), half revisit the pool (their row or column is re-solved over
+/// the warm store).
 struct Edit {
   bool is_read = false;
   size_t index = 0;
@@ -100,7 +101,7 @@ std::vector<Edit> MakeEditStream() {
 }
 
 /// From-scratch baseline: apply the edit to plain vectors, then rebuild a
-/// cold engine (fresh PatternStore, empty cache) and solve all 4096 pairs.
+/// cold engine (fresh PatternStore) and solve all 4096 pairs.
 double TimeScratchStream(const std::vector<Edit>& edits) {
   std::vector<Pattern> reads = MakeReads();
   std::vector<UpdateOp> updates = MakeUpdates();
@@ -189,7 +190,7 @@ std::string MeasureEditStream() {
            "\"cells_recomputed\":%llu}",
            kMatrix, kEdits, scratch_s * 1e3, maintained_s * 1e3, speedup,
            static_cast<unsigned long long>(stats.pairs_total),
-           static_cast<unsigned long long>(stats.unique_pairs_solved),
+           static_cast<unsigned long long>(stats.cache_misses),
            static_cast<unsigned long long>(delta.cells_recomputed));
   std::cerr << "edit stream (" << kEdits << " edits, " << kMatrix << "x"
             << kMatrix << "): scratch " << scratch_s * 1e3 << " ms, maintained "

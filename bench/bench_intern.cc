@@ -1,6 +1,6 @@
 // Pattern-interning benchmarks: PatternStore throughput on the miss path
 // (canonicalize + minimize once) and the hit path (one code build + hash
-// probe), plus the number this PR is about — repeated batch memo-key
+// probe), plus the headline number — repeated batch dedup-key
 // lookups with the interned integer BatchPairKey vs the string key the
 // engine used before (canonical read code + kind + update code + content
 // code concatenated per pair). The harness times the key comparison
@@ -91,27 +91,6 @@ void BM_InternRepeated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InternRepeated);
-
-/// The engine's public key entry point on a warm store (tests use it too):
-/// intern hit for the read + ref reuse for the bound update + integer
-/// assembly.
-void BM_BatchCacheKey(benchmark::State& state) {
-  BatchConflictDetector engine{BatchDetectorOptions{}};
-  const std::vector<Pattern> reads = MakeReadPool();
-  std::vector<UpdateOp> updates;
-  for (const UpdateOp& op : MakeUpdatePool()) {
-    updates.push_back(op.Bind(engine.pattern_store()));
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    BatchPairKey key = engine.CacheKey(reads[i % reads.size()],
-                                       updates[i % updates.size()]);
-    benchmark::DoNotOptimize(key);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BatchCacheKey);
 
 /// --- Repeated-key lookup comparison (the acceptance number) ---
 ///

@@ -1,8 +1,8 @@
 // Lint-engine benchmarks (E16): throughput of the full multi-pass
-// analyzer over generated straight-line programs, plus how much the warm
-// batch-engine memo cache buys when linting many programs that share
-// patterns (the compiler-frontend workload: one Linter, many translation
-// units). Branching patterns under a small search budget keep the
+// analyzer over generated straight-line programs, cold (a new Linter per
+// program) and warm (one Linter, hence one warm PatternStore, over many
+// programs that share patterns — the compiler-frontend workload: one
+// Linter, many translation units). Branching patterns under a small search budget keep the
 // truncated-verdict share non-zero, so the soundness path is part of what
 // is measured.
 
@@ -98,7 +98,7 @@ std::string MeasureLintCorpus() {
   size_t unknown = 0;
   size_t pairs = 0;
   size_t fixits = 0;
-  // Warm-up pass fills the memo cache; the timed pass is the steady state.
+  // Warm-up pass fills the store; the timed pass is the steady state.
   for (const Program& program : programs) linter.Lint(program);
   const auto t0 = std::chrono::steady_clock::now();
   for (const Program& program : programs) {

@@ -12,8 +12,8 @@
 // agree verdict-for-verdict. The harness times both, checks that
 // agreement, and writes "prune" (pairs, per-pair microseconds, speedup,
 // pruned_fraction, verdicts_identical) into BENCH_prune.json next to the
-// obs counters (store.types.*, detector.method.type_pruned,
-// batch.type_pruned); CI asserts pruned_fraction > 0.5 and speedup >= 3.
+// obs counters (store.types.*, detector.method.type_pruned); CI asserts
+// pruned_fraction > 0.5 and speedup >= 3.
 
 #include <algorithm>
 #include <chrono>

@@ -71,7 +71,7 @@ void BM_ClosedLoopPhase(benchmark::State& state) {
   const driver::WorkloadSpec spec =
       ClosedPhaseSpec(static_cast<size_t>(state.range(0)));
   // One engine across iterations: sustained throughput is measured against
-  // a warm store/memo cache, which is the production steady state.
+  // a warm store, which is the production steady state.
   Engine engine;
   size_t ops = 0;
   for (auto _ : state) {

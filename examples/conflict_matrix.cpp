@@ -67,7 +67,8 @@ int main() {
        std::move(UpdateOp::MakeDelete(xp("catalog/book[.//high]")).value())});
 
   // The engine's batch path solves the whole N×M matrix in one call
-  // (deduplicated, memoized, parallel) instead of N*M singleton Detects.
+  // (each distinct pair once, in parallel) instead of N*M singleton
+  // Detects.
   std::vector<Pattern> read_patterns;
   std::vector<UpdateOp> update_ops;
   for (const auto& entry : reads) read_patterns.push_back(entry.second);

@@ -29,11 +29,12 @@ namespace xmlup {
 ///
 /// Analyze() routes all read/update pairs through the batch
 /// conflict-matrix engine (conflict/batch_detector.h): the full pair set
-/// is solved on a thread pool with memoization on canonical pattern
-/// pairs, so programs with repeated patterns — the common case for
+/// is solved on a thread pool, each distinct canonical pattern pair once
+/// per call, so programs with repeated patterns — the common case for
 /// generated programs — pay for each distinct pair once. Updates are bound
 /// to the engine's store, so the certificates run on interned refs too.
-/// The memo cache persists across Analyze() calls on the same analyzer.
+/// Only the store (interned patterns, compiled forms) persists across
+/// Analyze() calls on the same analyzer.
 struct Dependence {
   size_t from;  // earlier statement index
   size_t to;    // later statement index
@@ -46,7 +47,7 @@ struct DependenceAnalysisResult {
   /// independent fraction).
   size_t pairs_total = 0;
   size_t pairs_independent = 0;
-  /// Snapshot of the batch engine's cumulative cache/solve counters after
+  /// Snapshot of the batch engine's cumulative pair/solve counters after
   /// this analysis.
   BatchStats batch_stats;
 };
@@ -60,7 +61,7 @@ DependenceAnalysisResult SummarizeDependences(
 class DependenceAnalyzer {
  public:
   explicit DependenceAnalyzer(DetectorOptions options = {});
-  /// Full control over threading and memoization of the batch engine.
+  /// Full control over threading and the store of the batch engine.
   explicit DependenceAnalyzer(BatchDetectorOptions options);
 
   /// The classified dependence graph of `program`, edge reasons included
@@ -71,8 +72,8 @@ class DependenceAnalyzer {
   DependenceAnalysisResult Analyze(const Program& program) const;
 
  private:
-  /// Mutable: the memoization cache warms across Analyze() calls; the
-  /// analysis result itself is deterministic either way.
+  /// Mutable: each Analyze() call updates its cumulative stats; the
+  /// analysis result itself does not depend on earlier calls.
   mutable BatchConflictDetector batch_;
 };
 

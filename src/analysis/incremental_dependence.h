@@ -24,7 +24,8 @@ namespace xmlup {
 /// The analyzer keeps every read statement as a row and every well-formed
 /// update statement as a column of a MaintainedConflictMatrix, so a
 /// single-statement edit triggers at most one row or column recompute
-/// (≤ max(#reads, #updates) batch-engine requests, mostly memo hits).
+/// (≤ max(#reads, #updates) batch-engine requests, one solve per distinct
+/// pair among them); every other cell is kept from earlier edits.
 /// Update/update commutativity certificates run on the matrix's bound ops
 /// and are memoized on their (ref, content, kind) pairs, so each distinct
 /// update pair is certified once per analyzer lifetime.

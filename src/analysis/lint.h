@@ -130,7 +130,8 @@ struct LintStats {
   /// Conservative dependence edges (conflicts, Unknowns, result-variable
   /// write-after-write, alias ordering).
   size_t dependence_edges = 0;
-  /// Snapshot of the engine's cumulative cache counters after this run.
+  /// Snapshot of the engine's cumulative pair/dedup counters after this
+  /// run.
   BatchStats batch;
 };
 
@@ -149,20 +150,24 @@ struct LintResult {
 
 struct LintOptions {
   /// Engine configuration: detector options (semantics, search budget),
-  /// thread count, memoization, shared PatternStore.
+  /// thread count, shared PatternStore.
   BatchDetectorOptions batch;
-  /// When non-null, enables the dtd-violation pass. Not owned; must
-  /// outlive the Linter and share the program's SymbolTable.
+  /// When non-null, enables the dtd-violation pass and, unless
+  /// `batch.detector.dtd` is already set, the detector's Stage 0. Not
+  /// owned; must outlive the Linter and share the program's SymbolTable
+  /// (Stage 0 answers every pair with InvalidArgument otherwise, which
+  /// the dependence graph keeps as a conservative dependence).
   const Dtd* dtd = nullptr;
   /// Run the parallel-safety partitioner (and emit its report).
   bool partition = true;
 };
 
-/// The analyzer. Reusable: the underlying batch engine's memo cache and
-/// pattern store warm across Lint() calls, so linting many programs with
-/// shared patterns pays for each distinct pair once. Diagnostics are
-/// deterministic across runs and thread counts (the engine guarantees
-/// verdict determinism; passes iterate in statement order).
+/// The analyzer. Reusable: the underlying batch engine's pattern store
+/// (interned patterns and compiled forms) warms across Lint() calls, and
+/// each call solves every distinct read/update pair of its program once;
+/// no verdict is kept between calls. Diagnostics are deterministic across
+/// runs and thread counts (the engine guarantees verdict determinism;
+/// passes iterate in statement order).
 class Linter {
  public:
   explicit Linter(LintOptions options = {});

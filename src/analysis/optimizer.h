@@ -28,8 +28,8 @@ struct OptimizeResult {
 class Optimizer {
  public:
   explicit Optimizer(DetectorOptions options = {});
-  /// Full control over the underlying batch engine (thread count, memo
-  /// cache, shared PatternStore).
+  /// Full control over the underlying batch engine (thread count, shared
+  /// PatternStore).
   explicit Optimizer(BatchDetectorOptions options);
 
   /// Applies read CSE; the returned program is observably equivalent under

@@ -1,7 +1,7 @@
 #include "conflict/batch_detector.h"
 
-#include <algorithm>
 #include <atomic>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -12,15 +12,14 @@
 namespace xmlup {
 namespace {
 
-/// Batch-engine observability: cache traffic, job counts, and per-job
-/// solve timings (the per-worker task histogram the pool itself cannot
-/// attribute to the batch workload).
+/// Batch-engine observability: pair traffic (a "hit" is a pair deduped
+/// onto an identical pair of the same call), job counts, and per-job solve
+/// timings (the per-worker task histogram the pool itself cannot attribute
+/// to the batch workload).
 struct BatchMetrics {
   obs::Counter& pairs_total;
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
-  obs::Counter& cache_evictions;
-  obs::Counter& type_pruned;
   obs::Histogram& solve_pair_us;
 
   static const BatchMetrics& Get() {
@@ -30,8 +29,6 @@ struct BatchMetrics {
           reg.GetCounter("batch.pairs_total"),
           reg.GetCounter("batch.cache_hits"),
           reg.GetCounter("batch.cache_misses"),
-          reg.GetCounter("batch.cache_evictions"),
-          reg.GetCounter("batch.type_pruned"),
           reg.GetHistogram("batch.solve_pair_us"),
       };
     }();
@@ -39,20 +36,10 @@ struct BatchMetrics {
   }
 };
 
-/// Total order on keys for deterministic LRU tie-breaking within one
-/// generation (key ids are intern-order-dense, so this order is stable
-/// across runs of the same workload).
-bool KeyLess(const BatchPairKey& a, const BatchPairKey& b) {
-  if (a.read_id != b.read_id) return a.read_id < b.read_id;
-  if (a.update_id != b.update_id) return a.update_id < b.update_id;
-  if (a.content_id != b.content_id) return a.content_id < b.content_id;
-  return a.kind < b.kind;
-}
-
-/// One job = one ref-facade call on the canonicalized pair. The op is
-/// re-bound to the engine's store so Detect takes the cached path —
-/// compiled forms by ref — and the matrix pays zero per-pair
-/// compilation. The root-delete guard is re-checked by the
+/// One job = one ref-facade call on the canonicalized pair, Stage 0
+/// included. The op is re-bound to the engine's store so Detect takes the
+/// compiled path — compiled forms by ref — and the matrix pays zero
+/// per-pair compilation. The root-delete guard is re-checked by the
 /// factory and by the facade (centralized in ValidateDeletePattern), so a
 /// root-selecting delete cannot reach the detectors through this engine.
 Result<ConflictReport> SolvePair(
@@ -76,34 +63,18 @@ BatchConflictDetector::BatchConflictDetector(BatchDetectorOptions options)
     : options_(std::move(options)) {
   store_ = options_.store != nullptr
                ? options_.store
-               : std::make_shared<PatternStore>(
-                     nullptr,
-                     PatternStoreOptions{options_.minimize_patterns});
+               : std::make_shared<PatternStore>(nullptr);
   const size_t threads = options_.num_threads == 0
                              ? ThreadPool::DefaultThreadCount()
                              : options_.num_threads;
   pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-void BatchConflictDetector::ClearCache() { cache_.clear(); }
-
 PatternRef BatchConflictDetector::UpdateRef(const UpdateOp& update) {
   if (update.pattern_store() == store_.get() && update.pattern_ref().valid()) {
     return update.pattern_ref();
   }
   return store_->Intern(update.pattern());
-}
-
-BatchPairKey BatchConflictDetector::CacheKey(const Pattern& read,
-                                             const UpdateOp& update) {
-  BatchPairKey key;
-  key.read_id = store_->Intern(read).id();
-  key.update_id = UpdateRef(update).id();
-  key.kind = static_cast<uint8_t>(update.kind());
-  if (update.kind() == UpdateOp::Kind::kInsert) {
-    key.content_id = store_->InternContentCode(update.content());
-  }
-  return key;
 }
 
 std::vector<SharedConflictResult> BatchConflictDetector::DetectMatrix(
@@ -156,7 +127,7 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
       // ordering: relaxed — a diagnostic counter, not synchronization; the
       // DCHECK turns a silent cross-thread overlap into a crash with a
       // message, and a racy interleaving it happens to miss was still a
-      // contract violation TSan reports on cache_ itself.
+      // contract violation TSan reports on stats_ itself.
       XMLUP_DCHECK(count_.fetch_add(1, std::memory_order_relaxed) == 0)
           << "BatchConflictDetector is single-caller: two threads are "
              "inside DetectPairs/DetectMatrix at once. Route concurrent "
@@ -170,7 +141,6 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
   const BatchMetrics& metrics = BatchMetrics::Get();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
   obs::TraceSpan batch_span(recorder, "BatchDetectPairs");
-  ++generation_;
   stats_.pairs_total += pairs.size();
   metrics.pairs_total.Increment(pairs.size());
 
@@ -192,89 +162,35 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
     });
   }
 
-  // Phase 2 — resolve each pair against the cache (sequential, in pair
-  // order, so job creation order is deterministic). Keys are integer
-  // tuples of store ids: building one is four register writes, probing the
-  // map one integer hash. With the cache disabled every pair becomes its
-  // own job: no dedup, honest baseline.
+  // Phase 2 — dedup the call's pairs (sequential, in pair order, so job
+  // creation order is deterministic). Keys are integer tuples of store ids:
+  // building one is four register writes, probing the map one integer
+  // hash. Nothing outlives the call.
   struct Job {
-    BatchPairKey key;
     size_t read_index;
     size_t update_index;
     SharedConflictResult result;
   };
   std::vector<Job> jobs;
   std::unordered_map<BatchPairKey, size_t, BatchPairKeyHash> job_by_key;
-  std::vector<SharedConflictResult> out(pairs.size());
-  // pending[k] is the job that will fill out[k] (kNone if already filled).
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  std::vector<size_t> pending(pairs.size(), kNone);
-  uint64_t hits_this_call = 0;
-  uint64_t pruned_this_call = 0;
-  // Stage 0 (type pruning) sits in front of the cache: a pruned pair never
-  // becomes a job, so it can never have been published to the cache either
-  // — probing first would always miss. All pruned pairs of a call share
-  // one lazily-minted report object (the report's fields are fixed).
-  const bool type_pruning = options_.detector.dtd != nullptr &&
-                            options_.detector.enable_type_pruning;
-  SharedConflictResult pruned_shared;
+  // job_of[k] is the job that answers pairs[k].
+  std::vector<size_t> job_of(pairs.size());
   for (size_t k = 0; k < pairs.size(); ++k) {
     const size_t i = pairs[k].read_index;
     const size_t j = pairs[k].update_index;
     XMLUP_CHECK(i < n_reads && j < n_updates);
-    if (type_pruning) {
-      const UpdateOp& update = updates[j];
-      const Tree* content = update.kind() == UpdateOp::Kind::kInsert
-                                ? &update.content()
-                                : nullptr;
-      if (std::optional<ConflictReport> pruned =
-              TypePruneStage(*store_, reads[i], update.kind(), update_refs[j],
-                             content, options_.detector)) {
-        if (pruned_shared == nullptr) {
-          pruned_shared = std::make_shared<const Result<ConflictReport>>(
-              std::move(*pruned));
-        }
-        out[k] = pruned_shared;
-        ++pruned_this_call;
-        continue;
-      }
-    }
     const BatchPairKey key{reads[i].id(), update_refs[j].id(), content_ids[j],
                            static_cast<uint8_t>(updates[j].kind())};
-    if (options_.enable_cache) {
-      auto cached = cache_.find(key);
-      if (cached != cache_.end()) {
-        cached->second.generation = generation_;  // LRU recency stamp
-        out[k] = cached->second.result;
-        ++hits_this_call;
-        continue;
-      }
-      auto [it, inserted] = job_by_key.emplace(key, jobs.size());
-      if (!inserted) {
-        pending[k] = it->second;
-        ++hits_this_call;
-        continue;
-      }
-      jobs.push_back({key, i, j, nullptr});
-    } else {
-      jobs.push_back({key, i, j, nullptr});
-    }
-    pending[k] = jobs.size() - 1;
+    auto [it, inserted] = job_by_key.emplace(key, jobs.size());
+    if (inserted) jobs.push_back({i, j, nullptr});
+    job_of[k] = it->second;
   }
+  const uint64_t hits_this_call = pairs.size() - jobs.size();
   stats_.cache_hits += hits_this_call;
   stats_.cache_misses += jobs.size();
-  stats_.unique_pairs_solved += jobs.size();
-  stats_.type_pruned += pruned_this_call;
   metrics.cache_hits.Increment(hits_this_call);
   metrics.cache_misses.Increment(jobs.size());
-  metrics.type_pruned.Increment(pruned_this_call);
-  // Accounting invariant: every requested pair was answered by Stage 0,
-  // served by the cache (or deduped onto an in-flight job), or became a
-  // job of its own.
-  XMLUP_CHECK(hits_this_call + pruned_this_call + jobs.size() ==
-              pairs.size());
-  XMLUP_CHECK(stats_.cache_hits + stats_.cache_misses + stats_.type_pruned ==
-              stats_.pairs_total);
+  XMLUP_CHECK(stats_.cache_hits + stats_.cache_misses == stats_.pairs_total);
 
   // Phase 3 — solve every job on the pool against the store's
   // pre-minimized forms. Each job writes only its own slot, so the result
@@ -313,39 +229,10 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
     recorder.MergeThreadEvents(std::move(job_events));
   }
 
-  // Phase 4 — publish to the cache (deterministic job order), scatter
-  // shared results to every requesting pair, then enforce the size bound.
-  if (options_.enable_cache) {
-    for (const Job& job : jobs) {
-      cache_.emplace(job.key, CacheEntry{job.result, generation_});
-    }
-    EvictIfOverBound();
-  }
-  for (size_t k = 0; k < pairs.size(); ++k) {
-    if (pending[k] != kNone) out[k] = jobs[pending[k]].result;
-  }
+  // Phase 4 — scatter the shared results to every requesting pair.
+  std::vector<SharedConflictResult> out(pairs.size());
+  for (size_t k = 0; k < pairs.size(); ++k) out[k] = jobs[job_of[k]].result;
   return out;
-}
-
-void BatchConflictDetector::EvictIfOverBound() {
-  const size_t bound = options_.max_cache_entries;
-  if (bound == 0 || cache_.size() <= bound) return;
-  // Deterministic LRU: order every entry by (generation, key) and drop the
-  // front of that order. Runs only on calls that grew the cache past the
-  // bound, so the sort amortizes over the solves that caused it.
-  std::vector<std::pair<uint64_t, BatchPairKey>> order;
-  order.reserve(cache_.size());
-  for (const auto& [key, entry] : cache_) {
-    order.emplace_back(entry.generation, key);
-  }
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return KeyLess(a.second, b.second);
-  });
-  const size_t to_drop = cache_.size() - bound;
-  for (size_t i = 0; i < to_drop; ++i) cache_.erase(order[i].second);
-  stats_.cache_evictions += to_drop;
-  BatchMetrics::Get().cache_evictions.Increment(to_drop);
 }
 
 }  // namespace xmlup

@@ -12,10 +12,10 @@ namespace xmlup {
 
 /// Cumulative delta accounting for a maintained matrix: what each edit
 /// cost relative to the from-scratch alternative. "Recomputed" counts
-/// cells *requested from the batch engine* — the engine's own memo cache
-/// usually answers most of them, so the detector-job cost of an edit is
-/// bounded by the recomputed count and typically far below it (see
-/// BatchStats for the solve-level truth).
+/// cells *requested from the batch engine*; the engine solves each
+/// distinct pair of an edit's row or column once, so the detector-job cost
+/// of an edit is bounded by the recomputed count and below it when the
+/// slice repeats patterns (see BatchStats for the solve-level truth).
 struct DeltaStats {
   /// Edit operations applied (Assign counts as one).
   uint64_t edits = 0;
@@ -37,20 +37,19 @@ struct DeltaStats {
 ///   AddUpdate / ReplaceUpdate   → N engine requests (one column)
 ///   RemoveRead / RemoveUpdate   → 0 engine requests
 ///
-/// so a single edit costs at most max(N, M) detector jobs — and usually
-/// far fewer, because requests flow through the engine's BatchPairKey memo
-/// cache and edits that reintroduce known patterns are pure hits. When the
-/// engine's detector carries a Dtd, its Stage 0 type filter answers
-/// schema-disjoint cells (method kTypePruned) before the cache — such
-/// cells cost neither memo entries nor detector jobs (BatchStats::
-/// type_pruned), and the maintained matrix inherits that for free.
+/// so a single edit costs at most max(N, M) detector jobs — fewer when
+/// the row or column repeats a pattern, because the engine dedups each
+/// call on BatchPairKey. When the engine's detector carries a Dtd, the
+/// Detect facade's Stage 0 type filter answers schema-disjoint cells
+/// (method kTypePruned) before any matching work, and the maintained
+/// matrix inherits that for free. Cells the edit did not touch are kept,
+/// not re-requested; nothing else survives between edits, so a cell a
+/// later edit replaces is released with it.
 ///
 /// Determinism: cells carry the batch engine's guarantee (verdict, method,
 /// trees_checked independent of thread count and scheduling), and the
 /// maintained matrix is always cell-for-cell equal to a from-scratch
-/// DetectMatrix over the current reads/updates — eviction in the engine
-/// cache can change *when* a pair is re-solved, never what the solve
-/// returns.
+/// DetectMatrix over the current reads/updates.
 ///
 /// Indices are stable under Add (append) and Replace; Remove shifts later
 /// rows/columns down by one, mirroring statement deletion in a program.
@@ -65,13 +64,13 @@ class MaintainedConflictMatrix {
  public:
   /// Builds an empty matrix over a private engine with these options.
   explicit MaintainedConflictMatrix(BatchDetectorOptions options = {});
-  /// Builds an empty matrix over a shared engine (its store and memo cache
-  /// are reused; `engine` must be non-null).
+  /// Builds an empty matrix over a shared engine (its store is reused;
+  /// `engine` must be non-null).
   explicit MaintainedConflictMatrix(
       std::shared_ptr<BatchConflictDetector> engine);
 
   /// Replaces the whole matrix (one edit: every previous cell drops, every
-  /// new cell is requested — warm engines answer repeats from cache).
+  /// new cell is requested in one engine call).
   void Assign(const std::vector<Pattern>& reads,
               const std::vector<UpdateOp>& updates);
 

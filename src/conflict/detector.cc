@@ -1,5 +1,7 @@
 #include "conflict/detector.h"
 
+#include <optional>
+
 #include "common/check.h"
 #include "conflict/read_delete.h"
 #include "conflict/read_insert.h"
@@ -154,6 +156,30 @@ ConflictReport FromSearch(BruteForceResult search, size_t paper_bound,
   return report;
 }
 
+/// Stage 0: with a schema configured, answers the pair when its type
+/// footprints are disjoint (the fixed-field kTypePruned / kNoConflict
+/// report); otherwise nullopt, and the pair belongs in Stages 1-2.
+/// Summaries are served from the store's per-entry cache
+/// (PatternStore::type_summary). The caller has checked that the schema
+/// shares the read's SymbolTable.
+std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
+                                             PatternRef read,
+                                             const UpdateOp& update,
+                                             const DetectorOptions& options) {
+  const Dtd& dtd = *options.dtd;
+  const TypeSummary& read_summary = store.type_summary(read, dtd);
+  const TypeSummary& update_summary =
+      store.type_summary(update.pattern_ref(), dtd);
+  const bool pruned =
+      update.kind() == UpdateOp::Kind::kInsert
+          ? TypePrunesReadInsert(read_summary, update_summary,
+                                 update.content(), options.semantics)
+          : TypePrunesReadDelete(read_summary, update_summary,
+                                 options.semantics);
+  if (!pruned) return std::nullopt;
+  return TypePrunedReport();
+}
+
 /// The staged pipeline for a read interned in `store` and an update bound
 /// to it. The update's kind chooses only the Stage 1 linear core, the
 /// witness checker the heuristic extension must pass, and the Stage 2
@@ -168,10 +194,19 @@ Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
   const bool is_insert = update.kind() == UpdateOp::Kind::kInsert;
   const Tree* inserted = is_insert ? &update.content() : nullptr;
   if (!is_insert) XMLUP_RETURN_NOT_OK(ValidateDeletePattern(update_pattern));
-  if (std::optional<ConflictReport> pruned =
-          TypePruneStage(store, read, update.kind(), update.pattern_ref(),
-                         inserted, options)) {
-    return std::move(*pruned);
+  if (options.dtd != nullptr) {
+    // The stored read's table, not store.symbols(), which takes the store
+    // mutex: every stored pattern is on the store's table.
+    if (!SameSymbolTable(options.dtd->symbols(),
+                         store.pattern(read).symbols())) {
+      return Status::InvalidArgument(
+          "DetectorOptions::dtd was parsed against a different SymbolTable "
+          "than the read's; labels are only comparable within one table");
+    }
+    if (std::optional<ConflictReport> pruned =
+            TypePruneStage(store, read, update, options)) {
+      return std::move(*pruned);
+    }
   }
   const CompiledPattern& read_compiled = store.compiled(read);
   const CompiledPattern& update_compiled = store.compiled(update.pattern_ref());
@@ -241,32 +276,6 @@ Status ValidateValueOperands(const Pattern& read, const UpdateOp& update) {
 }
 
 }  // namespace
-
-std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
-                                             PatternRef read,
-                                             UpdateOp::Kind kind,
-                                             PatternRef update_pattern,
-                                             const Tree* insert_content,
-                                             const DetectorOptions& options) {
-  if (options.dtd == nullptr || !options.enable_type_pruning) {
-    return std::nullopt;
-  }
-  const Dtd& dtd = *options.dtd;
-  const TypeSummary& read_summary = store.type_summary(read, dtd);
-  const TypeSummary& update_summary = store.type_summary(update_pattern, dtd);
-  bool pruned;
-  if (kind == UpdateOp::Kind::kInsert) {
-    XMLUP_CHECK_STREAM(insert_content != nullptr)
-        << "TypePruneStage: insert update without content tree";
-    pruned = TypePrunesReadInsert(read_summary, update_summary,
-                                  *insert_content, options.semantics);
-  } else {
-    pruned = TypePrunesReadDelete(read_summary, update_summary,
-                                  options.semantics);
-  }
-  if (!pruned) return std::nullopt;
-  return TypePrunedReport();
-}
 
 Result<ConflictReport> Detect(const Pattern& read, const UpdateOp& update,
                               const DetectorOptions& options) {

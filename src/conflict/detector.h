@@ -1,8 +1,6 @@
 #ifndef XMLUP_CONFLICT_DETECTOR_H_
 #define XMLUP_CONFLICT_DETECTOR_H_
 
-#include <optional>
-
 #include "common/result.h"
 #include "conflict/bounded_search.h"
 #include "conflict/report.h"
@@ -34,14 +32,12 @@ struct DetectorOptions {
   /// conflict on any DTD-conformant document, while Stages 1-2 keep the
   /// unrestricted-document semantics of the paper. Setting a schema can
   /// only refine kConflict/kUnknown answers into schema-sound kNoConflict
-  /// ones — it never flips a no-conflict verdict. Must share the caller's
-  /// SymbolTable and outlive every Detect call (the PatternStore caches
-  /// summaries keyed by its address). Null disables Stage 0 entirely.
+  /// ones — it never flips a no-conflict verdict. Must outlive every
+  /// Detect call (the PatternStore caches summaries keyed by its address)
+  /// and share the read's SymbolTable: labels mean nothing across tables,
+  /// so Detect answers InvalidArgument for a schema on another table.
+  /// Null disables Stage 0 entirely.
   const Dtd* dtd = nullptr;
-  /// Ablation toggle for Stage 0; meaningful only with `dtd` set. With
-  /// pruning off (or no schema) the pipeline is byte-identical to the
-  /// pre-Stage-0 detector.
-  bool enable_type_pruning = true;
   /// Multi-pair scans (conflict/transactions.h): record *every*
   /// uncertified pair in deterministic order instead of stopping at the
   /// first — what a scheduler needs to distinguish one bad pair from a
@@ -50,27 +46,16 @@ struct DetectorOptions {
   bool exhaustive = false;
 };
 
-/// Stage 0 of the staged verdict pipeline, exposed for batch callers that
-/// want to prune a pair *before* spending a memo-cache slot on it: when a
-/// schema is configured and the pair's type footprints are disjoint,
-/// returns the (fixed-field) kTypePruned / kNoConflict report; otherwise
-/// nullopt, and the pair belongs in Stages 1-2 (a full Detect call).
-/// Summaries are served from the store's per-entry cache
-/// (PatternStore::type_summary). `insert_content` is required for insert
-/// updates and ignored for deletes. Does not touch the detector.* counters
-/// — Detect's own Stage 0 does its accounting inside the facade.
-std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
-                                             PatternRef read,
-                                             UpdateOp::Kind kind,
-                                             PatternRef update_pattern,
-                                             const Tree* insert_content,
-                                             const DetectorOptions& options);
-
 /// Unified read-update conflict detection — the one entry point of the
 /// detector stack, a staged verdict pipeline where each stage either
 /// returns a final report or hands the pair down:
 ///   - Stage 0 (only with options.dtd set): the schema-type disjointness
-///     filter — method kTypePruned, always kNoConflict, no matching work;
+///     filter — method kTypePruned, always kNoConflict, no matching work.
+///     The one Stage 0 of the library: the batch engine, lint, the
+///     dependence analyzers and the Engine facade all reach it through
+///     this function. A schema whose SymbolTable is not the read's
+///     returns InvalidArgument (counted under detector.errors) instead of
+///     comparing labels across tables;
 ///   - Stage 1: dispatch on the update's kind and the read's shape —
 ///     linear read: the complete polynomial algorithms (Theorems 1-2,
 ///     Corollaries 1-2), method kLinearPtime, definitive verdict;

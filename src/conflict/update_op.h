@@ -53,7 +53,7 @@ class UpdateOp {
 
   /// Ref-based factories: the op's pattern is `store->pattern(pattern)`
   /// (the interned canonical form) and the op carries the ref, so layers
-  /// that memoize on pattern identity (batch engine, pair loops) use the
+  /// that key on pattern identity (batch engine, pair loops) use the
   /// integer id instead of re-canonicalizing. `store` must be non-null and
   /// `pattern` minted by it.
   static UpdateOp MakeInsert(std::shared_ptr<const PatternStore> store,

@@ -340,8 +340,11 @@ Result<EngineOptions> EngineOptionsForSpec(
     return Status::InvalidArgument("workload spec \"dtd\" block: " +
                                    std::string(dtd.status().message()));
   }
-  base.dtd = std::make_shared<const Dtd>(*std::move(dtd));
-  base.batch.detector.enable_type_pruning = spec.dtd.pruning;
+  // The schema drives Stage 0 and nothing else in the driver, so with
+  // pruning off it is parsed (and validated) but not installed.
+  if (spec.dtd.pruning) {
+    base.dtd = std::make_shared<const Dtd>(*std::move(dtd));
+  }
   return base;
 }
 

@@ -187,12 +187,13 @@ struct WorkloadPlan {
 
 /// Engine configuration implied by a spec's "dtd" block: parses the
 /// block's declarations against `symbols` (the table the Engine will be
-/// built over — labels must match the generator's a0..aN-1 names), sets
-/// `base.dtd` to the parsed schema (kept alive by the returned options /
-/// the Engine that consumes them) and `base.batch.detector.
-/// enable_type_pruning` to the block's `pruning` toggle. A spec without a
-/// "dtd" block returns `base` unchanged, so callers can pass every spec
-/// through unconditionally:
+/// built over — labels must match the generator's a0..aN-1 names) and,
+/// when the block's `pruning` toggle is on, sets `base.dtd` to the parsed
+/// schema (kept alive by the returned options / the Engine that consumes
+/// them). With `pruning` off the schema is still parsed and validated but
+/// `base.dtd` stays unset: the driver uses it for Stage 0 only. A spec
+/// without a "dtd" block returns `base` unchanged, so callers can pass
+/// every spec through unconditionally:
 ///
 ///   auto symbols = std::make_shared<SymbolTable>();
 ///   XMLUP_ASSIGN_OR_RETURN(EngineOptions options,

@@ -111,10 +111,11 @@ struct SessionSetup {
 /// Optional schema block of a workload: DTD declarations (the dtd/dtd.h
 /// text syntax, one declaration per array element) parsed against the
 /// run's SymbolTable, plus the Stage 0 ablation toggle. When present the
-/// driver's Engine is built with EngineOptions::dtd, so every detection
-/// the run issues goes through the staged pipeline's type filter (unless
-/// `pruning` is false — the spec-level ablation switch). Note the
-/// generator names labels a0..aN-1; declarations must use those names.
+/// declarations must parse; with `pruning` on (the default) the driver's
+/// Engine is built with EngineOptions::dtd, so every detection the run
+/// issues goes through the staged pipeline's type filter, and with
+/// `pruning` off the Engine gets no schema. Note the generator names
+/// labels a0..aN-1; declarations must use those names.
 struct DtdSpec {
   std::vector<std::string> declarations;
   bool pruning = true;

@@ -21,9 +21,7 @@ Engine::Engine(EngineOptions options)
 
 Engine::Engine(std::shared_ptr<SymbolTable> symbols, EngineOptions options)
     : options_(std::move(options)), symbols_(OrFresh(std::move(symbols))) {
-  PatternStoreOptions store_options;
-  store_options.minimize = options_.batch.minimize_patterns;
-  store_ = std::make_shared<PatternStore>(symbols_, store_options);
+  store_ = std::make_shared<PatternStore>(symbols_);
   options_.batch.store = store_;
   if (options_.dtd != nullptr) {
     XMLUP_CHECK_STREAM(SameSymbolTable(symbols_, options_.dtd->symbols()))
@@ -105,12 +103,10 @@ std::vector<SharedConflictResult> Engine::DetectPairs(
   return batch_->DetectPairs(reads, updates, pairs);
 }
 
-std::unique_ptr<Engine::Session> Engine::MakeSession(
-    SessionOptions options) const {
+std::unique_ptr<Engine::Session> Engine::MakeSession() const {
   BatchDetectorOptions session_options = options_.batch;
   session_options.store = store_;
-  session_options.num_threads = options.num_threads;
-  session_options.max_cache_entries = options.max_cache_entries;
+  session_options.num_threads = 1;
   auto engine = std::make_shared<BatchConflictDetector>(session_options);
   return std::unique_ptr<Session>(new Session(std::move(engine)));
 }
@@ -125,9 +121,8 @@ LintResult Engine::Lint(const Program& program, const LintRunOptions& run) {
   lint_options.partition = run.partition;
   CheckNotOnPoolWorker("Lint");
   MutexLock lock(batch_mu_);
-  // A fresh Linter per call: its memo cache is cold, but the shared store
-  // keeps interned patterns and compiled forms warm — the distinct-pair
-  // solves, the expensive part, are amortized process-wide.
+  // A fresh Linter per call over the shared store: interned patterns and
+  // compiled forms stay warm, and the call solves each distinct pair once.
   const Linter linter(lint_options);
   return linter.Lint(program);
 }

@@ -23,16 +23,14 @@
 namespace xmlup {
 
 /// Configuration of an Engine. One engine = one configuration: the
-/// detector options are fixed at construction because every cache in the
-/// stack below (the batch memo cache, the compiled-form store) assumes the
-/// verdict of a pattern pair is a function of the pair alone. Callers that
-/// need a second semantics build a second Engine (they can share a
-/// SymbolTable).
+/// detector options are fixed at construction, so every call through the
+/// engine answers a pattern pair the same way. Callers that need a second
+/// semantics build a second Engine (they can share a SymbolTable).
 struct EngineOptions {
-  /// Detector semantics/budget, worker threads, memoization and cache
-  /// bound for the matrix engine. `batch.store` is ignored — the Engine
-  /// owns the store wiring. `batch.detector.dtd` is overridden by `dtd`
-  /// below when that is set.
+  /// Detector semantics/budget and worker threads for the matrix engine.
+  /// `batch.store` is ignored — the Engine owns the store wiring (one
+  /// minimizing store). `batch.detector.dtd` is overridden by `dtd` below
+  /// when that is set.
   BatchDetectorOptions batch;
   /// Schema for the Stage 0 type-pruning filter. When set, the engine
   /// keeps it alive and wires it into every layer it owns — single-pair
@@ -47,8 +45,8 @@ struct EngineOptions {
 
 /// The front door of the library: one object owning the shared state every
 /// layer below needs — the SymbolTable, the PatternStore (interned
-/// canonical patterns + compiled forms), the batch conflict-matrix
-/// engine and its memo cache — and exposing the library's operations as
+/// canonical patterns + compiled forms) and the batch conflict-matrix
+/// engine — and exposing the library's operations as
 /// methods: Detect, DetectMatrix, MakeSession, Lint, AnalyzeDependences,
 /// CertifyCommute.
 ///
@@ -67,7 +65,8 @@ struct EngineOptions {
 ///     internal locks and the lock-free compiled caches). This is the
 ///     driver's hot path; it never touches batch_mu_.
 ///   - DetectMatrix / DetectPairs / Lint / AnalyzeDependences serialize on
-///     batch_mu_ (one matrix engine, one memo cache); each call still
+///     batch_mu_ (one single-caller matrix engine and dependence
+///     analyzer, whose pool and stats are not shared-safe); each call still
 ///     parallelizes internally on the engine's pool. Because they block on
 ///     that pool, they must NOT be invoked from inside any ThreadPool
 ///     worker — doing so can deadlock the pool, so these entry points
@@ -76,7 +75,7 @@ struct EngineOptions {
 ///     distinct sessions may be driven from distinct threads concurrently:
 ///     each session owns a private inline matrix engine over the shared
 ///     store, so sessions share interned patterns and compiled forms
-///     without sharing a mutable memo cache.
+///     and nothing mutable.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -125,8 +124,9 @@ class Engine {
 
   /// --- Batched detection (serialized on the shared matrix engine) ---
 
-  /// Full N×M matrix / sparse pair set, with memoization across calls.
-  /// Layout and determinism guarantees are BatchConflictDetector's.
+  /// Full N×M matrix / sparse pair set, each distinct pair of a call
+  /// solved once. Layout and determinism guarantees are
+  /// BatchConflictDetector's.
   std::vector<SharedConflictResult> DetectMatrix(
       const std::vector<Pattern>& reads, const std::vector<UpdateOp>& updates)
       XMLUP_EXCLUDES(batch_mu_);
@@ -139,15 +139,6 @@ class Engine {
       const std::vector<ReadUpdatePair>& pairs) XMLUP_EXCLUDES(batch_mu_);
 
   /// --- Sessions ---
-
-  struct SessionOptions {
-    /// Worker threads of the session's private engine. The default (1)
-    /// runs solves inline on the session's calling thread — the right
-    /// setting when many sessions run on driver/service worker threads.
-    size_t num_threads = 1;
-    /// LRU bound on the session engine's memo cache (0 = unbounded).
-    size_t max_cache_entries = 0;
-  };
 
   /// A client session: an editable conflict matrix (the per-session state
   /// of a program being edited statement by statement) over the engine's
@@ -167,16 +158,16 @@ class Engine {
   };
 
   /// Creates a session whose matrix engine shares the Engine's store (and
-  /// detector options) but owns a private memo cache and runs inline.
-  std::unique_ptr<Session> MakeSession(SessionOptions options) const;
-  std::unique_ptr<Session> MakeSession() const {
-    return MakeSession(SessionOptions());
-  }
+  /// detector options) and runs inline on the session's calling thread —
+  /// the right setting when many sessions run on driver/service worker
+  /// threads.
+  std::unique_ptr<Session> MakeSession() const;
 
   /// --- Program analysis ---
 
   struct LintRunOptions {
-    /// Enables the dtd-violation pass; must share the engine's
+    /// Enables the dtd-violation pass (and, when the engine has no
+    /// schema, Stage 0 — see LintOptions::dtd); must share the engine's
     /// SymbolTable and outlive the call. Null defaults to the engine's
     /// configured EngineOptions::dtd (if any).
     const Dtd* dtd = nullptr;
@@ -185,8 +176,10 @@ class Engine {
   };
 
   /// Lints a straight-line update program with the engine's detector
-  /// configuration. Serialized on the engine mutex; the shared store keeps
-  /// compiled forms warm across calls.
+  /// configuration. Serialized on the engine mutex. Each call builds a
+  /// fresh Linter, so verdicts are solved per call (each distinct pair
+  /// once); only the shared store — interned patterns and compiled forms
+  /// — stays warm across calls.
   LintResult Lint(const Program& program, const LintRunOptions& run)
       XMLUP_EXCLUDES(batch_mu_);
   LintResult Lint(const Program& program) {
@@ -194,8 +187,8 @@ class Engine {
   }
 
   /// Pairwise data-dependence analysis over a program (the §1 compiler
-  /// scenario). Serialized on the engine mutex; the analyzer's memo cache
-  /// warms across calls.
+  /// scenario). Serialized on the engine mutex; the analyzer is built once
+  /// and keeps only the shared store between calls.
   DependenceAnalysisResult AnalyzeDependences(const Program& program)
       XMLUP_EXCLUDES(batch_mu_);
 
@@ -203,7 +196,7 @@ class Engine {
 
   /// Snapshot of the process-wide metrics registry the stack reports into.
   obs::MetricsSnapshot MetricsSnapshot() const;
-  /// Cumulative pair/cache counters of the shared matrix engine.
+  /// Cumulative pair/dedup counters of the shared matrix engine.
   BatchStats batch_stats() const;
   /// The shared matrix engine. Callers taking this accept its
   /// single-caller-at-a-time contract (the facade's DetectMatrix/Lint

@@ -55,7 +55,7 @@ bool PatternsIdentical(const Pattern& p, const Pattern& q);
 /// marked. Two patterns have equal codes iff they are identical up to
 /// sibling reordering (the pattern analogue of xml/isomorphism.h's
 /// CanonicalCode). The code uses label *names*, so it is stable across
-/// symbol tables — the batch conflict engine uses it as a memoization key.
+/// symbol tables — PatternStore interns patterns on it.
 std::string CanonicalPatternCode(const Pattern& p);
 
 /// Copies `src` (whole pattern) into `dst` as a new subtree under `parent`,

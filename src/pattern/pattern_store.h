@@ -78,7 +78,7 @@ struct PatternStoreOptions {
 /// integer PatternRefs. Interning computes the canonical string code (and,
 /// by default, the minimized form) exactly once per distinct input pattern;
 /// every later lookup of the same pattern is one code build plus one hash
-/// probe, and everything downstream of the ref — batch memo keys, pair
+/// probe, and everything downstream of the ref — batch dedup keys, pair
 /// loops, equality tests — is integer-only.
 ///
 /// All patterns in one store must share one SymbolTable: labels are only
@@ -165,7 +165,7 @@ class PatternStore {
 
   /// Interns the canonical code of a content tree (insert payloads),
   /// returning a dense integer id with the same exact-equality guarantee —
-  /// the content leg of the batch engine's integer memo key. Ids share the
+  /// the content leg of the batch engine's integer dedup key. Ids share the
   /// hits/misses counters with pattern interning.
   uint32_t InternContentCode(const Tree& content);
 

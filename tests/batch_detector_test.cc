@@ -63,14 +63,17 @@ class BatchDetectorTest : public ::testing::Test {
     return updates;
   }
 
-  static BatchDetectorOptions Options(size_t threads, bool cache = true,
-                                      bool minimize = true) {
+  static BatchDetectorOptions Options(size_t threads) {
     BatchDetectorOptions options;
     options.detector.search.max_nodes = 4;
     options.num_threads = threads;
-    options.enable_cache = cache;
-    options.minimize_patterns = minimize;
     return options;
+  }
+
+  /// A store that keeps patterns exactly as given (no minimization).
+  std::shared_ptr<PatternStore> LiteralStore() {
+    return std::make_shared<PatternStore>(
+        symbols_, PatternStoreOptions{.minimize = false});
   }
 
   /// The deterministic fingerprint of a matrix: verdict, method,
@@ -131,22 +134,14 @@ TEST_F(BatchDetectorTest, OneThreadAndEightThreadsProduceIdenticalMatrices) {
   }
 }
 
-TEST_F(BatchDetectorTest, CacheOnAndOffProduceIdenticalVerdicts) {
-  const std::vector<Pattern> reads = Reads();
-  const std::vector<UpdateOp> updates = Updates();
-  BatchConflictDetector cached(Options(2, /*cache=*/true));
-  BatchConflictDetector uncached(Options(2, /*cache=*/false));
-  EXPECT_EQ(Fingerprint(cached.DetectMatrix(reads, updates)),
-            Fingerprint(uncached.DetectMatrix(reads, updates)));
-}
-
 TEST_F(BatchDetectorTest, CachedResultsMatchFreshSinglePairCalls) {
-  // Cross-check every cell (cache hits included) against a fresh
-  // single-pair Detect() call. minimize=false so the batch engine solves
+  // Cross-check every cell (deduped pairs included) against a fresh
+  // single-pair Detect() call. A literal store, so the batch engine solves
   // the very same patterns as the fresh calls.
   const std::vector<Pattern> reads = Reads();
   const std::vector<UpdateOp> updates = Updates();
-  const BatchDetectorOptions options = Options(4, true, /*minimize=*/false);
+  BatchDetectorOptions options = Options(4);
+  options.store = LiteralStore();
   BatchConflictDetector engine(options);
   const auto matrix = engine.DetectMatrix(reads, updates);
   ASSERT_GT(engine.stats().cache_hits, 0u);  // workload repeats patterns
@@ -171,33 +166,19 @@ TEST_F(BatchDetectorTest, CacheAccountingAddsUp) {
   const BatchStats& stats = engine.stats();
   EXPECT_EQ(stats.pairs_total, reads.size() * updates.size());
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.pairs_total);
-  EXPECT_EQ(stats.cache_misses, stats.unique_pairs_solved);
-  // Repeated reads ("a//b" three times) and updates guarantee real reuse.
-  EXPECT_LT(stats.unique_pairs_solved, stats.pairs_total);
+  // Repeated reads ("a//b" three times) and updates guarantee real reuse
+  // inside the one call.
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_LT(stats.cache_misses, stats.pairs_total);
 
-  // A second identical batch is answered entirely from the cache.
-  const uint64_t solved_before = stats.unique_pairs_solved;
+  // Nothing is kept between calls: a second identical call solves every
+  // distinct pair again, with the same split.
+  const BatchStats first = stats;
   engine.DetectMatrix(reads, updates);
-  EXPECT_EQ(engine.stats().unique_pairs_solved, solved_before);
+  EXPECT_EQ(engine.stats().cache_misses, 2 * first.cache_misses);
+  EXPECT_EQ(engine.stats().cache_hits, 2 * first.cache_hits);
   EXPECT_EQ(engine.stats().cache_hits + engine.stats().cache_misses,
             engine.stats().pairs_total);
-
-  engine.ClearCache();
-  engine.DetectMatrix(reads, updates);
-  EXPECT_EQ(engine.stats().unique_pairs_solved, 2 * solved_before);
-  EXPECT_EQ(engine.stats().cache_hits + engine.stats().cache_misses,
-            engine.stats().pairs_total);
-}
-
-TEST_F(BatchDetectorTest, CacheDisabledSolvesEveryPair) {
-  const std::vector<Pattern> reads = Reads();
-  const std::vector<UpdateOp> updates = Updates();
-  BatchConflictDetector engine(Options(2, /*cache=*/false));
-  engine.DetectMatrix(reads, updates);
-  EXPECT_EQ(engine.stats().cache_hits, 0u);
-  EXPECT_EQ(engine.stats().cache_misses, reads.size() * updates.size());
-  EXPECT_EQ(engine.stats().unique_pairs_solved,
-            reads.size() * updates.size());
 }
 
 TEST_F(BatchDetectorTest, InlineModeSkipsSpanMergingPooledModeMerges) {
@@ -218,7 +199,7 @@ TEST_F(BatchDetectorTest, InlineModeSkipsSpanMergingPooledModeMerges) {
   for (const obs::TraceEvent& e : recorder.Snapshot()) {
     if (std::string_view(e.name) == "batch.solve_pair") ++inline_solve_spans;
   }
-  EXPECT_EQ(inline_solve_spans, inline_engine.stats().unique_pairs_solved);
+  EXPECT_EQ(inline_solve_spans, inline_engine.stats().cache_misses);
 
   BatchConflictDetector pooled(Options(4));
   pooled.DetectMatrix(reads, updates);
@@ -229,18 +210,30 @@ TEST_F(BatchDetectorTest, InlineModeSkipsSpanMergingPooledModeMerges) {
 }
 
 TEST_F(BatchDetectorTest, MinimizationFoldsEquivalentPatternsOntoOneKey) {
-  // a[b][b] minimizes to a[b]: the duplicate predicate is implied.
-  const UpdateOp update = Insert("a/b", "<c/>");
-  BatchConflictDetector engine(Options(1, true, /*minimize=*/true));
-  EXPECT_EQ(engine.CacheKey(Xp("a[b][b]", symbols_), update),
-            engine.CacheKey(Xp("a[b]", symbols_), update));
-  BatchConflictDetector literal(Options(1, true, /*minimize=*/false));
-  EXPECT_NE(literal.CacheKey(Xp("a[b][b]", symbols_), update),
-            literal.CacheKey(Xp("a[b]", symbols_), update));
+  // a[b][b] minimizes to a[b]: the duplicate predicate is implied. A
+  // private store minimizes; an injected literal store keeps both forms.
+  BatchConflictDetector engine(Options(1));
+  PatternStore& minimizing = *engine.pattern_store();
+  EXPECT_EQ(minimizing.Intern(Xp("a[b][b]", symbols_)),
+            minimizing.Intern(Xp("a[b]", symbols_)));
+  BatchDetectorOptions literal_options = Options(1);
+  literal_options.store = LiteralStore();
+  BatchConflictDetector literal(literal_options);
+  EXPECT_NE(literal.pattern_store()->Intern(Xp("a[b][b]", symbols_)),
+            literal.pattern_store()->Intern(Xp("a[b]", symbols_)));
 
-  // Sibling order never matters: the key is canonical.
-  EXPECT_EQ(engine.CacheKey(Xp("a[b][c]", symbols_), update),
-            engine.CacheKey(Xp("a[c][b]", symbols_), update));
+  // Sibling order never matters: the ref is canonical.
+  EXPECT_EQ(minimizing.Intern(Xp("a[b][c]", symbols_)),
+            minimizing.Intern(Xp("a[c][b]", symbols_)));
+
+  // Equal refs are one dedup key: the folded pair is solved once.
+  const std::vector<Pattern> reads = {Xp("a[b][b]", symbols_),
+                                      Xp("a[b]", symbols_)};
+  const std::vector<UpdateOp> updates = {Insert("a/b", "<c/>")};
+  engine.DetectMatrix(reads, updates);
+  EXPECT_EQ(engine.stats().cache_misses, 1u);
+  literal.DetectMatrix(reads, updates);
+  EXPECT_EQ(literal.stats().cache_misses, 2u);
 }
 
 TEST_F(BatchDetectorTest, SparsePairsAlignWithRequest) {
@@ -251,7 +244,7 @@ TEST_F(BatchDetectorTest, SparsePairsAlignWithRequest) {
   BatchConflictDetector engine(Options(2));
   const auto sparse = engine.DetectPairs(reads, updates, pairs);
   ASSERT_EQ(sparse.size(), pairs.size());
-  // Duplicate request resolves to the shared cached object.
+  // A duplicate request in one call resolves to the shared object.
   EXPECT_EQ(sparse[0], sparse[2]);
   const auto full = engine.DetectMatrix(reads, updates);
   for (size_t k = 0; k < pairs.size(); ++k) {
@@ -306,13 +299,9 @@ TEST_F(BatchDetectorTest, InjectedStoreIsSharedAndRefOverloadsAgree) {
   const auto by_value = engine.DetectMatrix(reads, Updates());
   const auto by_ref = engine.DetectMatrix(read_refs, updates);
   EXPECT_EQ(Fingerprint(by_value), Fingerprint(by_ref));
-  // Identical canonical pairs resolve to the very same shared result.
-  for (size_t k = 0; k < by_value.size(); ++k) {
-    EXPECT_EQ(by_value[k], by_ref[k]) << "cell " << k;
-  }
 
   // A second engine over the same store reuses the interned patterns (no
-  // new misses) while keeping its own result cache.
+  // new misses).
   obs::Counter& misses =
       obs::MetricsRegistry::Default().GetCounter("pattern_store.misses");
   const uint64_t before = misses.value();
@@ -320,89 +309,6 @@ TEST_F(BatchDetectorTest, InjectedStoreIsSharedAndRefOverloadsAgree) {
   const auto sibling_matrix = sibling.DetectMatrix(read_refs, updates);
   EXPECT_EQ(misses.value(), before);
   EXPECT_EQ(Fingerprint(sibling_matrix), Fingerprint(by_ref));
-}
-
-TEST_F(BatchDetectorTest, BoundedCacheEvictsButNeverChangesVerdicts) {
-  const std::vector<Pattern> reads = Reads();
-  const std::vector<UpdateOp> updates = Updates();
-  BatchDetectorOptions options = Options(2);
-  options.max_cache_entries = 4;
-  BatchConflictDetector bounded(options);
-  BatchConflictDetector unbounded(Options(2));
-  EXPECT_EQ(Fingerprint(bounded.DetectMatrix(reads, updates)),
-            Fingerprint(unbounded.DetectMatrix(reads, updates)));
-  const BatchStats& stats = bounded.stats();
-  EXPECT_LE(bounded.cache_size(), 4u);
-  EXPECT_GT(stats.cache_evictions, 0u);
-  EXPECT_EQ(stats.cache_evictions,
-            stats.unique_pairs_solved - bounded.cache_size());
-  // Eviction does not disturb the accounting invariant.
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.pairs_total);
-
-  // A repeat call re-solves what was evicted — and only that.
-  const uint64_t solved_before = stats.unique_pairs_solved;
-  bounded.DetectMatrix(reads, updates);
-  EXPECT_GT(bounded.stats().unique_pairs_solved, solved_before);
-  EXPECT_EQ(bounded.stats().cache_hits + bounded.stats().cache_misses,
-            bounded.stats().pairs_total);
-  EXPECT_LE(bounded.cache_size(), 4u);
-}
-
-TEST_F(BatchDetectorTest, EvictionIsLeastRecentlyUsedByGeneration) {
-  // num_threads == 1: the intern order (hence key identity) is sequential
-  // and the LRU decisions below are exact.
-  BatchDetectorOptions options = Options(1);
-  options.max_cache_entries = 2;
-  BatchConflictDetector engine(options);
-  const std::vector<Pattern> reads = {Xp("a//b", symbols_),
-                                      Xp("b/c", symbols_),
-                                      Xp("x//y", symbols_)};
-  std::vector<UpdateOp> updates;
-  updates.push_back(Insert("a/b", "<c/>"));
-  auto pairs_for = [&](std::vector<size_t> read_idx) {
-    std::vector<ReadUpdatePair> pairs;
-    for (size_t i : read_idx) pairs.push_back({i, 0});
-    return pairs;
-  };
-
-  // Gen 1 caches {r0, r1}; gen 2 refreshes r0's stamp; gen 3 brings in r2,
-  // which must evict r1 (oldest stamp), not r0.
-  engine.DetectPairs(reads, updates, pairs_for({0, 1}));
-  engine.DetectPairs(reads, updates, pairs_for({0}));
-  engine.DetectPairs(reads, updates, pairs_for({2}));
-  EXPECT_EQ(engine.stats().cache_evictions, 1u);
-  EXPECT_EQ(engine.cache_size(), 2u);
-
-  const uint64_t hits_before = engine.stats().cache_hits;
-  const uint64_t solved_before = engine.stats().unique_pairs_solved;
-  engine.DetectPairs(reads, updates, pairs_for({0}));  // survived: hit
-  EXPECT_EQ(engine.stats().cache_hits, hits_before + 1);
-  EXPECT_EQ(engine.stats().unique_pairs_solved, solved_before);
-  engine.DetectPairs(reads, updates, pairs_for({1}));  // evicted: re-solved
-  EXPECT_EQ(engine.stats().unique_pairs_solved, solved_before + 1);
-}
-
-TEST_F(BatchDetectorTest, SameGenerationEvictionTieBreaksOnKeyOrder) {
-  // All three entries share one generation: the policy must still be
-  // deterministic, dropping the lowest-id keys first (interned first ==
-  // listed first at num_threads == 1).
-  BatchDetectorOptions options = Options(1);
-  options.max_cache_entries = 1;
-  BatchConflictDetector engine(options);
-  const std::vector<Pattern> reads = {Xp("a//b", symbols_),
-                                      Xp("b/c", symbols_),
-                                      Xp("x//y", symbols_)};
-  std::vector<UpdateOp> updates;
-  updates.push_back(Delete("a//c"));
-  engine.DetectPairs(reads, updates, {{0, 0}, {1, 0}, {2, 0}});
-  EXPECT_EQ(engine.stats().cache_evictions, 2u);
-  EXPECT_EQ(engine.cache_size(), 1u);
-  // The highest-id key (the last read) is the survivor.
-  const uint64_t solved_before = engine.stats().unique_pairs_solved;
-  engine.DetectPairs(reads, updates, {{2, 0}});
-  EXPECT_EQ(engine.stats().unique_pairs_solved, solved_before);
-  engine.DetectPairs(reads, updates, {{0, 0}});
-  EXPECT_EQ(engine.stats().unique_pairs_solved, solved_before + 1);
 }
 
 TEST_F(BatchDetectorTest, KnownVerdictsSurviveTheBatchPath) {

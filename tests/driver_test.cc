@@ -171,16 +171,16 @@ TEST(DriverSpecTest, EngineOptionsForSpecParsesTheSchema) {
   Result<EngineOptions> options = EngineOptionsForSpec(spec, symbols);
   ASSERT_TRUE(options.ok()) << options.status();
   ASSERT_NE(options->dtd, nullptr);
-  EXPECT_TRUE(options->batch.detector.enable_type_pruning);
   EXPECT_EQ(options->dtd->root_label(), symbols->Intern("a0"));
 
-  // The pruning toggle lands on the detector options.
+  // With pruning off the schema is parsed but not installed: no schema is
+  // how Stage 0 is switched off.
   WorkloadSpec ablated = spec;
   ablated.dtd.pruning = false;
   Result<EngineOptions> ablated_options =
       EngineOptionsForSpec(ablated, symbols);
   ASSERT_TRUE(ablated_options.ok()) << ablated_options.status();
-  EXPECT_FALSE(ablated_options->batch.detector.enable_type_pruning);
+  EXPECT_EQ(ablated_options->dtd, nullptr);
 
   // A spec without a block passes `base` through untouched.
   Result<EngineOptions> plain = EngineOptionsForSpec(Spec(), symbols);
@@ -190,6 +190,9 @@ TEST(DriverSpecTest, EngineOptionsForSpecParsesTheSchema) {
   // Malformed declarations fail at parse, with the offending line's error.
   WorkloadSpec bad = spec;
   bad.dtd.declarations = {"frobnicate a0"};
+  EXPECT_FALSE(EngineOptionsForSpec(bad, symbols).ok());
+  // ... with pruning off too: the declarations are still validated.
+  bad.dtd.pruning = false;
   EXPECT_FALSE(EngineOptionsForSpec(bad, symbols).ok());
 }
 
@@ -204,9 +207,8 @@ TEST(DriverTest, TypedSpecPrunesAndStaysDeterministic) {
     Driver driver(&engine, spec);
     Result<DriverReport> report = driver.Run();
     EXPECT_TRUE(report.ok()) << report.status();
-    return std::make_pair(*report, engine.batch_stats().type_pruned +
-                                       engine.MetricsSnapshot().counters
-                                           ["detector.method.type_pruned"]);
+    return std::make_pair(*report, engine.MetricsSnapshot().counters
+                                       ["detector.method.type_pruned"]);
   };
   const auto [serial, serial_pruned] = run(1);
   const auto [parallel, parallel_pruned] = run(4);

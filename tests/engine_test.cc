@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -77,6 +78,25 @@ TEST_F(EngineTest, DetectMatrixMatchesSingletonDetects) {
       ASSERT_TRUE(singleton.ok());
       EXPECT_EQ((*cell)->verdict, singleton->verdict) << i << "," << j;
     }
+  }
+}
+
+TEST_F(EngineTest, MatrixCellsAreTheOnlyOwnersOfTheirReports) {
+  // Bounded growth: the engine keeps nothing between calls, so once
+  // DetectMatrix returns, the cells hold every reference to their reports.
+  // Repeated reads and updates make identical pairs share one report.
+  const std::vector<Pattern> reads = {P("a/b"), P("a//c"), P("a/b")};
+  const std::vector<UpdateOp> updates = {
+      UpdateOp::MakeInsert(P("a"), Content("<b/>")),
+      *UpdateOp::MakeDelete(P("a/b")),
+      UpdateOp::MakeInsert(P("a"), Content("<b/>"))};
+  const std::vector<SharedConflictResult> matrix =
+      engine_.DetectMatrix(reads, updates);
+  std::map<const Result<ConflictReport>*, long> holders;
+  for (const SharedConflictResult& cell : matrix) ++holders[cell.get()];
+  ASSERT_LT(holders.size(), matrix.size());
+  for (const SharedConflictResult& cell : matrix) {
+    EXPECT_EQ(cell.use_count(), holders[cell.get()]);
   }
 }
 

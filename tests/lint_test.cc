@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/program_parser.h"
+#include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
@@ -213,6 +214,36 @@ TEST_F(LintTest, DtdConformingInsertIsClean) {
   const Linter linter(options);
   const LintResult result = linter.Lint(program);
   EXPECT_TRUE(ByRule(result, LintRule::kDtdViolation).empty());
+}
+
+TEST_F(LintTest, SchemaOnAnotherSymbolTableNeverLicensesAFixIt) {
+  // The schema's table interned c and d before r, so its labels disagree
+  // with the program's. Stage 0 must not compare them: the delete really
+  // changes what z reads, so aliasing z to y, or running all three
+  // statements in one batch, would change the program's meaning.
+  Program program;
+  program.AddRead("y", "x", Xp("r/c", symbols_));
+  program.AddDelete("x", Xp("r/c", symbols_));
+  program.AddRead("z", "x", Xp("r/c", symbols_));
+  const std::shared_ptr<SymbolTable> foreign = NewSymbols();
+  foreign->Intern("c");
+  foreign->Intern("d");
+  const Dtd dtd =
+      Dtd::Parse("root r\nallow r : c d\nseal c\nseal d\n", foreign).value();
+
+  LintOptions options;
+  options.dtd = &dtd;
+  const LintResult linted = Linter(options).Lint(program);
+  EXPECT_TRUE(ByRule(linted, LintRule::kRedundantRead).empty());
+  EXPECT_EQ(linted.partition.width, 1u);
+
+  // Engine::Lint with a per-call schema and no engine schema: same path.
+  Engine engine(symbols_);
+  Engine::LintRunOptions run;
+  run.dtd = &dtd;
+  const LintResult via_engine = engine.Lint(program, run);
+  EXPECT_TRUE(ByRule(via_engine, LintRule::kRedundantRead).empty());
+  EXPECT_EQ(via_engine.partition.width, 1u);
 }
 
 TEST_F(LintTest, MalformedInsertReported) {

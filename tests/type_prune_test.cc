@@ -4,10 +4,11 @@
 // does not prune must produce a report field-identical to the pre-Stage-0
 // detector's. This suite covers the TypeSet lattice, the summary
 // computation, the two pruning rules and their deliberate asymmetries, the
-// facade/batch/engine integration (accounting invariants, no memo entries
-// for pruned pairs), determinism across thread counts on a shared store
-// (the TSan leg), and an exhaustive small-pattern sweep checked against
-// the conformant-tree oracles in dtd/dtd_conflict.h.
+// facade/batch/engine integration (accounting invariants, one Stage 0 in
+// the Detect facade, schemas on a foreign SymbolTable rejected),
+// determinism across thread counts on a shared store (the TSan leg), and
+// an exhaustive small-pattern sweep checked against the conformant-tree
+// oracles in dtd/dtd_conflict.h.
 
 #include <algorithm>
 #include <cstdint>
@@ -295,22 +296,15 @@ SmallTypedWorkload MakeSmallTypedWorkload(size_t subsystems) {
 
 TEST_F(TypePruneTest, FacadeStageZeroPrunesCrossSubsystemPairsOnly) {
   const SmallTypedWorkload w = MakeSmallTypedWorkload(2);
-  DetectorOptions plain;
-  DetectorOptions pruned = plain;
+  DetectorOptions pruned;
   pruned.dtd = w.dtd.get();
-  DetectorOptions ablated = pruned;
-  ablated.enable_type_pruning = false;
 
-  // Cross-subsystem: Stage 0 answers, and TypePruneStage (the batch
-  // engine's pre-memo probe) agrees.
+  // Cross-subsystem: Stage 0 answers.
   const Result<ConflictReport> cross =
       Detect(*w.store, w.reads[0], w.updates[2], pruned);
   ASSERT_TRUE(cross.ok());
   EXPECT_EQ(cross->method, DetectorMethod::kTypePruned);
   EXPECT_EQ(cross->verdict, ConflictVerdict::kNoConflict);
-  EXPECT_TRUE(TypePruneStage(*w.store, w.reads[0], w.updates[2].kind(),
-                             w.updates[2].pattern_ref(), nullptr, pruned)
-                  .has_value());
 
   // Same-subsystem: read r/s0/x0/y0 vs delete r/s0//y0 overlaps on y0 —
   // Stage 0 hands the pair down, and the verdict is the real conflict.
@@ -319,26 +313,47 @@ TEST_F(TypePruneTest, FacadeStageZeroPrunesCrossSubsystemPairsOnly) {
   ASSERT_TRUE(same.ok());
   EXPECT_NE(same->method, DetectorMethod::kTypePruned);
   EXPECT_EQ(same->verdict, ConflictVerdict::kConflict);
-  EXPECT_FALSE(TypePruneStage(*w.store, w.reads[0], w.updates[0].kind(),
-                              w.updates[0].pattern_ref(), nullptr, pruned)
-                   .has_value());
 
-  // With pruning ablated (or no schema at all) every pair runs the
-  // pre-Stage-0 pipeline; reports must be field-identical.
+  // No schema, no Stage 0.
   for (const PatternRef read : w.reads) {
     for (const UpdateOp& update : w.updates) {
-      const Result<ConflictReport> off = Detect(*w.store, read, update, plain);
-      const Result<ConflictReport> abl =
-          Detect(*w.store, read, update, ablated);
+      const Result<ConflictReport> off = Detect(*w.store, read, update);
       ASSERT_TRUE(off.ok());
-      ASSERT_TRUE(abl.ok());
-      EXPECT_EQ(off->verdict, abl->verdict);
-      EXPECT_EQ(off->method, abl->method);
-      EXPECT_EQ(off->detail, abl->detail);
-      EXPECT_EQ(off->trees_checked, abl->trees_checked);
-      EXPECT_NE(abl->method, DetectorMethod::kTypePruned);
+      EXPECT_NE(off->method, DetectorMethod::kTypePruned);
     }
   }
+}
+
+TEST_F(TypePruneTest, StageZeroRejectsASchemaOnAnotherSymbolTable) {
+  // The patterns live on symbols_; `foreign` interned c and d before r, so
+  // the same names carry other labels there. Comparing labels across the
+  // two tables once pruned this real conflict.
+  auto store = std::make_shared<PatternStore>(symbols_);
+  const PatternRef read = store->Intern(Xp("r/c", symbols_));
+  const UpdateOp del =
+      UpdateOp::MakeDelete(store, store->Intern(Xp("r/c", symbols_))).value();
+  const char* const kSchema = "root r\nallow r : c d\nseal c\nseal d\n";
+  const std::shared_ptr<SymbolTable> foreign = NewSymbols();
+  foreign->Intern("c");
+  foreign->Intern("d");
+  const Dtd foreign_dtd = Dtd::Parse(kSchema, foreign).value();
+  const Dtd own_dtd = Dtd::Parse(kSchema, symbols_).value();
+
+  const obs::Counter& errors =
+      obs::MetricsRegistry::Default().GetCounter("detector.errors");
+  const uint64_t errors0 = errors.value();
+  DetectorOptions options;
+  options.dtd = &foreign_dtd;
+  const Result<ConflictReport> rejected = Detect(*store, read, del, options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(errors.value() - errors0, 1u);
+
+  options.dtd = &own_dtd;
+  const Result<ConflictReport> real = Detect(*store, read, del, options);
+  ASSERT_TRUE(real.ok());
+  EXPECT_EQ(real->verdict, ConflictVerdict::kConflict);
+  EXPECT_EQ(real->method, DetectorMethod::kLinearPtime);
 }
 
 TEST_F(TypePruneTest, FacadeAccountingInvariantHoldsWithStageZero) {
@@ -386,55 +401,61 @@ TEST_F(TypePruneTest, FacadeAccountingInvariantHoldsWithStageZero) {
   EXPECT_LE(pruned, no_conflict);
 }
 
-TEST_F(TypePruneTest, BatchPrunesBeforeTheMemoCache) {
+TEST_F(TypePruneTest, BatchPrunesThroughTheDetectFacade) {
   const SmallTypedWorkload w = MakeSmallTypedWorkload(3);
   BatchDetectorOptions options;
   options.detector.dtd = w.dtd.get();
   options.detector.build_witness = false;
   options.store = w.store;
   BatchConflictDetector batch(options);
+  const obs::Counter& type_pruned =
+      obs::MetricsRegistry::Default().GetCounter("detector.method.type_pruned");
 
-  // Cross-subsystem pairs only: everything prunes, nothing reaches the
-  // memo cache or a detector job.
+  // Cross-subsystem pairs only, each asked twice in one call: every job is
+  // answered by the facade's Stage 0, and each duplicate is a hit on the
+  // first asking's job.
   std::vector<ReadUpdatePair> cross;
   for (size_t i = 0; i < w.reads.size(); ++i) {
     for (size_t j = 0; j < w.updates.size(); ++j) {
       if (i / 2 != j / 2) cross.push_back({i, j});
     }
   }
-  const auto pruned_results = batch.DetectPairs(w.reads, w.updates, cross);
-  ASSERT_EQ(pruned_results.size(), cross.size());
+  std::vector<ReadUpdatePair> twice = cross;
+  twice.insert(twice.end(), cross.begin(), cross.end());
+  const uint64_t pruned0 = type_pruned.value();
+  const auto pruned_results = batch.DetectPairs(w.reads, w.updates, twice);
+  ASSERT_EQ(pruned_results.size(), twice.size());
   for (const SharedConflictResult& r : pruned_results) {
     ASSERT_TRUE(r->ok());
     EXPECT_EQ((*r)->method, DetectorMethod::kTypePruned);
     EXPECT_EQ((*r)->verdict, ConflictVerdict::kNoConflict);
   }
   BatchStats stats = batch.stats();
-  EXPECT_EQ(stats.pairs_total, cross.size());
-  EXPECT_EQ(stats.type_pruned, cross.size());
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.unique_pairs_solved, 0u);
-
-  // Re-running the same pruned pairs prunes again (no cache entries were
-  // created to hit).
-  batch.DetectPairs(w.reads, w.updates, cross);
-  stats = batch.stats();
-  EXPECT_EQ(stats.type_pruned, 2 * cross.size());
-  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.pairs_total, twice.size());
+  EXPECT_EQ(stats.cache_hits, cross.size());
+  EXPECT_EQ(stats.cache_misses, cross.size());
+  EXPECT_EQ(type_pruned.value() - pruned0, stats.cache_misses);
 
   // The full matrix mixes pruned and solved pairs; the engine-checked
-  // invariant hits + misses + type_pruned == pairs_total must hold.
+  // invariant hits + misses == pairs_total holds, and Stage 0 ran once
+  // per pruned job.
   batch.ResetStats();
+  const uint64_t pruned1 = type_pruned.value();
   const auto matrix = batch.DetectMatrix(w.reads, w.updates);
   ASSERT_EQ(matrix.size(), w.reads.size() * w.updates.size());
   stats = batch.stats();
   EXPECT_EQ(stats.pairs_total, matrix.size());
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.type_pruned,
-            stats.pairs_total);
-  EXPECT_GT(stats.type_pruned, 0u);
-  EXPECT_GT(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.unique_pairs_solved, stats.cache_misses);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.pairs_total);
+  uint64_t pruned_cells = 0;
+  for (const SharedConflictResult& r : matrix) {
+    ASSERT_TRUE(r->ok());
+    if ((*r)->method == DetectorMethod::kTypePruned) ++pruned_cells;
+  }
+  EXPECT_GT(pruned_cells, 0u);
+  EXPECT_LT(pruned_cells, matrix.size());
+  // The workload's pairs are all distinct, so every cell is its own job.
+  EXPECT_EQ(stats.cache_misses, matrix.size());
+  EXPECT_EQ(type_pruned.value() - pruned1, pruned_cells);
 }
 
 TEST_F(TypePruneTest, EngineInheritsTheSchemaEverywhere) {
@@ -461,8 +482,12 @@ TEST_F(TypePruneTest, EngineInheritsTheSchemaEverywhere) {
   }
   std::vector<UpdateOp> updates;
   for (const UpdateOp& u : w.updates) updates.push_back(engine.Bind(u));
-  engine.DetectMatrix(reads, updates);
-  EXPECT_GT(engine.batch_stats().type_pruned, 0u);
+  size_t pruned_cells = 0;
+  for (const SharedConflictResult& r : engine.DetectMatrix(reads, updates)) {
+    ASSERT_TRUE(r->ok());
+    if ((*r)->method == DetectorMethod::kTypePruned) ++pruned_cells;
+  }
+  EXPECT_GT(pruned_cells, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,7 +577,6 @@ TEST_F(TypePruneTest, ConcurrentFacadeDetectsOnOneSharedStore) {
 // drawn from in-schema and out-of-schema trees.
 //
 // Checked per (pair, semantics):
-//   - dtd set + pruning ablated  == no dtd at all (field-for-field);
 //   - Stage 0 did not fire       -> report == the unrestricted report;
 //   - Stage 0 fired              -> kNoConflict, and when the unrestricted
 //     verdict disagrees (a conflict whose witnesses the schema excludes),
@@ -625,7 +649,7 @@ class TypePruneSweepTest : public ::testing::Test {
     EXPECT_EQ(a->witness.has_value(), b->witness.has_value()) << label;
   }
 
-  /// The three-way comparison at the heart of the sweep; `oracle` runs the
+  /// The two-way comparison at the heart of the sweep; `oracle` runs the
   /// schema-restricted exhaustive search for pairs where only the oracle
   /// can adjudicate the prune.
   template <typename Oracle>
@@ -637,18 +661,11 @@ class TypePruneSweepTest : public ::testing::Test {
     plain.build_witness = false;
     DetectorOptions pruned = plain;
     pruned.dtd = dtd_.get();
-    DetectorOptions ablated = pruned;
-    ablated.enable_type_pruning = false;
 
     const Result<ConflictReport> off = Detect(*store_, read, update, plain);
-    const Result<ConflictReport> abl = Detect(*store_, read, update, ablated);
     const Result<ConflictReport> on = Detect(*store_, read, update, pruned);
     ASSERT_TRUE(off.ok()) << label;
-    ASSERT_TRUE(abl.ok()) << label;
     ASSERT_TRUE(on.ok()) << label;
-
-    // Ablation == schema-free pipeline, always.
-    ExpectSameReport(off, abl, label + " [ablated]");
 
     if (on->method != DetectorMethod::kTypePruned) {
       // Stage 0 handed the pair down: Stages 1-2 are schema-oblivious.
