@@ -6,9 +6,9 @@
 
 #include "benchmark/benchmark.h"
 #include "bench/bench_util.h"
+#include "conflict/update_op.h"
 #include "eval/evaluator.h"
 #include "eval/incremental_read.h"
-#include "ops/operations.h"
 #include "xml/tree_algos.h"
 
 namespace xmlup {
@@ -48,13 +48,14 @@ BENCHMARK(BM_EvaluatePatternSizeScaling)
     ->DenseRange(2, 130, 16)
     ->Complexity(benchmark::oN);
 
-void BM_InsertOperation(benchmark::State& state) {
+void BM_ApplyInsert(benchmark::State& state) {
   const size_t books = static_cast<size_t>(state.range(0));
   const Tree catalog = bench::Catalog(books, /*seed=*/3);
   Tree restock(bench::Symbols());
   restock.CreateRoot(bench::Symbols()->Intern("restock"));
-  const InsertOp op(bench::Xp("catalog/book[.//low]"),
-                    std::make_shared<const Tree>(std::move(restock)));
+  const UpdateOp op = UpdateOp::MakeInsert(
+      bench::Xp("catalog/book[.//low]"),
+      std::make_shared<const Tree>(std::move(restock)));
   for (auto _ : state) {
     state.PauseTiming();
     Tree work = CopyTree(catalog);
@@ -63,16 +64,16 @@ void BM_InsertOperation(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<int64_t>(catalog.size()));
 }
-BENCHMARK(BM_InsertOperation)
+BENCHMARK(BM_ApplyInsert)
     ->RangeMultiplier(4)
     ->Range(16, 4096)
     ->Complexity(benchmark::oN);
 
-void BM_DeleteOperation(benchmark::State& state) {
+void BM_ApplyDelete(benchmark::State& state) {
   const size_t books = static_cast<size_t>(state.range(0));
   const Tree catalog = bench::Catalog(books, /*seed=*/4);
-  const DeleteOp op =
-      std::move(DeleteOp::Make(bench::Xp("catalog/book[.//high]")).value());
+  const UpdateOp op =
+      UpdateOp::MakeDelete(bench::Xp("catalog/book[.//high]")).value();
   for (auto _ : state) {
     state.PauseTiming();
     Tree work = CopyTree(catalog);
@@ -81,7 +82,7 @@ void BM_DeleteOperation(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<int64_t>(catalog.size()));
 }
-BENCHMARK(BM_DeleteOperation)
+BENCHMARK(BM_ApplyDelete)
     ->RangeMultiplier(4)
     ->Range(16, 4096)
     ->Complexity(benchmark::oN);
@@ -95,8 +96,9 @@ void RunMaintenance(benchmark::State& state, bool incremental) {
   const Pattern watched = bench::Xp("catalog//restock");
   Tree restock(bench::Symbols());
   restock.CreateRoot(bench::Symbols()->Intern("restock"));
-  const InsertOp insert(bench::Xp("catalog/book[.//low]"),
-                        std::make_shared<const Tree>(std::move(restock)));
+  const UpdateOp insert = UpdateOp::MakeInsert(
+      bench::Xp("catalog/book[.//low]"),
+      std::make_shared<const Tree>(std::move(restock)));
   for (auto _ : state) {
     state.PauseTiming();
     Tree catalog = bench::Catalog(books, /*seed=*/5);
@@ -104,9 +106,9 @@ void RunMaintenance(benchmark::State& state, bool incremental) {
     state.ResumeTiming();
     size_t total = read.ok() ? read->Results().size() : 0;
     for (int round = 0; round < 8; ++round) {
-      const InsertOp::Applied applied = insert.ApplyInPlace(&catalog);
+      const UpdateOp::Applied applied = insert.ApplyInPlace(&catalog);
       if (incremental) {
-        read->OnInsert(applied);
+        read->OnInsert(applied.points, applied.copy_roots);
         total += read->Results().size();
       } else {
         total += Evaluate(watched, catalog).size();

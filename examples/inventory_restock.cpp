@@ -11,8 +11,6 @@
 
 #include "common/random.h"
 #include "engine/engine.h"
-#include "eval/evaluator.h"
-#include "ops/operations.h"
 #include "pattern/xpath_parser.h"
 #include "workload/catalog_generator.h"
 #include "xml/xml_parser.h"
@@ -36,9 +34,8 @@ int main(int argc, char** argv) {
   Result<Tree> restock_xml = ParseXml("<restock/>", symbols);
   auto restock = std::make_shared<const Tree>(std::move(restock_xml).value());
 
-  const size_t low = Evaluate(condition, catalog).size();
-  InsertOp insert(condition, restock);
-  insert.ApplyInPlace(&catalog);
+  const UpdateOp restock_insert = UpdateOp::MakeInsert(condition, restock);
+  const size_t low = restock_insert.ApplyInPlace(&catalog).points.size();
   std::cout << "restocked " << low << " books\n\n";
 
   // Classify typical reads against the restock update under all three
@@ -54,7 +51,6 @@ int main(int argc, char** argv) {
     options.batch.detector.semantics = semantics;
     engines.push_back(std::make_unique<Engine>(symbols, options));
   }
-  const UpdateOp restock_insert = UpdateOp::MakeInsert(condition, restock);
 
   const char* reads[] = {
       "catalog//restock",          // sees the inserted nodes

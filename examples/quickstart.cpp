@@ -8,7 +8,6 @@
 
 #include "engine/engine.h"
 #include "eval/evaluator.h"
-#include "ops/operations.h"
 #include "pattern/xpath_parser.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
@@ -41,8 +40,8 @@ int main() {
 
   // 3. Apply the paper's update:  insert catalog/book[.//low], <restock/>.
   Result<Tree> restock = ParseXml("<restock/>", symbols);
-  InsertOp insert(low_books,
-                  std::make_shared<const Tree>(std::move(restock).value()));
+  const UpdateOp insert = UpdateOp::MakeInsert(
+      low_books, std::make_shared<const Tree>(std::move(restock).value()));
   insert.ApplyInPlace(&catalog);
   std::cout << "after insert:\n" << WriteXml(catalog, {.indent = 2});
 
@@ -50,8 +49,7 @@ int main() {
   //    patterns once into the engine's store and detect via PatternRefs —
   //    minimization and canonical codes are computed per distinct pattern,
   //    not per Detect call.
-  UpdateOp restock_insert =
-      engine.Bind(UpdateOp::MakeInsert(low_books, insert.shared_content()));
+  const UpdateOp restock_insert = engine.Bind(insert);
   for (const char* read_xpath :
        {"catalog//restock", "catalog//title", "catalog/book"}) {
     Result<PatternRef> read_ref = engine.InternXPath(read_xpath);

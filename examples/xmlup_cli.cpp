@@ -22,7 +22,6 @@
 #include "conflict/minimize.h"
 #include "engine/engine.h"
 #include "eval/evaluator.h"
-#include "ops/operations.h"
 #include "pattern/pattern_writer.h"
 #include "pattern/xpath_parser.h"
 #include "xml/xml_parser.h"
@@ -105,12 +104,11 @@ int main(int argc, char** argv) {
     if (!pattern.ok()) return fail(pattern.status());
     Result<Tree> content = ParseXml(argv[4], symbols);
     if (!content.ok()) return fail(content.status());
-    InsertOp op(*pattern,
-                std::make_shared<const Tree>(std::move(content).value()));
+    const UpdateOp op = UpdateOp::MakeInsert(
+        *pattern, std::make_shared<const Tree>(std::move(content).value()));
     Tree work = std::move(doc).value();
-    const InsertOp::Applied applied = op.ApplyInPlace(&work);
-    std::cerr << "inserted at " << applied.insertion_points.size()
-              << " point(s)\n";
+    const UpdateOp::Applied applied = op.ApplyInPlace(&work);
+    std::cerr << "inserted at " << applied.points.size() << " point(s)\n";
     std::cout << WriteXml(work, {.indent = 2});
     return 0;
   }
@@ -121,12 +119,11 @@ int main(int argc, char** argv) {
     if (!doc.ok()) return fail(doc.status());
     Result<Pattern> pattern = parse_pattern(argv[3]);
     if (!pattern.ok()) return fail(pattern.status());
-    Result<DeleteOp> op = DeleteOp::Make(std::move(pattern).value());
+    Result<UpdateOp> op = UpdateOp::MakeDelete(std::move(pattern).value());
     if (!op.ok()) return fail(op.status());
     Tree work = std::move(doc).value();
-    const DeleteOp::Applied applied = op->ApplyInPlace(&work);
-    std::cerr << "deleted " << applied.deletion_points.size()
-              << " subtree(s)\n";
+    const UpdateOp::Applied applied = op->ApplyInPlace(&work);
+    std::cerr << "deleted " << applied.points.size() << " subtree(s)\n";
     std::cout << WriteXml(work, {.indent = 2});
     return 0;
   }

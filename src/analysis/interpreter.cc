@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/dependence_graph.h"
 #include "eval/evaluator.h"
 #include "xml/isomorphism.h"
 #include "xml/tree_algos.h"
@@ -68,23 +69,13 @@ Result<ExecutionTrace> Execute(const Program& program, TreeStore* store) {
         trace.reads.push_back(std::move(record));
         break;
       }
-      case Statement::Kind::kInsert: {
-        Tree* tree = store->GetMutable(s.target_var);
-        const std::vector<NodeId> points = Evaluate(s.pattern, *tree);
-        for (NodeId p : points) {
-          tree->GraftCopy(p, *s.content, s.content->root());
-        }
-        break;
-      }
+      case Statement::Kind::kInsert:
       case Statement::Kind::kDelete: {
-        if (s.pattern.output() == s.pattern.root()) {
-          return Status::InvalidArgument(
-              "delete statement selects the root of its tree");
-        }
-        Tree* tree = store->GetMutable(s.target_var);
-        for (NodeId p : Evaluate(s.pattern, *tree)) {
-          if (tree->alive(p)) tree->DeleteSubtree(p);
-        }
+        // The statement model: a malformed update (root-selecting delete,
+        // insert without rooted content) is the InvalidArgument lint
+        // reports as malformed-update.
+        XMLUP_ASSIGN_OR_RETURN(const UpdateOp op, ToUpdateOp(s));
+        op.ApplyInPlace(store->GetMutable(s.target_var));
         break;
       }
     }

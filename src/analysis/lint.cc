@@ -431,49 +431,30 @@ LintResult Linter::Lint(const Program& program) const {
   }
 
   // --- Pass: dtd-violation -----------------------------------------------
-  // An insert always violates the schema when (a) its content contains a
-  // forbidden parent/child edge, (b) a content node misses a required
-  // child (grafted copies get exactly X's children), or (c) the attach
-  // label is concrete and may not have X's root as a child.
+  // An insert always violates the schema when its content breaks the
+  // schema's child constraints below its root (grafted copies get exactly
+  // X's children), or when the attach label is concrete and may not have
+  // X's root as a child. Labels are ids on one SymbolTable: inserts on
+  // another table than the schema's cannot be checked against it, and one
+  // program-level diagnostic says so instead of comparing foreign ids.
   if (options_.dtd != nullptr) {
     obs::TraceSpan span("Lint.dtd_violation");
     const Dtd& dtd = *options_.dtd;
+    bool foreign = false;
     for (size_t i = 0; i < n; ++i) {
       if (statements[i].kind != Statement::Kind::kInsert || malformed(i)) {
         continue;
       }
       const Tree& content = *statements[i].content;
-      std::string why;
-      for (NodeId node : content.PreOrder()) {
-        for (NodeId child = content.first_child(node);
-             child != kNullNode && why.empty();
-             child = content.next_sibling(child)) {
-          if (!dtd.ChildAllowed(content.label(node), content.label(child))) {
-            why = "content edge " + content.LabelName(node) + " -> " +
-                  content.LabelName(child) + " is not allowed by the DTD";
-          }
-        }
-        if (!why.empty()) break;
-        for (Label required : dtd.RequiredChildren(content.label(node))) {
-          bool found = false;
-          for (NodeId child = content.first_child(node); child != kNullNode;
-               child = content.next_sibling(child)) {
-            if (content.label(child) == required) {
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            why = "content node " + content.LabelName(node) +
-                  " lacks the required child " +
-                  dtd.symbols()->Name(required);
-            break;
-          }
-        }
-        if (!why.empty()) break;
-      }
       const Pattern& p = statements[i].pattern;
-      if (why.empty() && !p.is_wildcard(p.output()) &&
+      if (!SameSymbolTable(dtd.symbols(), content.symbols()) ||
+          !SameSymbolTable(dtd.symbols(), p.symbols())) {
+        foreign = true;
+        continue;
+      }
+      std::string why;
+      if (dtd.ConformsBelow(content, content.root(), &why) &&
+          !p.is_wildcard(p.output()) &&
           !dtd.ChildAllowed(p.label(p.output()),
                             content.label(content.root()))) {
         why = "label " + content.LabelName(content.root()) +
@@ -483,6 +464,12 @@ LintResult Linter::Lint(const Program& program) const {
         emit(LintRule::kDtdViolation, {i},
              "every application violates the DTD: " + why, std::nullopt);
       }
+    }
+    if (foreign) {
+      emit(LintRule::kDtdViolation, {},
+           "the DTD is on another SymbolTable than the program, so its "
+           "inserts cannot be checked against it",
+           std::nullopt);
     }
   }
 

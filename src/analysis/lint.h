@@ -155,8 +155,9 @@ struct LintOptions {
   /// When non-null, enables the dtd-violation pass and, unless
   /// `batch.detector.dtd` is already set, the detector's Stage 0. Not
   /// owned; must outlive the Linter and share the program's SymbolTable
-  /// (Stage 0 answers every pair with InvalidArgument otherwise, which
-  /// the dependence graph keeps as a conservative dependence).
+  /// (otherwise Stage 0 answers every pair with InvalidArgument, which the
+  /// dependence graph keeps as a conservative dependence, and the
+  /// dtd-violation pass reports once that the inserts cannot be checked).
   const Dtd* dtd = nullptr;
   /// Run the parallel-safety partitioner (and emit its report).
   bool partition = true;

@@ -194,39 +194,17 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
 
   // Phase 3 — solve every job on the pool against the store's
   // pre-minimized forms. Each job writes only its own slot, so the result
-  // layout is independent of scheduling. Trace spans are buffered per job
-  // and merged once after the pool drains — except in inline mode
-  // (num_threads <= 1, no workers), where everything already runs on the
-  // calling thread in order, so per-worker span merging is skipped and
-  // events are recorded directly.
-  const bool inline_mode = pool_->num_workers() == 0;
-  const bool tracing = recorder.enabled();
-  std::vector<obs::TraceEvent> job_events(
-      tracing && !inline_mode ? jobs.size() : 0);
+  // layout is independent of scheduling.
   {
     obs::TraceSpan phase_span(recorder, "batch.solve");
     ParallelFor(pool_.get(), jobs.size(), [&](size_t index) {
       Job& job = jobs[index];
-      const uint64_t start_us = tracing ? recorder.NowMicros() : 0;
+      obs::TraceSpan job_span(recorder, "batch.solve_pair");
       obs::ScopedTimer job_timer(&metrics.solve_pair_us);
       job.result = std::make_shared<const Result<ConflictReport>>(
           SolvePair(store_, reads[job.read_index], updates[job.update_index],
                     update_refs[job.update_index], options_.detector));
-      if (!tracing) return;
-      obs::TraceEvent event;
-      event.name = "batch.solve_pair";
-      event.start_us = start_us;
-      event.dur_us = recorder.NowMicros() - start_us;
-      event.tid = obs::CurrentThreadId();
-      if (inline_mode) {
-        recorder.Record(event);
-      } else {
-        job_events[index] = event;
-      }
     });
-  }
-  if (tracing && !inline_mode) {
-    recorder.MergeThreadEvents(std::move(job_events));
   }
 
   // Phase 4 — scatter the shared results to every requesting pair.

@@ -2,87 +2,71 @@
 
 #include <vector>
 
+#include "conflict/minimize.h"
 #include "eval/evaluator.h"
 #include "pattern/pattern_ops.h"
 
 namespace xmlup {
 namespace {
 
-/// DP table for pattern homomorphisms q → p.
-class HomTable {
- public:
-  HomTable(size_t q_size, size_t p_size)
-      : stride_(p_size), bits_(q_size * p_size, false) {}
-  bool get(PatternNodeId x, PatternNodeId y) const {
-    return bits_[x * stride_ + y];
+/// The one pattern-homomorphism DP, shared by containment and
+/// minimization. A homomorphism `from` → `to` maps root to root, child
+/// edges onto child edges and descendant edges onto downward paths; a
+/// wildcard in `from` maps anywhere, a concrete label only onto the same
+/// concrete label (a wildcard in `to` stands for an arbitrary label, so it
+/// cannot support a concrete requirement). With `preserve_output` it must
+/// also map O(from) onto O(to).
+///
+/// hsat[x][y]: the subpattern of `from` rooted at x maps into `to` with
+/// x ↦ y. dsat[x][y]: hsat[x][y'] for some proper descendant y' of y.
+bool HasHomomorphism(const Pattern& from, const Pattern& to,
+                     bool preserve_output) {
+  const size_t stride = to.size();
+  std::vector<bool> hsat(from.size() * stride, false);
+  std::vector<bool> dsat(from.size() * stride, false);
+  const std::vector<PatternNodeId> to_post = to.PostOrder();
+  const std::vector<PatternNodeId> from_post = from.PostOrder();
+  for (PatternNodeId y : to_post) {
+    for (PatternNodeId x : from_post) {
+      bool ok = from.is_wildcard(x) ||
+                (!to.is_wildcard(y) && from.LabelName(x) == to.LabelName(y));
+      if (preserve_output && x == from.output() && y != to.output()) {
+        ok = false;
+      }
+      for (PatternNodeId xc = from.first_child(x);
+           ok && xc != kNullPatternNode; xc = from.next_sibling(xc)) {
+        bool edge_ok = false;
+        for (PatternNodeId yc = to.first_child(y); yc != kNullPatternNode;
+             yc = to.next_sibling(yc)) {
+          if (from.axis(xc) == Axis::kChild) {
+            edge_ok |= to.axis(yc) == Axis::kChild && hsat[xc * stride + yc];
+          } else {
+            edge_ok |= hsat[xc * stride + yc] || dsat[xc * stride + yc];
+          }
+          if (edge_ok) break;
+        }
+        ok = edge_ok;
+      }
+      hsat[x * stride + y] = ok;
+      bool below = false;
+      for (PatternNodeId yc = to.first_child(y);
+           !below && yc != kNullPatternNode; yc = to.next_sibling(yc)) {
+        below = hsat[x * stride + yc] || dsat[x * stride + yc];
+      }
+      dsat[x * stride + y] = below;
+    }
   }
-  void set(PatternNodeId x, PatternNodeId y, bool v) {
-    bits_[x * stride_ + y] = v;
-  }
-
- private:
-  size_t stride_;
-  std::vector<bool> bits_;
-};
-
-/// Label compatibility for homomorphisms: a wildcard in q maps anywhere; a
-/// concrete label in q must land on the same concrete label in p (a
-/// wildcard in p stands for an *arbitrary* label, so it cannot support a
-/// concrete requirement).
-bool HomLabelOk(const Pattern& q, PatternNodeId x, const Pattern& p,
-                PatternNodeId y) {
-  if (q.is_wildcard(x)) return true;
-  if (p.is_wildcard(y)) return false;
-  return q.LabelName(x) == p.LabelName(y);
+  return hsat[from.root() * stride + to.root()];
 }
 
 }  // namespace
 
 bool HasContainmentHomomorphism(const Pattern& p, const Pattern& q) {
-  // hsat[x][y]: the subpattern of q rooted at x maps into p with x ↦ y.
-  // dsat[x][y]: hsat[x][y'] for some proper descendant y' of y in p.
-  HomTable hsat(q.size(), p.size());
-  HomTable dsat(q.size(), p.size());
-  const std::vector<PatternNodeId> p_post = p.PostOrder();
-  const std::vector<PatternNodeId> q_post = q.PostOrder();
-  for (PatternNodeId y : p_post) {
-    for (PatternNodeId x : q_post) {
-      bool ok = HomLabelOk(q, x, p, y);
-      for (PatternNodeId xc = q.first_child(x); ok && xc != kNullPatternNode;
-           xc = q.next_sibling(xc)) {
-        bool edge_ok = false;
-        if (q.axis(xc) == Axis::kChild) {
-          // Child edges must map to child edges of p.
-          for (PatternNodeId yc = p.first_child(y); yc != kNullPatternNode;
-               yc = p.next_sibling(yc)) {
-            if (p.axis(yc) == Axis::kChild && hsat.get(xc, yc)) {
-              edge_ok = true;
-              break;
-            }
-          }
-        } else {
-          // Descendant edges map to any strictly-lower node of p.
-          for (PatternNodeId yc = p.first_child(y); yc != kNullPatternNode;
-               yc = p.next_sibling(yc)) {
-            if (hsat.get(xc, yc) || dsat.get(xc, yc)) {
-              edge_ok = true;
-              break;
-            }
-          }
-        }
-        ok = edge_ok;
-      }
-      hsat.set(x, y, ok);
-      bool below = false;
-      for (PatternNodeId yc = p.first_child(y); !below &&
-           yc != kNullPatternNode;
-           yc = p.next_sibling(yc)) {
-        below = hsat.get(x, yc) || dsat.get(x, yc);
-      }
-      dsat.set(x, y, below);
-    }
-  }
-  return hsat.get(q.root(), p.root());
+  return HasHomomorphism(q, p, /*preserve_output=*/false);
+}
+
+bool HasOutputPreservingHomomorphism(const Pattern& from, const Pattern& to) {
+  return HasHomomorphism(from, to, /*preserve_output=*/true);
 }
 
 namespace {

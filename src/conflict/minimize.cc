@@ -5,55 +5,6 @@
 #include "common/check.h"
 
 namespace xmlup {
-namespace {
-
-/// Label compatibility for homomorphisms (cf. containment.cc): wildcards
-/// in `from` map anywhere; concrete labels need an equal concrete label.
-bool HomLabelOk(const Pattern& from, PatternNodeId x, const Pattern& to,
-                PatternNodeId y) {
-  if (from.is_wildcard(x)) return true;
-  if (to.is_wildcard(y)) return false;
-  return from.LabelName(x) == to.LabelName(y);
-}
-
-}  // namespace
-
-bool HasOutputPreservingHomomorphism(const Pattern& from, const Pattern& to) {
-  const size_t stride = to.size();
-  std::vector<bool> hsat(from.size() * stride, false);
-  std::vector<bool> dsat(from.size() * stride, false);
-  const std::vector<PatternNodeId> to_post = to.PostOrder();
-  const std::vector<PatternNodeId> from_post = from.PostOrder();
-  for (PatternNodeId y : to_post) {
-    for (PatternNodeId x : from_post) {
-      bool ok = HomLabelOk(from, x, to, y);
-      // The output node must land on the output node.
-      if (x == from.output() && y != to.output()) ok = false;
-      for (PatternNodeId xc = from.first_child(x);
-           ok && xc != kNullPatternNode; xc = from.next_sibling(xc)) {
-        bool edge_ok = false;
-        for (PatternNodeId yc = to.first_child(y); yc != kNullPatternNode;
-             yc = to.next_sibling(yc)) {
-          if (from.axis(xc) == Axis::kChild) {
-            edge_ok |= to.axis(yc) == Axis::kChild && hsat[xc * stride + yc];
-          } else {
-            edge_ok |= hsat[xc * stride + yc] || dsat[xc * stride + yc];
-          }
-          if (edge_ok) break;
-        }
-        ok = edge_ok;
-      }
-      hsat[x * stride + y] = ok;
-      bool below = false;
-      for (PatternNodeId yc = to.first_child(y);
-           !below && yc != kNullPatternNode; yc = to.next_sibling(yc)) {
-        below = hsat[x * stride + yc] || dsat[x * stride + yc];
-      }
-      dsat[x * stride + y] = below;
-    }
-  }
-  return hsat[from.root() * stride + to.root()];
-}
 
 Pattern RemoveLeaf(const Pattern& p, PatternNodeId node) {
   XMLUP_CHECK(node != p.root());

@@ -15,7 +15,8 @@ namespace xmlup {
 /// O(from) to O(to), labels compatible (wildcards in `from` map anywhere,
 /// concrete labels only onto equal concrete labels), child edges onto
 /// child edges, descendant edges onto downward paths. Its existence
-/// implies [[to]](t) ⊆ [[from]](t) for every tree t.
+/// implies [[to]](t) ⊆ [[from]](t) for every tree t. Runs on the same
+/// homomorphism DP as HasContainmentHomomorphism (conflict/containment.cc).
 bool HasOutputPreservingHomomorphism(const Pattern& from, const Pattern& to);
 
 /// Removes redundant leaves: a non-output leaf x is deleted when the full

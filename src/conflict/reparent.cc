@@ -4,6 +4,7 @@
 #include <set>
 #include <vector>
 
+#include "conflict/update_op.h"
 #include "eval/embedding_enumerator.h"
 #include "eval/evaluator.h"
 #include "pattern/pattern_ops.h"
@@ -142,8 +143,7 @@ Result<Tree> ShrinkReadInsertWitness(const Pattern& read,
   Tree work = CopyTree(witness);
   const size_t orig_capacity = work.capacity();
   const std::vector<NodeId> before = Evaluate(read, work);
-  const std::vector<NodeId> points = Evaluate(insert_pattern, work);
-  for (NodeId p : points) work.GraftCopy(p, inserted, inserted.root());
+  InsertAt(&work, Evaluate(insert_pattern, work), inserted);
   const std::vector<NodeId> after = Evaluate(read, work);
 
   // Definition 9, step 1: a node in R(I(W)) \ R(W).
@@ -198,13 +198,7 @@ Result<Tree> ShrinkReadDeleteWitness(const Pattern& read,
   Tree work = CopyTree(witness);
   const std::vector<NodeId> before = Evaluate(read, work);
   const std::vector<NodeId> points = Evaluate(delete_pattern, work);
-  std::vector<NodeId> deleted_points;
-  for (NodeId p : points) {
-    if (work.alive(p)) {
-      work.DeleteSubtree(p);
-      deleted_points.push_back(p);
-    }
-  }
+  DeleteAt(&work, points);
   const std::vector<NodeId> after = Evaluate(read, work);
 
   NodeId n_witness = kNullNode;

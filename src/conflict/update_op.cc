@@ -12,6 +12,26 @@ Status ValidateDeletePattern(const Pattern& pattern) {
   return Status::OK();
 }
 
+void InsertAt(Tree* t, const std::vector<NodeId>& points, const Tree& content,
+              std::vector<NodeId>* copy_roots) {
+  if (copy_roots != nullptr) {
+    copy_roots->reserve(copy_roots->size() + points.size());
+  }
+  for (NodeId point : points) {
+    const NodeId copy = t->GraftCopy(point, content, content.root());
+    if (copy_roots != nullptr) copy_roots->push_back(copy);
+  }
+}
+
+void DeleteAt(Tree* t, const std::vector<NodeId>& points,
+              std::vector<NodeId>* removed) {
+  for (NodeId point : points) {
+    if (!t->alive(point)) continue;
+    t->DeleteSubtree(point);
+    if (removed != nullptr) removed->push_back(point);
+  }
+}
+
 UpdateOp::UpdateOp(std::variant<InsertDesc, DeleteDesc> op)
     : op_(std::move(op)) {}
 
@@ -74,20 +94,22 @@ const std::shared_ptr<const Tree>& UpdateOp::shared_content() const {
   return insert->content;
 }
 
-void UpdateOp::ApplyInPlace(Tree* t) const {
+UpdateOp::Applied UpdateOp::ApplyInPlace(Tree* t) const {
+  Applied applied;
+  std::vector<NodeId> points = Evaluate(pattern(), *t);
   Visit(
-      [t](const InsertDesc& insert) {
-        const std::vector<NodeId> points = Evaluate(insert.pattern, *t);
-        for (NodeId p : points) {
-          t->GraftCopy(p, *insert.content, insert.content->root());
-        }
+      [&](const InsertDesc& insert) {
+        InsertAt(t, points, *insert.content, &applied.copy_roots);
+        applied.points = std::move(points);
       },
-      [t](const DeleteDesc& del) {
-        const std::vector<NodeId> points = Evaluate(del.pattern, *t);
-        for (NodeId p : points) {
-          if (t->alive(p)) t->DeleteSubtree(p);
-        }
-      });
+      [&](const DeleteDesc&) { DeleteAt(t, points, &applied.points); });
+  return applied;
+}
+
+void UpdateOp::ApplyAt(Tree* t, const std::vector<NodeId>& points) const {
+  Visit(
+      [&](const InsertDesc& insert) { InsertAt(t, points, *insert.content); },
+      [&](const DeleteDesc&) { DeleteAt(t, points); });
 }
 
 }  // namespace xmlup

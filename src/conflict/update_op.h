@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <variant>
+#include <vector>
 
 #include "common/result.h"
 #include "pattern/pattern.h"
@@ -20,9 +21,27 @@ namespace xmlup {
 /// the root.
 Status ValidateDeletePattern(const Pattern& pattern);
 
-/// A single update operation — the paper's INSERT_{p,X} or DELETE_p — as a
-/// value type shared by the unified detector facade (conflict/detector.h),
-/// the batch engine, commutativity analysis and the dependence analyzer.
+/// The application loops of §3's two updates, run at points already
+/// evaluated on `t` — UpdateOp::ApplyInPlace evaluates first and then runs
+/// one of these; the Lemma 1 checkers, witness shrinking and the merge's
+/// split phase call them directly.
+///
+/// INSERT: grafts a fresh copy of `content` under every point, in order,
+/// and appends each copy's root to `copy_roots` when it is non-null.
+void InsertAt(Tree* t, const std::vector<NodeId>& points, const Tree& content,
+              std::vector<NodeId>* copy_roots = nullptr);
+
+/// DELETE: removes the subtree at every point still alive — a point inside
+/// an earlier removed subtree goes with it — and appends each point it
+/// removed to `removed` when it is non-null.
+void DeleteAt(Tree* t, const std::vector<NodeId>& points,
+              std::vector<NodeId>* removed = nullptr);
+
+/// A single update operation — the paper's INSERT_{p,X} or DELETE_p (§3) —
+/// as the library's one update value type: the detector facade
+/// (conflict/detector.h), the batch engine, commutativity analysis, the
+/// dependence analyzers, the interpreter and the merge executor all take
+/// it. READ_p is Evaluate (eval/evaluator.h).
 ///
 /// Internally a std::variant over the two descriptions, so adding an
 /// update kind extends one alternative (and the compiler flags every
@@ -95,9 +114,24 @@ class UpdateOp {
     return std::visit(Overloaded{std::forward<Fns>(fns)...}, op_);
   }
 
-  /// Applies this update in place (reference semantics: evaluate first,
-  /// then mutate).
-  void ApplyInPlace(Tree* t) const;
+  /// What one application did.
+  struct Applied {
+    /// Insert: every selected node. Delete: only the points removed (a
+    /// point inside an earlier removed subtree goes with it).
+    std::vector<NodeId> points;
+    /// Insert only: the root of the copy grafted at each point, parallel
+    /// to `points`.
+    std::vector<NodeId> copy_roots;
+  };
+
+  /// Applies this update in place with §3's reference semantics: the
+  /// pattern is evaluated once, before any mutation, then every selected
+  /// point is updated.
+  Applied ApplyInPlace(Tree* t) const;
+
+  /// The mutation half of ApplyInPlace at `points` evaluated earlier (the
+  /// merge's split phase evaluates a whole level first).
+  void ApplyAt(Tree* t, const std::vector<NodeId>& points) const;
 
  private:
   explicit UpdateOp(std::variant<InsertDesc, DeleteDesc> op);

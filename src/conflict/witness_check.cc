@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "conflict/update_op.h"
 #include "eval/evaluator.h"
 #include "xml/isomorphism.h"
 #include "xml/tree_algos.h"
@@ -68,10 +69,7 @@ bool IsReadInsertWitness(const Pattern& read, const Pattern& insert_pattern,
                          const Tree& inserted, const Tree& t,
                          ConflictSemantics semantics) {
   return CheckWitness(read, t, semantics, [&](Tree* tree) {
-    const std::vector<NodeId> points = Evaluate(insert_pattern, *tree);
-    for (NodeId point : points) {
-      tree->GraftCopy(point, inserted, inserted.root());
-    }
+    InsertAt(tree, Evaluate(insert_pattern, *tree), inserted);
   });
 }
 
@@ -79,9 +77,7 @@ bool IsReadDeleteWitness(const Pattern& read, const Pattern& delete_pattern,
                          const Tree& t, ConflictSemantics semantics) {
   XMLUP_CHECK(delete_pattern.output() != delete_pattern.root());
   return CheckWitness(read, t, semantics, [&](Tree* tree) {
-    for (NodeId point : Evaluate(delete_pattern, *tree)) {
-      if (tree->alive(point)) tree->DeleteSubtree(point);
-    }
+    DeleteAt(tree, Evaluate(delete_pattern, *tree));
   });
 }
 

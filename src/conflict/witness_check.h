@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "ops/operations.h"
 #include "pattern/pattern.h"
 #include "xml/tree.h"
 

@@ -131,34 +131,31 @@ bool Dtd::Conforms(const Tree& tree, std::string* why) const {
     }
     return false;
   }
-  for (NodeId n : tree.PreOrder()) {
-    const Label parent_label = tree.label(n);
-    const bool sealed = sealed_.count(parent_label) > 0;
+  return ConformsBelow(tree, tree.root(), why);
+}
+
+bool Dtd::ConformsBelow(const Tree& tree, NodeId node,
+                        std::string* why) const {
+  for (NodeId n : tree.SubtreeNodes(node)) {
     std::set<Label> seen;
     for (NodeId c = tree.first_child(n); c != kNullNode;
          c = tree.next_sibling(c)) {
       seen.insert(tree.label(c));
-      if (sealed) {
-        auto it = allowed_.find(parent_label);
-        if (it == allowed_.end() || it->second.count(tree.label(c)) == 0) {
-          if (why != nullptr) {
-            *why = "label " + tree.LabelName(c) + " not allowed under " +
-                   tree.LabelName(n);
-          }
-          return false;
+      if (!ChildAllowed(tree.label(n), tree.label(c))) {
+        if (why != nullptr) {
+          *why = "label " + tree.LabelName(c) + " not allowed under " +
+                 tree.LabelName(n);
         }
+        return false;
       }
     }
-    auto req = required_.find(parent_label);
-    if (req != required_.end()) {
-      for (Label must : req->second) {
-        if (seen.count(must) == 0) {
-          if (why != nullptr) {
-            *why = "node " + tree.LabelName(n) + " missing required child " +
-                   symbols_->Name(must);
-          }
-          return false;
+    for (Label must : RequiredChildren(tree.label(n))) {
+      if (seen.count(must) == 0) {
+        if (why != nullptr) {
+          *why = "node " + tree.LabelName(n) + " missing required child " +
+                 symbols_->Name(must);
         }
+        return false;
       }
     }
   }

@@ -56,12 +56,21 @@ class Dtd {
   /// Allow / Require) call this once construction is done.
   Status Validate() const;
 
-  /// True if `tree` conforms; when false and `why` is non-null, a
-  /// human-readable reason is stored.
+  /// True if `tree` conforms: it has a root, the root carries the declared
+  /// root label (if any), and ConformsBelow(tree, root). When false and
+  /// `why` is non-null, a human-readable reason is stored.
   bool Conforms(const Tree& tree, std::string* why = nullptr) const;
 
-  /// Per-edge query used by static analysis (lint's dtd-violation pass):
-  /// true unless `parent` is sealed and `child` is outside its allow-list.
+  /// The child constraints alone, over the subtree rooted at `node`: every
+  /// node's children are allowed under it and its required children are
+  /// present. No root-label restriction, so it also checks a fragment such
+  /// as an insert's content (a grafted copy gets exactly its children).
+  bool ConformsBelow(const Tree& tree, NodeId node,
+                     std::string* why = nullptr) const;
+
+  /// Per-edge query (lint's dtd-violation pass asks it for the attach
+  /// edge): true unless `parent` is sealed and `child` is outside its
+  /// allow-list.
   bool ChildAllowed(Label parent, Label child) const;
 
   /// Child labels every `parent`-labeled node must have (empty set when

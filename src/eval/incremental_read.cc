@@ -101,11 +101,12 @@ const std::vector<NodeId>& IncrementalRead::Results() {
   return results_;
 }
 
-void IncrementalRead::OnInsert(const InsertOp::Applied& applied) {
+void IncrementalRead::OnInsert(const std::vector<NodeId>& points,
+                               const std::vector<NodeId>& copy_roots) {
   EnsureCapacity();
-  for (size_t i = 0; i < applied.copy_roots.size(); ++i) {
-    const NodeId point = applied.insertion_points[i];
-    const NodeId copy = applied.copy_roots[i];
+  for (size_t i = 0; i < copy_roots.size(); ++i) {
+    const NodeId point = points[i];
+    const NodeId copy = copy_roots[i];
     if (!tree_->alive(copy)) continue;
     // Existing nodes' root paths are unchanged by insertion (linear
     // patterns have no predicates), so only the fresh copy needs states.

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "ops/operations.h"
 #include "pattern/pattern.h"
 #include "xml/tree.h"
 
@@ -45,9 +44,11 @@ class IncrementalRead {
   /// deletions.
   const std::vector<NodeId>& Results();
 
-  /// Repairs the result set after `InsertOp::ApplyInPlace` returned
-  /// `applied` on the watched tree: walks only the fresh copies.
-  void OnInsert(const InsertOp::Applied& applied);
+  /// Repairs the result set after an insert grafted the copies rooted at
+  /// `copy_roots` under `points` (parallel vectors, as in
+  /// UpdateOp::Applied) on the watched tree: walks only the fresh copies.
+  void OnInsert(const std::vector<NodeId>& points,
+                const std::vector<NodeId>& copy_roots);
 
   /// Repairs after a deletion (any number of DeleteSubtree calls): results
   /// inside deleted subtrees are tombstoned and pruned.

@@ -30,22 +30,6 @@ std::string PartnerDetail(const Slot& partner, const std::string& why) {
   return detail;
 }
 
-void ApplyOp(Tree* tree, const UpdateOp& op, const std::vector<NodeId>& points) {
-  op.Visit(
-      [&](const UpdateOp::InsertDesc& insert) {
-        for (NodeId p : points) {
-          tree->GraftCopy(p, *insert.content, insert.content->root());
-        }
-      },
-      [&](const UpdateOp::DeleteDesc&) {
-        for (NodeId p : points) {
-          // Same guard as UpdateOp::ApplyInPlace: an earlier delete in the
-          // level may have removed a selected subtree containing p.
-          if (tree->alive(p)) tree->DeleteSubtree(p);
-        }
-      });
-}
-
 }  // namespace
 
 std::string_view MergeOutcomeName(MergeOutcome outcome) {
@@ -241,9 +225,7 @@ Result<MergeReport> MergeExecutor::Merge(
         const Slot& slot = slots[batch[k]];
         points[batch[k]] = Evaluate(slot.op.pattern(), *tree);
       });
-      for (size_t idx : batch) {
-        ApplyOp(tree, slots[idx].op, points[idx]);
-      }
+      for (size_t idx : batch) slots[idx].op.ApplyAt(tree, points[idx]);
     }
   }
 

@@ -55,14 +55,6 @@ void TraceRecorder::Record(const TraceEvent& event) {
   events_.push_back(event);
 }
 
-void TraceRecorder::MergeThreadEvents(std::vector<TraceEvent> events) {
-  if (!enabled() || events.empty()) return;
-  MutexLock lock(mu_);
-  events_.insert(events_.end(), events.begin(), events.end());
-  // ordering: relaxed — statistics only; see merge_count().
-  merge_count_.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {
   MutexLock lock(mu_);
   return events_;
@@ -71,8 +63,6 @@ std::vector<TraceEvent> TraceRecorder::Snapshot() const {
 void TraceRecorder::Clear() {
   MutexLock lock(mu_);
   events_.clear();
-  // ordering: relaxed — statistics only; see merge_count().
-  merge_count_.store(0, std::memory_order_relaxed);
 }
 
 std::string TraceRecorder::ToChromeTraceJson() const {

@@ -38,13 +38,8 @@ uint32_t CurrentThreadId();
 /// opening a span reads one relaxed atomic and does nothing else, so
 /// instrumented code pays ~nothing in production. When enabled, Record()
 /// appends under a mutex — instrumentation is expected at operation
-/// granularity (a detector call, a search, a batch phase), not inside
-/// per-node loops.
-///
-/// Workers that want to keep the hot path contention-free can buffer
-/// TraceEvents locally and publish them in one MergeThreadEvents() call;
-/// merge_count() exposes how often that happened (the batch engine skips
-/// the merge entirely when it runs inline on the calling thread).
+/// granularity (a detector call, a search, a batch job), not inside
+/// per-node loops. Spans on pool workers record like any other.
 class TraceRecorder {
  public:
   TraceRecorder();
@@ -67,21 +62,9 @@ class TraceRecorder {
   /// Appends one completed span (thread-safe). No-op when disabled.
   void Record(const TraceEvent& event);
 
-  /// Bulk-appends spans buffered by a worker thread and bumps
-  /// merge_count(). No-op (and not counted) when disabled or empty.
-  void MergeThreadEvents(std::vector<TraceEvent> events);
-
-  /// Number of MergeThreadEvents() calls that appended something.
-  uint64_t merge_count() const {
-    // ordering: relaxed — statistics only, asserted after joins (which
-    // supply the happens-before edge) in tests.
-    return merge_count_.load(std::memory_order_relaxed);
-  }
-
   std::vector<TraceEvent> Snapshot() const;
 
-  /// Drops recorded events and zeroes merge_count (enabled flag and clock
-  /// are kept).
+  /// Drops recorded events (enabled flag and clock are kept).
   void Clear();
 
   /// Chrome trace_event format: {"traceEvents":[{"name":...,"ph":"X",
@@ -102,7 +85,6 @@ class TraceRecorder {
 
  private:
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> merge_count_{0};
   /// Set once in the constructor, const thereafter — lock-free to read.
   std::chrono::steady_clock::time_point epoch_;
   /// Guards the event buffer and the test clock. Leaf lock: Record /

@@ -74,6 +74,34 @@ TEST_F(AnalysisTest, InterpreterRejectsRootDelete) {
   EXPECT_FALSE(Execute(program, &store).ok());
 }
 
+/// Runs `insert $x/B, content` on <x><A/><B/></x>: a malformed insert must
+/// fail with the InvalidArgument lint reports as malformed-update, leaving
+/// the tree untouched.
+void ExpectMalformedInsertRejected(const std::shared_ptr<SymbolTable>& symbols,
+                                   std::shared_ptr<const Tree> content,
+                                   const std::string& why) {
+  Program program;
+  program.AddInsert("x", Xp("x/B", symbols), std::move(content));
+  TreeStore store(symbols);
+  store.Put("x", Xml("<x><A/><B/></x>", symbols));
+  const Result<ExecutionTrace> trace = Execute(program, &store);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(trace.status().message(), why);
+  EXPECT_EQ(store.Get("x").size(), 3u);
+}
+
+TEST_F(AnalysisTest, InterpreterRejectsInsertWithoutContent) {
+  ExpectMalformedInsertRejected(symbols_, nullptr,
+                                "insert has no content tree");
+}
+
+TEST_F(AnalysisTest, InterpreterRejectsInsertWithRootlessContent) {
+  ExpectMalformedInsertRejected(symbols_,
+                                std::make_shared<const Tree>(symbols_),
+                                "insert content tree has no root");
+}
+
 TEST_F(AnalysisTest, DependenceDifferentVariablesIndependent) {
   Program program;
   program.AddRead("y", "x1", Xp("a//b", symbols_));

@@ -181,29 +181,26 @@ TEST_F(BatchDetectorTest, CacheAccountingAddsUp) {
             engine.stats().pairs_total);
 }
 
-TEST_F(BatchDetectorTest, InlineModeSkipsSpanMergingPooledModeMerges) {
-  // With tracing on, a pooled engine publishes worker-buffered spans via
-  // one MergeThreadEvents call per batch; an inline engine (num_threads
-  // == 1) records directly and must not bump merge_count.
+TEST_F(BatchDetectorTest, EveryJobRecordsOneSpanAtAnyThreadCount) {
+  // With tracing on, each solved job opens one batch.solve_pair span,
+  // whether it runs on the calling thread or on a pool worker.
   obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
-  recorder.Clear();
   recorder.set_enabled(true);
   const std::vector<Pattern> reads = Reads();
   const std::vector<UpdateOp> updates = Updates();
 
-  BatchConflictDetector inline_engine(Options(1));
-  inline_engine.DetectMatrix(reads, updates);
-  EXPECT_EQ(recorder.merge_count(), 0u);
-  // Inline solves still produced per-pair spans, just without merging.
-  size_t inline_solve_spans = 0;
-  for (const obs::TraceEvent& e : recorder.Snapshot()) {
-    if (std::string_view(e.name) == "batch.solve_pair") ++inline_solve_spans;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    recorder.Clear();
+    BatchConflictDetector engine(Options(threads));
+    engine.DetectMatrix(reads, updates);
+    size_t solve_spans = 0;
+    for (const obs::TraceEvent& e : recorder.Snapshot()) {
+      if (std::string_view(e.name) == "batch.solve_pair") ++solve_spans;
+    }
+    EXPECT_GT(solve_spans, 0u);
+    EXPECT_EQ(solve_spans, engine.stats().cache_misses);
   }
-  EXPECT_EQ(inline_solve_spans, inline_engine.stats().cache_misses);
-
-  BatchConflictDetector pooled(Options(4));
-  pooled.DetectMatrix(reads, updates);
-  EXPECT_EQ(recorder.merge_count(), 1u);
 
   recorder.set_enabled(false);
   recorder.Clear();

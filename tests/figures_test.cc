@@ -7,6 +7,7 @@
 #include "conflict/read_insert.h"
 #include "conflict/reductions.h"
 #include "conflict/reparent.h"
+#include "conflict/update_op.h"
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "pattern/pattern_ops.h"
@@ -39,7 +40,7 @@ TEST_F(FiguresTest, Figure1RestockInsertion) {
   const std::vector<NodeId> points = Evaluate(condition, t);
   ASSERT_EQ(points.size(), 2u);
   Tree restock = Xml("<restock/>", symbols_);
-  for (NodeId p : points) t.GraftCopy(p, restock, restock.root());
+  InsertAt(&t, points, restock);
   EXPECT_EQ(Evaluate(Xp("catalog/book/restock", symbols_), t).size(), 2u);
   EXPECT_EQ(Evaluate(Xp("catalog/book[.//high]/restock", symbols_), t).size(),
             0u);

@@ -1,6 +1,7 @@
 #include "eval/incremental_read.h"
 
 #include "common/random.h"
+#include "conflict/update_op.h"
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -14,9 +15,23 @@ using testing_util::NewSymbols;
 using testing_util::Xml;
 using testing_util::Xp;
 
+/// Applies `insert` to `t` and reports it to the read watching `t`.
+void ApplyInsert(const UpdateOp& insert, Tree* t, IncrementalRead* read) {
+  const UpdateOp::Applied applied = insert.ApplyInPlace(t);
+  read->OnInsert(applied.points, applied.copy_roots);
+}
+
 class IncrementalReadTest : public ::testing::Test {
  protected:
   std::shared_ptr<SymbolTable> symbols_ = NewSymbols();
+
+  UpdateOp Insert(const char* xpath, const char* xml) {
+    return UpdateOp::MakeInsert(
+        Xp(xpath, symbols_), std::make_shared<const Tree>(Xml(xml, symbols_)));
+  }
+  UpdateOp Delete(const char* xpath) {
+    return UpdateOp::MakeDelete(Xp(xpath, symbols_)).value();
+  }
 };
 
 TEST_F(IncrementalReadTest, InitialResultsMatchEvaluator) {
@@ -46,10 +61,7 @@ TEST_F(IncrementalReadTest, InsertAddsResultsIncrementally) {
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read->Results().empty());
 
-  InsertOp insert(Xp("a/B", symbols_),
-                  std::make_shared<const Tree>(Xml("<C><C/></C>", symbols_)));
-  const InsertOp::Applied applied = insert.ApplyInPlace(&t);
-  read->OnInsert(applied);
+  ApplyInsert(Insert("a/B", "<C><C/></C>"), &t, &*read);
   EXPECT_EQ(read->Results(), Evaluate(p, t));
   EXPECT_EQ(read->Results().size(), 2u);
 }
@@ -61,9 +73,7 @@ TEST_F(IncrementalReadTest, DeleteRemovesResultsLazily) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->Results().size(), 2u);
 
-  Result<DeleteOp> del = DeleteOp::Make(Xp("a/b", symbols_));
-  ASSERT_TRUE(del.ok());
-  del->ApplyInPlace(&t);
+  Delete("a/b").ApplyInPlace(&t);
   read->OnDelete();
   EXPECT_EQ(read->Results(), Evaluate(p, t));
   EXPECT_EQ(read->Results().size(), 1u);
@@ -75,19 +85,13 @@ TEST_F(IncrementalReadTest, MixedUpdateSequence) {
   Result<IncrementalRead> read = IncrementalRead::Make(p, &t);
   ASSERT_TRUE(read.ok());
 
-  InsertOp ins1(Xp("r/x", symbols_),
-                std::make_shared<const Tree>(Xml("<q/>", symbols_)));
-  read->OnInsert(ins1.ApplyInPlace(&t));
+  ApplyInsert(Insert("r/x", "<q/>"), &t, &*read);
   EXPECT_EQ(read->Results(), Evaluate(p, t));
 
-  InsertOp ins2(Xp("r//q", symbols_),
-                std::make_shared<const Tree>(Xml("<q/>", symbols_)));
-  read->OnInsert(ins2.ApplyInPlace(&t));
+  ApplyInsert(Insert("r//q", "<q/>"), &t, &*read);
   EXPECT_EQ(read->Results(), Evaluate(p, t));
 
-  Result<DeleteOp> del = DeleteOp::Make(Xp("r/x", symbols_));
-  ASSERT_TRUE(del.ok());
-  del->ApplyInPlace(&t);
+  Delete("r/x").ApplyInPlace(&t);
   read->OnDelete();
   EXPECT_EQ(read->Results(), Evaluate(p, t));
 }
@@ -98,9 +102,7 @@ TEST_F(IncrementalReadTest, ChildAxisAndWildcards) {
   Result<IncrementalRead> read = IncrementalRead::Make(p, &t);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read->Results().empty());
-  InsertOp ins(Xp("a/w", symbols_),
-               std::make_shared<const Tree>(Xml("<n/>", symbols_)));
-  read->OnInsert(ins.ApplyInPlace(&t));
+  ApplyInsert(Insert("a/w", "<n/>"), &t, &*read);
   ASSERT_EQ(read->Results().size(), 1u);
   EXPECT_EQ(t.LabelName(read->Results()[0]), "n");
 }
@@ -133,13 +135,14 @@ TEST_P(IncrementalPropertyTest, AgreesWithFullEvaluation) {
     for (int step = 0; step < 12; ++step) {
       if (rng.NextBool(0.6)) {
         Tree content = trees.Generate(&rng);
-        InsertOp ins(patterns.GenerateLinear(&rng),
-                     std::make_shared<const Tree>(std::move(content)));
-        read->OnInsert(ins.ApplyInPlace(&t));
+        ApplyInsert(UpdateOp::MakeInsert(
+                        patterns.GenerateLinear(&rng),
+                        std::make_shared<const Tree>(std::move(content))),
+                    &t, &*read);
       } else {
         Pattern del_pattern = patterns.GenerateLinear(&rng);
         if (del_pattern.output() == del_pattern.root()) continue;
-        Result<DeleteOp> del = DeleteOp::Make(std::move(del_pattern));
+        Result<UpdateOp> del = UpdateOp::MakeDelete(std::move(del_pattern));
         ASSERT_TRUE(del.ok());
         del->ApplyInPlace(&t);
         read->OnDelete();

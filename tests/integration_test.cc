@@ -7,7 +7,6 @@
 #include "conflict/detector.h"
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
-#include "ops/operations.h"
 #include "tests/test_util.h"
 #include "workload/catalog_generator.h"
 #include "xml/tree_algos.h"
@@ -31,10 +30,11 @@ TEST(IntegrationTest, RestockPipeline) {
       Evaluate(Xp("catalog/book[.//low]", symbols), catalog).size();
 
   // The paper's insert: add <restock/> to low-quantity books.
-  InsertOp restock(Xp("catalog/book[.//low]", symbols),
-                   std::make_shared<const Tree>(Xml("<restock/>", symbols)));
-  const InsertOp::Applied applied = restock.ApplyInPlace(&catalog);
-  EXPECT_EQ(applied.insertion_points.size(), low_before);
+  const UpdateOp restock = UpdateOp::MakeInsert(
+      Xp("catalog/book[.//low]", symbols),
+      std::make_shared<const Tree>(Xml("<restock/>", symbols)));
+  const UpdateOp::Applied applied = restock.ApplyInPlace(&catalog);
+  EXPECT_EQ(applied.points.size(), low_before);
   EXPECT_EQ(Evaluate(Xp("catalog/book/restock", symbols), catalog).size(),
             low_before);
 
@@ -113,14 +113,13 @@ TEST(IntegrationTest, DetectorMatchesExecutionOnCatalogWorkload) {
         const Pattern read = Xp(read_xpath, symbols);
         const Pattern ins = Xp(insert_xpath, symbols);
         auto x = std::make_shared<const Tree>(Xml(content_xml, symbols));
-        Result<ConflictReport> report =
-            Detect(read, UpdateOp::MakeInsert(ins, x));
+        const UpdateOp op = UpdateOp::MakeInsert(ins, x);
+        Result<ConflictReport> report = Detect(read, op);
         ASSERT_TRUE(report.ok());
         if (report->verdict != ConflictVerdict::kNoConflict) continue;
         // Execute on the concrete catalog: results must be identical.
         Tree work = CopyTree(catalog);
         const std::vector<NodeId> before = Evaluate(read, work);
-        InsertOp op(ins, x);
         op.ApplyInPlace(&work);
         EXPECT_EQ(Evaluate(read, work), before)
             << read_xpath << " should be independent of insert at "
@@ -128,17 +127,6 @@ TEST(IntegrationTest, DetectorMatchesExecutionOnCatalogWorkload) {
       }
     }
   }
-}
-
-TEST(IntegrationTest, FunctionalVsMutatingSemanticsAgree) {
-  auto symbols = NewSymbols();
-  Tree t = Xml("<a><b/><b><c/></b></a>", symbols);
-  InsertOp ins(Xp("a/b", symbols),
-               std::make_shared<const Tree>(Xml("<n/>", symbols)));
-  Tree functional = ins.ApplyFunctional(t);
-  Tree mutating = CopyTree(t);
-  ins.ApplyInPlace(&mutating);
-  EXPECT_EQ(WriteXml(functional), WriteXml(mutating));
 }
 
 }  // namespace

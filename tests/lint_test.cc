@@ -216,6 +216,28 @@ TEST_F(LintTest, DtdConformingInsertIsClean) {
   EXPECT_TRUE(ByRule(result, LintRule::kDtdViolation).empty());
 }
 
+TEST_F(LintTest, DtdOnAnotherSymbolTableIsReportedNotCompared) {
+  // The same forbidden-child insert as above, with the schema parsed on a
+  // fresh table: its label ids mean nothing on the program's table, so
+  // lint says once that the program cannot be checked instead of
+  // comparing them.
+  Program program;
+  program.AddInsert("x", Xp("catalog/book", symbols_), Content("<price/>"));
+  program.AddInsert("x", Xp("catalog", symbols_), Content("<book/>"));
+  const Dtd dtd =
+      Dtd::Parse("allow book : title author\n", NewSymbols()).value();
+  LintOptions options;
+  options.dtd = &dtd;
+  const LintResult result = Linter(options).Lint(program);
+  const auto violations = ByRule(result, LintRule::kDtdViolation);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_TRUE(violations[0]->statements.empty());
+  EXPECT_NE(violations[0]->message.find("cannot be checked"),
+            std::string::npos)
+      << violations[0]->message;
+  EXPECT_TRUE(result.HasErrors());
+}
+
 TEST_F(LintTest, SchemaOnAnotherSymbolTableNeverLicensesAFixIt) {
   // The schema's table interned c and d before r, so its labels disagree
   // with the program's. Stage 0 must not compare them: the delete really

@@ -129,9 +129,7 @@ TEST(TraceTest, DisabledRecorderRecordsNothing) {
   TraceRecorder recorder;  // disabled by default
   { TraceSpan span(recorder, "ignored"); }
   recorder.Record({"direct", 0, 1, 0, 0});
-  recorder.MergeThreadEvents({{"merged", 0, 1, 0, 0}});
   EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_EQ(recorder.merge_count(), 0u);
 }
 
 TEST(TraceTest, SpanNestingDepthsAndExportRoundTrip) {
@@ -186,17 +184,6 @@ TEST(TraceTest, SpanNestingDepthsAndExportRoundTrip) {
 
   recorder.Clear();
   EXPECT_TRUE(recorder.Snapshot().empty());
-}
-
-TEST(TraceTest, MergeThreadEventsBumpsCountOncePerBatch) {
-  TraceRecorder recorder;
-  recorder.set_enabled(true);
-  recorder.MergeThreadEvents({{"a", 0, 1, 0, 0}, {"b", 1, 2, 0, 0}});
-  recorder.MergeThreadEvents({});  // empty: not counted
-  EXPECT_EQ(recorder.merge_count(), 1u);
-  EXPECT_EQ(recorder.Snapshot().size(), 2u);
-  recorder.Clear();
-  EXPECT_EQ(recorder.merge_count(), 0u);
 }
 
 TEST(TraceTest, ConcurrentSpansAllArrive) {

@@ -5,9 +5,9 @@
 #include "common/random.h"
 #include "conflict/read_delete.h"
 #include "conflict/read_insert.h"
+#include "conflict/update_op.h"
 #include "eval/evaluator.h"
 #include "gtest/gtest.h"
-#include "ops/operations.h"
 #include "pattern/compiled_pattern.h"
 #include "tests/test_util.h"
 #include "workload/catalog_generator.h"
@@ -40,12 +40,14 @@ TEST(StressTest, LargeCatalogEvaluationAndUpdate) {
 
   Tree restock(symbols);
   restock.CreateRoot(symbols->Intern("restock"));
-  InsertOp insert(condition, std::make_shared<const Tree>(std::move(restock)));
-  const InsertOp::Applied applied = insert.ApplyInPlace(&catalog);
-  EXPECT_EQ(applied.insertion_points.size(), low.size());
+  const UpdateOp insert = UpdateOp::MakeInsert(
+      condition, std::make_shared<const Tree>(std::move(restock)));
+  const UpdateOp::Applied applied = insert.ApplyInPlace(&catalog);
+  EXPECT_EQ(applied.points.size(), low.size());
   EXPECT_TRUE(catalog.Validate().ok());
 
-  Result<DeleteOp> drop = DeleteOp::Make(Xp("catalog/book[.//high]", symbols));
+  Result<UpdateOp> drop =
+      UpdateOp::MakeDelete(Xp("catalog/book[.//high]", symbols));
   ASSERT_TRUE(drop.ok());
   drop->ApplyInPlace(&catalog);
   ASSERT_TRUE(catalog.Validate().ok());

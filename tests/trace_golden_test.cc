@@ -26,10 +26,10 @@ std::string ReadGolden(const std::string& name) {
   return content;
 }
 
-/// The fixed scenario: a top-level span, a nested child, and one batch of
-/// worker-buffered events published through MergeThreadEvents. All times
-/// come from the fake clock; the main-thread tid is 0 because this test
-/// binary runs the scenario on the first thread that ever asks for an id.
+/// The fixed scenario: a top-level span, a nested child, and one event a
+/// worker thread recorded. All times come from the fake clock; the
+/// main-thread tid is 0 because this test binary runs the scenario on the
+/// first thread that ever asks for an id.
 void RecordScenario(TraceRecorder* recorder) {
   uint64_t now = 0;
   recorder->SetClockForTest([&now] { return now; });
@@ -47,7 +47,7 @@ void RecordScenario(TraceRecorder* recorder) {
     }
     now += 25;
   }
-  recorder->MergeThreadEvents({{"worker", 60, 30, 7, 0}});
+  recorder->Record({"worker", 60, 30, 7, 0});
 }
 
 TEST(TraceGoldenTest, ChromeTraceJsonMatchesGolden) {
