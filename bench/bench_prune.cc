@@ -52,7 +52,7 @@ DetectorOptions WarmOptions() {
 struct TypedWorkload {
   std::shared_ptr<SymbolTable> symbols;
   std::shared_ptr<PatternStore> store;
-  std::unique_ptr<Dtd> dtd;
+  std::shared_ptr<const Dtd> dtd;
   std::vector<PatternRef> reads;
   std::vector<UpdateOp> updates;  // bound to `store`
 
@@ -80,7 +80,7 @@ TypedWorkload MakeTypedWorkload() {
     schema += "allow x" + s + " : x" + s + " y" + s + "\n";
     schema += "seal y" + s + "\n";
   }
-  w.dtd = std::make_unique<Dtd>(Dtd::Parse(schema, w.symbols).value());
+  w.dtd = std::make_shared<const Dtd>(Dtd::Parse(schema, w.symbols).value());
 
   auto chain = [](size_t k, size_t xsteps, bool descendant, bool leaf) {
     const std::string s = std::to_string(k);
@@ -158,7 +158,7 @@ BENCHMARK(BM_DetectWarmUnpruned)->Unit(benchmark::kMicrosecond);
 void BM_DetectWarmPruned(benchmark::State& state) {
   const TypedWorkload w = MakeTypedWorkload();
   DetectorOptions options = WarmOptions();
-  options.dtd = w.dtd.get();
+  options.dtd = w.dtd;
   Pass(w, options, nullptr, nullptr);  // summaries + residual automata
   for (auto _ : state) {
     benchmark::DoNotOptimize(Pass(w, options, nullptr, nullptr));
@@ -176,7 +176,7 @@ std::string MeasurePrune() {
   const TypedWorkload w = MakeTypedWorkload();
   const DetectorOptions warm_options = WarmOptions();
   DetectorOptions pruned_options = warm_options;
-  pruned_options.dtd = w.dtd.get();
+  pruned_options.dtd = w.dtd;
 
   std::vector<ConflictVerdict> warm_verdicts, pruned_verdicts;
   uint64_t pruned_pairs = 0;

@@ -55,8 +55,8 @@ inline Tree Catalog(size_t num_books, uint64_t seed) {
 }
 
 /// Observability toggle for bench harnesses: XMLUP_OBS=0 turns the trace
-/// recorder off (metrics counters are always live unless compiled out with
-/// -DXMLUP_OBS_DISABLED); anything else — including unset — turns it on.
+/// recorder off (metrics counters are always live); anything else —
+/// including unset — turns it on.
 /// Lets the same binary measure obs-on vs obs-off overhead.
 inline bool ObsEnabledFromEnv() {
   const char* env = std::getenv("XMLUP_OBS");

@@ -95,30 +95,28 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << source.status() << "\n";
     return 2;
   }
-  Engine engine(options);
-  const std::shared_ptr<SymbolTable>& symbols = engine.symbols();
+  // The program and the schema share one table, which the engine adopts.
+  auto symbols = std::make_shared<SymbolTable>();
   Result<ParsedProgram> parsed = ParseProgram(*source, symbols);
   if (!parsed.ok()) {
     std::cerr << "error: " << parsed.status() << "\n";
     return 2;
   }
-
-  std::optional<Dtd> dtd;
   if (!dtd_path.empty()) {
     Result<std::string> dtd_text = Slurp(dtd_path);
     if (!dtd_text.ok()) {
       std::cerr << "error: " << dtd_text.status() << "\n";
       return 2;
     }
-    Result<Dtd> dtd_parsed = Dtd::Parse(*dtd_text, symbols);
-    if (!dtd_parsed.ok()) {
-      std::cerr << "error: " << dtd_parsed.status() << "\n";
+    Result<Dtd> dtd = Dtd::Parse(*dtd_text, symbols);
+    if (!dtd.ok()) {
+      std::cerr << "error: " << dtd.status() << "\n";
       return 2;
     }
-    dtd.emplace(std::move(dtd_parsed).value());
-    run_options.dtd = &*dtd;
+    options.dtd = std::make_shared<const Dtd>(std::move(dtd).value());
   }
 
+  Engine engine(symbols, std::move(options));
   const LintResult result = engine.Lint(parsed->program, run_options);
 
   LintRenderOptions render;

@@ -9,6 +9,7 @@
 #include "analysis/optimizer.h"
 #include "common/string_util.h"
 #include "conflict/minimize.h"
+#include "dtd/dtd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -205,14 +206,6 @@ Linter::Linter(LintOptions options)
         // to rewrite content *below* a read's result nodes. Forced here,
         // whatever the caller put in options.batch.detector.semantics.
         options.batch.detector.semantics = ConflictSemantics::kTree;
-        // A linter given a schema treats documents as conformant to it:
-        // the same Dtd that drives the dtd-violation pass also feeds the
-        // detector's Stage 0 type filter, so schema-disjoint statement
-        // pairs prune before any matching work (callers that pre-set
-        // detector.dtd — the Engine facade — keep their wiring).
-        if (options.dtd != nullptr && options.batch.detector.dtd == nullptr) {
-          options.batch.detector.dtd = options.dtd;
-        }
         return options;
       }()),
       batch_(options_.batch) {}
@@ -437,9 +430,9 @@ LintResult Linter::Lint(const Program& program) const {
   // X's root as a child. Labels are ids on one SymbolTable: inserts on
   // another table than the schema's cannot be checked against it, and one
   // program-level diagnostic says so instead of comparing foreign ids.
-  if (options_.dtd != nullptr) {
+  if (options_.batch.detector.dtd != nullptr) {
     obs::TraceSpan span("Lint.dtd_violation");
-    const Dtd& dtd = *options_.dtd;
+    const Dtd& dtd = *options_.batch.detector.dtd;
     bool foreign = false;
     for (size_t i = 0; i < n; ++i) {
       if (statements[i].kind != Statement::Kind::kInsert || malformed(i)) {

@@ -9,7 +9,6 @@
 #include "analysis/program.h"
 #include "common/result.h"
 #include "conflict/batch_detector.h"
-#include "dtd/dtd.h"
 
 namespace xmlup {
 
@@ -150,15 +149,14 @@ struct LintResult {
 
 struct LintOptions {
   /// Engine configuration: detector options (semantics, search budget),
-  /// thread count, shared PatternStore.
+  /// thread count, shared PatternStore. A schema in `batch.detector.dtd`
+  /// drives both the detector's Stage 0 and the dtd-violation pass. On
+  /// another SymbolTable than the program's, or against an injected store
+  /// bound to another schema, Stage 0 answers every pair with
+  /// InvalidArgument, which the dependence graph keeps as a conservative
+  /// dependence; a foreign-table schema also makes the dtd-violation pass
+  /// report once that the inserts cannot be checked.
   BatchDetectorOptions batch;
-  /// When non-null, enables the dtd-violation pass and, unless
-  /// `batch.detector.dtd` is already set, the detector's Stage 0. Not
-  /// owned; must outlive the Linter and share the program's SymbolTable
-  /// (otherwise Stage 0 answers every pair with InvalidArgument, which the
-  /// dependence graph keeps as a conservative dependence, and the
-  /// dtd-violation pass reports once that the inserts cannot be checked).
-  const Dtd* dtd = nullptr;
   /// Run the parallel-safety partitioner (and emit its report).
   bool partition = true;
 };

@@ -33,17 +33,10 @@ class Nfa {
   StateId accept() const { return accept_; }
 
   const std::vector<Transition>& transitions() const { return transitions_; }
-  const std::vector<EpsilonTransition>& epsilon_transitions() const {
-    return epsilon_transitions_;
-  }
 
   /// Symbol transitions leaving `s` (indexed adjacency).
   const std::vector<uint32_t>& TransitionsFrom(StateId s) const {
     return by_state_[s];
-  }
-  /// Epsilon targets from `s`.
-  const std::vector<StateId>& EpsilonFrom(StateId s) const {
-    return epsilon_by_state_[s];
   }
 
   /// Epsilon closure of a state set (sorted, deduplicated).

@@ -160,16 +160,14 @@ ConflictReport FromSearch(BruteForceResult search, size_t paper_bound,
 /// footprints are disjoint (the fixed-field kTypePruned / kNoConflict
 /// report); otherwise nullopt, and the pair belongs in Stages 1-2.
 /// Summaries are served from the store's per-entry cache
-/// (PatternStore::type_summary). The caller has checked that the schema
-/// shares the read's SymbolTable.
+/// (PatternStore::type_summary) under the store's bound schema, which the
+/// caller has checked is options.dtd.
 std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
                                              PatternRef read,
                                              const UpdateOp& update,
                                              const DetectorOptions& options) {
-  const Dtd& dtd = *options.dtd;
-  const TypeSummary& read_summary = store.type_summary(read, dtd);
-  const TypeSummary& update_summary =
-      store.type_summary(update.pattern_ref(), dtd);
+  const TypeSummary& read_summary = store.type_summary(read);
+  const TypeSummary& update_summary = store.type_summary(update.pattern_ref());
   const bool pruned =
       update.kind() == UpdateOp::Kind::kInsert
           ? TypePrunesReadInsert(read_summary, update_summary,
@@ -203,6 +201,7 @@ Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
           "DetectorOptions::dtd was parsed against a different SymbolTable "
           "than the read's; labels are only comparable within one table");
     }
+    XMLUP_RETURN_NOT_OK(store.BindSchema(options.dtd));
     if (std::optional<ConflictReport> pruned =
             TypePruneStage(store, read, update, options)) {
       return std::move(*pruned);

@@ -1,6 +1,8 @@
 #ifndef XMLUP_CONFLICT_DETECTOR_H_
 #define XMLUP_CONFLICT_DETECTOR_H_
 
+#include <memory>
+
 #include "common/result.h"
 #include "conflict/bounded_search.h"
 #include "conflict/report.h"
@@ -32,18 +34,13 @@ struct DetectorOptions {
   /// conflict on any DTD-conformant document, while Stages 1-2 keep the
   /// unrestricted-document semantics of the paper. Setting a schema can
   /// only refine kConflict/kUnknown answers into schema-sound kNoConflict
-  /// ones — it never flips a no-conflict verdict. Must outlive every
-  /// Detect call (the PatternStore caches summaries keyed by its address)
-  /// and share the read's SymbolTable: labels mean nothing across tables,
-  /// so Detect answers InvalidArgument for a schema on another table.
-  /// Null disables Stage 0 entirely.
-  const Dtd* dtd = nullptr;
-  /// Multi-pair scans (conflict/transactions.h): record *every*
-  /// uncertified pair in deterministic order instead of stopping at the
-  /// first — what a scheduler needs to distinguish one bad pair from a
-  /// dense conflict. The default keeps the cheap early exit. Single-pair
-  /// Detect/Certify calls ignore this.
-  bool exhaustive = false;
+  /// ones — it never flips a no-conflict verdict. The schema must share
+  /// the read's SymbolTable (labels mean nothing across tables), and a
+  /// PatternStore serves one schema: the first Detect with a schema binds
+  /// it to the store, which keeps it alive (PatternStore::BindSchema).
+  /// Either rule broken is a counted InvalidArgument. Null disables
+  /// Stage 0 entirely.
+  std::shared_ptr<const Dtd> dtd;
 };
 
 /// Unified read-update conflict detection — the one entry point of the
@@ -55,7 +52,8 @@ struct DetectorOptions {
 ///     dependence analyzers and the Engine facade all reach it through
 ///     this function. A schema whose SymbolTable is not the read's
 ///     returns InvalidArgument (counted under detector.errors) instead of
-///     comparing labels across tables;
+///     comparing labels across tables, and so does a schema other than
+///     the one the store is bound to;
 ///   - Stage 1: dispatch on the update's kind and the read's shape —
 ///     linear read: the complete polynomial algorithms (Theorems 1-2,
 ///     Corollaries 1-2), method kLinearPtime, definitive verdict;

@@ -25,22 +25,17 @@ struct TransactionReport {
   size_t t1_index = 0;
   size_t t2_index = 0;
   std::string detail;
-  /// Every uncertified cross pair found, as (T1 index, T2 index) in
-  /// deterministic lexicographic order. With DetectorOptions::exhaustive
-  /// this is the complete set — the input a scheduler needs to tell "one
-  /// bad pair" from "dense conflict". With the early-exit default it
-  /// holds at most the first pair.
+  /// Every uncertified cross pair, as (T1 index, T2 index) in
+  /// deterministic lexicographic order — the input a scheduler needs to
+  /// tell "one bad pair" from "dense conflict".
   std::vector<std::pair<size_t, size_t>> uncertified;
-  /// Cross pairs actually examined. |T1|·|T2| when the scan ran to
-  /// completion (certified, or options.exhaustive); with the early-exit
-  /// default, the count up to and including the first uncertified pair.
+  /// Cross pairs examined: always |T1|·|T2|, since the scan is complete.
   size_t pairs_checked = 0;
 };
 
 /// Attempts to certify that transactions `t1` and `t2` commute on every
 /// document. Sound, incomplete (inherits the certificate's incompleteness).
-/// With `options.exhaustive` the scan continues past the first uncertified
-/// pair and records all of them; otherwise it stops at the first.
+/// Scans every cross pair and records each uncertified one.
 Result<TransactionReport> CertifyTransactionsCommute(
     const std::vector<UpdateOp>& t1, const std::vector<UpdateOp>& t2,
     const DetectorOptions& options = {});

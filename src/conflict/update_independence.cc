@@ -4,13 +4,13 @@ namespace xmlup {
 namespace {
 
 /// Treats `read_op`'s own pattern evaluation as a read and asks whether
-/// the other update can ever change it (node semantics). Ops bound to a
-/// PatternStore go through the ref facade, so transaction-level callers
-/// that Bind their ops once pay no per-pair canonicalization here.
+/// the other update can ever change it (`options` carries node semantics).
+/// Ops bound to a PatternStore go through the ref facade, so
+/// transaction-level callers that Bind their ops once pay no per-pair
+/// canonicalization here.
 Result<ConflictReport> PatternVsUpdate(const UpdateOp& read_op,
                                        const UpdateOp& update,
-                                       DetectorOptions options) {
-  options.semantics = ConflictSemantics::kNode;
+                                       const DetectorOptions& options) {
   if (read_op.pattern_store() != nullptr && read_op.pattern_ref().valid()) {
     return Detect(*read_op.pattern_store(), read_op.pattern_ref(), update,
                   options);
@@ -23,6 +23,8 @@ Result<ConflictReport> PatternVsUpdate(const UpdateOp& read_op,
 Result<IndependenceReport> CertifyUpdatesCommute(
     const UpdateOp& o1, const UpdateOp& o2, const DetectorOptions& options) {
   IndependenceReport report;
+  DetectorOptions node_options = options;
+  node_options.semantics = ConflictSemantics::kNode;
 
   // Soundness argument (see header): if neither update can change the
   // other's selected point set — on *any* tree — then in either order both
@@ -30,7 +32,7 @@ Result<IndependenceReport> CertifyUpdatesCommute(
   // other order deletes, and fresh inserted copies are never selected; the
   // two results are isomorphic.
   XMLUP_ASSIGN_OR_RETURN(ConflictReport o1_affects_o2,
-                         PatternVsUpdate(o2, o1, options));
+                         PatternVsUpdate(o2, o1, node_options));
   if (o1_affects_o2.verdict != ConflictVerdict::kNoConflict) {
     report.certificate = CommutativityCertificate::kUnknown;
     report.detail =
@@ -39,7 +41,7 @@ Result<IndependenceReport> CertifyUpdatesCommute(
     return report;
   }
   XMLUP_ASSIGN_OR_RETURN(ConflictReport o2_affects_o1,
-                         PatternVsUpdate(o1, o2, options));
+                         PatternVsUpdate(o1, o2, node_options));
   if (o2_affects_o1.verdict != ConflictVerdict::kNoConflict) {
     report.certificate = CommutativityCertificate::kUnknown;
     report.detail =

@@ -20,9 +20,13 @@ namespace xmlup {
 ///   o1(o2(t)) ≅ o2(o1(t)) for every t.
 ///
 /// For deletions the condition must also rule out one update deleting the
-/// other's selected nodes or inserted content; treating the other
-/// operation's pattern as a read under *tree* semantics covers this (a
-/// deletion below a selected point is a tree conflict).
+/// other's selected nodes or inserted content. Reading the other
+/// operation's pattern under *node* semantics covers this: deleting a
+/// selected node (or an ancestor) drops it from the selection, and a
+/// delete that reaches the other's inserted copies selects nodes that
+/// insert created — both are node conflicts. A deletion strictly below
+/// the other's selected points changes no selection and commutes with it
+/// (delete r/a/b against insert <c/> at r/a is certified).
 ///
 /// The check is complete-as-a-certificate: kCertified answers are always
 /// correct; kUnknown means the certificate does not apply (the updates may

@@ -35,7 +35,7 @@ uint64_t ElapsedMicros(Clock::time_point from, Clock::time_point to) {
 /// join. Latency rides the same power-of-two bucketing as obs::Histogram
 /// so the merged result is an obs::HistogramData and percentile extraction
 /// is HistogramData::Quantile — but the buckets here are worker-local, so
-/// they work identically under -DXMLUP_OBS_DISABLED and never mix phases.
+/// they never mix phases.
 struct WorkerTally {
   VerdictTally verdicts;
   MergeTally merge;

@@ -23,16 +23,12 @@ Engine::Engine(std::shared_ptr<SymbolTable> symbols, EngineOptions options)
     : options_(std::move(options)), symbols_(OrFresh(std::move(symbols))) {
   store_ = std::make_shared<PatternStore>(symbols_);
   options_.batch.store = store_;
-  if (options_.dtd != nullptr) {
-    XMLUP_CHECK_STREAM(SameSymbolTable(symbols_, options_.dtd->symbols()))
-        << "EngineOptions::dtd was parsed against a different SymbolTable "
-           "than this engine's. Labels are only comparable within one "
-           "table; parse the DTD with the engine's table.";
-    // The engine owns the shared_ptr, so the raw pointer every layer below
-    // holds stays valid for the engine's lifetime (the store caches type
-    // summaries keyed by this address).
-    options_.batch.detector.dtd = options_.dtd.get();
-  }
+  XMLUP_CHECK_STREAM(options_.dtd == nullptr ||
+                     SameSymbolTable(symbols_, options_.dtd->symbols()))
+      << "EngineOptions::dtd was parsed against a different SymbolTable "
+         "than this engine's. Labels are only comparable within one "
+         "table; parse the DTD with the engine's table.";
+  options_.batch.detector.dtd = options_.dtd;
   batch_ = std::make_shared<BatchConflictDetector>(options_.batch);
 }
 
@@ -105,7 +101,6 @@ std::vector<SharedConflictResult> Engine::DetectPairs(
 
 std::unique_ptr<Engine::Session> Engine::MakeSession() const {
   BatchDetectorOptions session_options = options_.batch;
-  session_options.store = store_;
   session_options.num_threads = 1;
   auto engine = std::make_shared<BatchConflictDetector>(session_options);
   return std::unique_ptr<Session>(new Session(std::move(engine)));
@@ -114,10 +109,6 @@ std::unique_ptr<Engine::Session> Engine::MakeSession() const {
 LintResult Engine::Lint(const Program& program, const LintRunOptions& run) {
   LintOptions lint_options;
   lint_options.batch = options_.batch;
-  lint_options.batch.store = store_;
-  // Per-call schema wins; otherwise the engine's configured schema drives
-  // the lint dtd-violation pass too (one engine = one schema).
-  lint_options.dtd = run.dtd != nullptr ? run.dtd : options_.dtd.get();
   lint_options.partition = run.partition;
   CheckNotOnPoolWorker("Lint");
   MutexLock lock(batch_mu_);
@@ -131,9 +122,7 @@ DependenceAnalysisResult Engine::AnalyzeDependences(const Program& program) {
   CheckNotOnPoolWorker("AnalyzeDependences");
   MutexLock lock(batch_mu_);
   if (dependence_ == nullptr) {
-    BatchDetectorOptions dependence_options = options_.batch;
-    dependence_options.store = store_;
-    dependence_ = std::make_unique<DependenceAnalyzer>(dependence_options);
+    dependence_ = std::make_unique<DependenceAnalyzer>(options_.batch);
   }
   return dependence_->Analyze(program);
 }

@@ -28,18 +28,18 @@ namespace xmlup {
 /// semantics build a second Engine (they can share a SymbolTable).
 struct EngineOptions {
   /// Detector semantics/budget and worker threads for the matrix engine.
-  /// `batch.store` is ignored — the Engine owns the store wiring (one
-  /// minimizing store). `batch.detector.dtd` is overridden by `dtd` below
-  /// when that is set.
+  /// `batch.store` and `batch.detector.dtd` are ignored — the Engine owns
+  /// the store wiring (one minimizing store) and takes its schema from
+  /// `dtd` below.
   BatchDetectorOptions batch;
-  /// Schema for the Stage 0 type-pruning filter. When set, the engine
-  /// keeps it alive and wires it into every layer it owns — single-pair
-  /// Detect, the matrix engine, sessions, dependence analysis, and Lint's
-  /// dtd-violation pass (unless a LintRunOptions::dtd overrides per call).
-  /// Must share the engine's SymbolTable (CHECK-failed at construction).
-  /// Detection then becomes conservative under the schema: pairs with
-  /// disjoint type footprints resolve to kNoConflict (method kTypePruned)
-  /// before any matching work — see DetectorOptions::dtd.
+  /// Schema for the Stage 0 type-pruning filter, copied into the detector
+  /// options of every layer the engine owns — single-pair Detect, the
+  /// matrix engine, sessions, dependence analysis, and Lint (Stage 0 and
+  /// its dtd-violation pass). Must share the engine's SymbolTable
+  /// (CHECK-failed at construction). Detection then becomes conservative
+  /// under the schema: pairs with disjoint type footprints resolve to
+  /// kNoConflict (method kTypePruned) before any matching work — see
+  /// DetectorOptions::dtd.
   std::shared_ptr<const Dtd> dtd;
 };
 
@@ -166,17 +166,13 @@ class Engine {
   /// --- Program analysis ---
 
   struct LintRunOptions {
-    /// Enables the dtd-violation pass (and, when the engine has no
-    /// schema, Stage 0 — see LintOptions::dtd); must share the engine's
-    /// SymbolTable and outlive the call. Null defaults to the engine's
-    /// configured EngineOptions::dtd (if any).
-    const Dtd* dtd = nullptr;
     /// Run the parallel-safety partitioner.
     bool partition = true;
   };
 
   /// Lints a straight-line update program with the engine's detector
-  /// configuration. Serialized on the engine mutex. Each call builds a
+  /// configuration, its schema included. Serialized on the engine mutex.
+  /// Each call builds a
   /// fresh Linter, so verdicts are solved per call (each distinct pair
   /// once); only the shared store — interned patterns and compiled forms
   /// — stays warm across calls.
@@ -202,9 +198,6 @@ class Engine {
   /// single-caller-at-a-time contract (the facade's DetectMatrix/Lint
   /// serialization no longer protects them).
   BatchConflictDetector& batch() { return *batch_; }
-  const std::shared_ptr<BatchConflictDetector>& shared_batch() const {
-    return batch_;
-  }
 
  private:
   /// CHECK-fails when called from a ThreadPool worker: every serialized

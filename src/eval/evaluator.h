@@ -40,14 +40,6 @@ bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope);
 /// EnumerateEmbeddings. Saturates at UINT64_MAX.
 uint64_t CountEmbeddings(const Pattern& p, const Tree& t);
 
-/// [[p]]_T(t): the roots of the result subtrees. Identical node set to
-/// Evaluate; provided for symmetry with the paper's tree-valued semantics
-/// (use CopySubtree / CanonicalCode to materialize or compare the trees).
-inline std::vector<NodeId> EvaluateTreeRoots(const Pattern& p,
-                                             const Tree& t) {
-  return Evaluate(p, t);
-}
-
 /// The word-parallel form of a forest of patterns, shared by the evaluator
 /// and the bounded search's per-shape filter. Node q of the i-th pattern is
 /// bit Bit(i, q) of a row of words() 64-bit words. Compiling keeps, as

@@ -21,9 +21,6 @@ namespace obs {
 /// single relaxed atomic operations (lock-free, no allocation); reads go
 /// through snapshot-on-read so a scrape never blocks an increment.
 ///
-/// Compile with -DXMLUP_OBS_DISABLED to turn every update into a no-op the
-/// optimizer deletes; the API (and all call sites) stay unchanged.
-///
 /// Metric objects are owned by a MetricsRegistry and live for the life of
 /// the registry — call sites may cache `Counter&` references in function-
 /// local statics, which makes the steady-state cost of a named counter one
@@ -39,12 +36,8 @@ namespace obs {
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
-#ifndef XMLUP_OBS_DISABLED
     // ordering: relaxed — statistics only; see class comment.
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   uint64_t value() const {
@@ -62,21 +55,13 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) {
-#ifndef XMLUP_OBS_DISABLED
     // ordering: relaxed — statistics only; see Counter's class comment.
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   void Add(int64_t delta) {
-#ifndef XMLUP_OBS_DISABLED
     // ordering: relaxed — statistics only; see Counter's class comment.
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   int64_t value() const {
@@ -144,16 +129,12 @@ class Histogram {
   static uint64_t BucketUpperBound(size_t index);
 
   void Observe(uint64_t value) {
-#ifndef XMLUP_OBS_DISABLED
     // ordering: relaxed — statistics only (see Counter's class comment);
     // the three adds are not a consistent triple and Data() documents
     // that its copy is per-bucket atomic, not a cross-bucket cut.
     buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   // ordering: relaxed — statistics only; see Counter's class comment.

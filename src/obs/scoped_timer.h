@@ -14,47 +14,26 @@ namespace obs {
 ///   static obs::Histogram& lat =
 ///       obs::MetricsRegistry::Default().GetHistogram("detector.latency_us");
 ///   obs::ScopedTimer timer(&lat);
-///
-/// Under XMLUP_OBS_DISABLED the clock is never read and the whole object
-/// compiles away.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* histogram)
-#ifndef XMLUP_OBS_DISABLED
-      : histogram_(histogram),
-        start_(std::chrono::steady_clock::now())
-#endif
-  {
-#ifdef XMLUP_OBS_DISABLED
-    (void)histogram;
-#endif
-  }
+      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
-  ~ScopedTimer() {
-#ifndef XMLUP_OBS_DISABLED
-    histogram_->Observe(ElapsedMicros());
-#endif
-  }
+  ~ScopedTimer() { histogram_->Observe(ElapsedMicros()); }
 
   uint64_t ElapsedMicros() const {
-#ifndef XMLUP_OBS_DISABLED
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start_)
             .count());
-#else
-    return 0;
-#endif
   }
 
  private:
-#ifndef XMLUP_OBS_DISABLED
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 }  // namespace obs

@@ -140,23 +140,18 @@ void TraceRecorder::SetClockForTest(std::function<uint64_t()> now_us) {
 
 TraceSpan::TraceSpan(TraceRecorder& recorder, const char* name)
     : name_(name) {
-#ifndef XMLUP_OBS_DISABLED
   if (recorder.enabled()) {
     recorder_ = &recorder;
     start_us_ = recorder.NowMicros();
     depth_ = tls_span_depth;
   }
   ++tls_span_depth;
-#else
-  (void)name;
-#endif
 }
 
 TraceSpan::TraceSpan(const char* name)
     : TraceSpan(TraceRecorder::Default(), name) {}
 
 TraceSpan::~TraceSpan() {
-#ifndef XMLUP_OBS_DISABLED
   --tls_span_depth;
   if (recorder_ == nullptr) return;
   TraceEvent event;
@@ -166,7 +161,6 @@ TraceSpan::~TraceSpan() {
   event.tid = CurrentThreadId();
   event.depth = depth_;
   recorder_->Record(event);
-#endif
 }
 
 }  // namespace obs

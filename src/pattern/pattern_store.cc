@@ -12,7 +12,7 @@
 // Type summaries (the Stage 0 footprints) are cached per entry the same way
 // compiled forms are; like the minimizer include above, this is the
 // pattern module reaching upward so every consumer of the store shares one
-// summary per (pattern, schema).
+// summary per pattern under the store's one schema.
 #include "dtd/type_summary.h"
 #include "obs/metrics.h"
 #include "pattern/pattern_ops.h"
@@ -21,71 +21,48 @@
 namespace xmlup {
 namespace {
 
-/// Store observability, aggregated across every store in the process (the
-/// same convention as the batch.* counters).
-struct StoreMetrics {
+/// Hit/miss/bytes counters under one name prefix, aggregated across every
+/// store in the process (the same convention as the batch.* counters):
+///   - pattern_store.*: interning; misses == distinct patterns interned;
+///   - store.nfa.*: compiled forms (the names predate the DP matcher and
+///     stay for the benchmarks that read them);
+///   - store.types.*: type summaries, the Stage 0 footprints.
+/// For the two per-entry latches, misses counts values built (at most one
+/// per entry) and hits counts requests served by a value already built.
+struct StoreCounters {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& bytes;
 
-  static const StoreMetrics& Get() {
-    static const StoreMetrics* const metrics = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      return new StoreMetrics{
-          reg.GetCounter("pattern_store.hits"),
-          reg.GetCounter("pattern_store.misses"),
-          reg.GetCounter("pattern_store.bytes"),
-      };
-    }();
-    return *metrics;
+  static StoreCounters Named(const std::string& prefix) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+    return {reg.GetCounter(prefix + ".hits"),
+            reg.GetCounter(prefix + ".misses"),
+            reg.GetCounter(prefix + ".bytes")};
   }
 };
 
-/// Compiled-form cache observability, aggregated across stores like
-/// StoreMetrics (the store.nfa.* names predate the DP matcher and stay for
-/// the benchmarks that read them). misses counts entries compiled (at most
-/// one per ref — the once-per-entry latch); hits counts requests served by
-/// an already compiled entry. Invariant: misses <= distinct refs ever
-/// compiled.
-struct NfaMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& bytes;
+const StoreCounters& InternCounters() {
+  static const StoreCounters counters = StoreCounters::Named("pattern_store");
+  return counters;
+}
 
-  static const NfaMetrics& Get() {
-    static const NfaMetrics* const metrics = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      return new NfaMetrics{
-          reg.GetCounter("store.nfa.hits"),
-          reg.GetCounter("store.nfa.misses"),
-          reg.GetCounter("store.nfa.bytes"),
-      };
-    }();
-    return *metrics;
-  }
-};
-
-/// Type-summary cache observability (the Stage 0 footprints), aggregated
-/// across stores like NfaMetrics. misses counts summaries built (at most
-/// one per (entry, dtd)); hits counts requests served by a retained
-/// summary.
-struct TypesMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& bytes;
-
-  static const TypesMetrics& Get() {
-    static const TypesMetrics* const metrics = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      return new TypesMetrics{
-          reg.GetCounter("store.types.hits"),
-          reg.GetCounter("store.types.misses"),
-          reg.GetCounter("store.types.bytes"),
-      };
-    }();
-    return *metrics;
-  }
-};
+/// The once-per-entry latch behind compiled() and type_summary(): the
+/// first caller builds outside the store mutex, so distinct entries build
+/// in parallel and a build never blocks Intern; every other caller waits
+/// on the latch and gets the same value.
+template <typename T, typename Build>
+const T& BuildOnce(std::once_flag& once, std::unique_ptr<const T>& value,
+                   const StoreCounters& counters, const Build& build) {
+  bool built = false;
+  std::call_once(once, [&] {
+    value = build();
+    counters.bytes.Increment(value->bytes());
+    built = true;
+  });
+  (built ? counters.misses : counters.hits).Increment();
+  return *value;
+}
 
 /// Retained-storage estimate for the bytes counter: the pattern's node
 /// array plus the canonical code and map-key strings.
@@ -95,15 +72,6 @@ uint64_t EntryBytes(const Pattern& stored, const std::string& code) {
 }
 
 }  // namespace
-
-/// Latch + lazily-built type summary, CompiledSlot's sibling. The entry
-/// latches the first Dtd it is asked about (the one-engine-one-schema
-/// steady state); other Dtds go to the store-level secondary map.
-struct PatternStore::TypesSlot {
-  std::once_flag once;
-  const Dtd* dtd = nullptr;
-  std::unique_ptr<const TypeSummary> value;
-};
 
 /// Chunk index for the geometric layout: chunk c starts at entry id
 /// kFirstChunkSize * (2^c - 1), so id + kFirstChunkSize lands in
@@ -186,7 +154,7 @@ PatternRef PatternStore::Intern(const Pattern& p) {
              "engine) must share one SymbolTable.";
     }
   }
-  const StoreMetrics& metrics = StoreMetrics::Get();
+  const StoreCounters& metrics = InternCounters();
   std::string code = CanonicalPatternCode(p);
   {
     MutexLock lock(mu_);
@@ -216,8 +184,8 @@ PatternRef PatternStore::Intern(const Pattern& p) {
     const bool is_linear = stored.IsLinear();
     metrics.bytes.Increment(EntryBytes(stored, stored_code));
     entries_.Append(Entry{std::move(stored), stored_code, is_linear,
-                          std::make_unique<CompiledSlot>(),
-                          std::make_unique<TypesSlot>()});
+                          std::make_unique<LazySlot<CompiledPattern>>(),
+                          std::make_unique<LazySlot<TypeSummary>>()});
     by_code_.emplace(std::move(stored_code), id);
   }
   if (code != entries_.at(id).code) by_code_.emplace(std::move(code), id);
@@ -245,65 +213,52 @@ bool PatternStore::linear(PatternRef ref) const {
 }
 
 const CompiledPattern& PatternStore::compiled(PatternRef ref) const {
-  // entry() bounds-checks under the store mutex and returns a deque slot
-  // that never moves; compilation itself runs outside that mutex, so
-  // distinct entries compile in parallel and an expensive build never
-  // blocks Intern.
+  static const StoreCounters counters = StoreCounters::Named("store.nfa");
   const Entry& e = entry(ref);
-  CompiledSlot& slot = *e.compiled_slot;
-  const NfaMetrics& metrics = NfaMetrics::Get();
-  bool built = false;
-  std::call_once(slot.once, [&] {
-    slot.value = std::make_unique<const CompiledPattern>(e.stored);
-    metrics.bytes.Increment(slot.value->bytes());
-    built = true;
-  });
-  (built ? metrics.misses : metrics.hits).Increment();
-  return *slot.value;
+  return BuildOnce(e.compiled_slot->once, e.compiled_slot->value, counters,
+                   [&] {
+                     return std::make_unique<const CompiledPattern>(e.stored);
+                   });
 }
 
-const TypeSummary& PatternStore::type_summary(PatternRef ref,
-                                              const Dtd& dtd) const {
+Status PatternStore::BindSchema(const std::shared_ptr<const Dtd>& dtd) const {
+  XMLUP_CHECK(dtd != nullptr);
+  // ordering: acquire — pairs with the release below, so a thread that
+  // sees the address also sees the bound schema; the Dtd itself is
+  // immutable.
+  const Dtd* bound = bound_schema_.load(std::memory_order_acquire);
+  if (bound == nullptr) {
+    MutexLock lock(mu_);
+    if (schema_ == nullptr) {
+      schema_ = dtd;
+      bound_schema_.store(dtd.get(), std::memory_order_release);
+    }
+    bound = schema_.get();
+  }
+  // The store owns the bound schema, so no other Dtd can live at its
+  // address: the pointer compare is an identity test.
+  if (bound == dtd.get()) return Status::OK();
+  return Status::InvalidArgument(
+      "DetectorOptions::dtd is not the schema this PatternStore is bound "
+      "to; a store serves one schema's type footprints");
+}
+
+const TypeSummary& PatternStore::type_summary(PatternRef ref) const {
+  static const StoreCounters counters = StoreCounters::Named("store.types");
   const Entry& e = entry(ref);
-  TypesSlot& slot = *e.types_slot;
-  const TypesMetrics& metrics = TypesMetrics::Get();
-  bool built = false;
-  std::call_once(slot.once, [&] {
-    // Latch the first schema this entry is summarized under; construction
-    // runs outside the store mutex, so distinct entries summarize in
-    // parallel (same discipline as compiled()).
-    slot.dtd = &dtd;
-    slot.value =
-        std::make_unique<const TypeSummary>(ComputeTypeSummary(e.stored, dtd));
-    metrics.bytes.Increment(slot.value->bytes());
-    built = true;
-  });
-  // call_once synchronizes-with the winning build, so slot.dtd is safe to
-  // read here even when another thread latched it.
-  if (slot.dtd == &dtd) {
-    (built ? metrics.misses : metrics.hits).Increment();
-    return *slot.value;
-  }
-  // A schema other than the latched one (several Dtds over one store —
-  // rare): serve from the mutex-guarded secondary map. Building under mu_
-  // is acceptable off the designed one-schema path.
-  MutexLock lock(mu_);
-  const auto key = std::make_pair(ref.id(), &dtd);
-  auto it = extra_type_summaries_.find(key);
-  if (it == extra_type_summaries_.end()) {
-    auto summary =
-        std::make_unique<const TypeSummary>(ComputeTypeSummary(e.stored, dtd));
-    metrics.misses.Increment();
-    metrics.bytes.Increment(summary->bytes());
-    it = extra_type_summaries_.emplace(key, std::move(summary)).first;
-  } else {
-    metrics.hits.Increment();
-  }
-  return *it->second;
+  // ordering: acquire — see BindSchema.
+  const Dtd* dtd = bound_schema_.load(std::memory_order_acquire);
+  XMLUP_CHECK_STREAM(dtd != nullptr)
+      << "PatternStore::type_summary called before BindSchema";
+  return BuildOnce(e.types_slot->once, e.types_slot->value, counters,
+                   [&] {
+                     return std::make_unique<const TypeSummary>(
+                         ComputeTypeSummary(e.stored, *dtd));
+                   });
 }
 
 uint32_t PatternStore::InternContentCode(const Tree& content) {
-  const StoreMetrics& metrics = StoreMetrics::Get();
+  const StoreCounters& metrics = InternCounters();
   std::string code = CanonicalCode(content);
   MutexLock lock(mu_);
   auto [it, inserted] =
@@ -323,12 +278,6 @@ size_t PatternStore::size() const { return entries_.size(); }
 std::shared_ptr<SymbolTable> PatternStore::symbols() const {
   MutexLock lock(mu_);
   return symbols_;
-}
-
-PatternStore& PatternStore::Default() {
-  // Intentionally leaked: refs may be resolved from atexit paths.
-  static PatternStore* const store = new PatternStore();
-  return *store;
 }
 
 }  // namespace xmlup

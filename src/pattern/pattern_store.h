@@ -5,14 +5,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>  // concurrency-ok: std::once_flag latches only; locking goes through common/mutex.h
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "common/mutex.h"
+#include "common/status.h"
 #include "common/thread_annotations.h"
 #include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
@@ -109,8 +108,8 @@ class PatternStore {
   /// `symbols` may be null: the table then binds on the first Intern.
   explicit PatternStore(std::shared_ptr<SymbolTable> symbols = nullptr,
                         PatternStoreOptions options = {});
-  /// Out-of-line: Entry holds a unique_ptr to the header-incomplete
-  /// TypesSlot.
+  /// Out-of-line: Entry's type-summary slot holds the header-incomplete
+  /// TypeSummary.
   ~PatternStore();
 
   PatternStore(const PatternStore&) = delete;
@@ -148,20 +147,23 @@ class PatternStore {
   /// summed over all stores as above.
   const CompiledPattern& compiled(PatternRef ref) const;
 
-  /// The schema-type summary of the stored pattern under `dtd` (the Stage 0
-  /// footprints — see dtd/type_summary.h), built lazily on first request
-  /// and retained for the store's lifetime, with the same once-per-entry
-  /// latch discipline as compiled(): the first (entry, dtd) build runs
-  /// outside the store mutex, so distinct entries summarize in parallel.
-  /// Reports `store.types.hits` / `store.types.misses` (== summaries built)
-  /// / `store.types.bytes` into obs::MetricsRegistry::Default().
-  ///
-  /// Summaries are keyed by the Dtd's address: `dtd` must outlive the store
-  /// (or at least every type_summary call), and callers running several
-  /// schemas must keep each alive — entries latch the first Dtd they see
-  /// and serve other schemas from a mutex-guarded secondary map (correct,
-  /// just not latch-free; one engine = one schema is the designed shape).
-  const TypeSummary& type_summary(PatternRef ref, const Dtd& dtd) const;
+  /// Binds `dtd` as the one schema this store serves footprints under
+  /// (Stage 0 — see DetectorOptions::dtd). The first call binds, and the
+  /// store keeps that schema alive for its lifetime, as it keeps its
+  /// SymbolTable; a later call with any other schema returns
+  /// InvalidArgument, so no pattern's footprints are ever served under a
+  /// schema they were not computed for. Lock-free once bound: one atomic
+  /// load and a pointer compare. `dtd` must be non-null; the caller checks
+  /// that it is on the store's SymbolTable.
+  Status BindSchema(const std::shared_ptr<const Dtd>& dtd) const;
+
+  /// The schema-type summary of the stored pattern under the bound schema
+  /// (the Stage 0 footprints — see dtd/type_summary.h), built lazily on
+  /// first request and retained for the store's lifetime, with the same
+  /// once-per-entry latch as compiled(). Reports `store.types.hits` /
+  /// `store.types.misses` (== summaries built) / `store.types.bytes` into
+  /// obs::MetricsRegistry::Default(). CHECK-fails before BindSchema.
+  const TypeSummary& type_summary(PatternRef ref) const;
 
   /// Interns the canonical code of a content tree (insert payloads),
   /// returning a dense integer id with the same exact-equality guarantee —
@@ -178,31 +180,26 @@ class PatternStore {
 
   const PatternStoreOptions& options() const { return options_; }
 
-  /// Process-wide store for single-table applications (examples, benches,
-  /// CLIs that run everything over one SymbolTable). Library layers take a
-  /// store explicitly instead of reaching for this; never destroyed.
-  static PatternStore& Default();
-
  private:
-  /// Latch + lazily-built compiled form. Held behind a unique_ptr so Entry
-  /// stays movable (std::once_flag is not) and so call_once's non-const
-  /// access works through the const Entry& that entry() hands out.
-  struct CompiledSlot {
+  /// Latch + lazily-built per-entry value (the compiled form, the type
+  /// summary). Held behind a unique_ptr so Entry stays movable
+  /// (std::once_flag is not) and so call_once's non-const access works
+  /// through the const Entry& that entry() hands out. TypeSummary stays
+  /// incomplete here, which keeps the pattern layer's headers from
+  /// including the dtd layer's; the slot is only built and destroyed in
+  /// the .cc.
+  template <typename T>
+  struct LazySlot {
     std::once_flag once;
-    std::unique_ptr<const CompiledPattern> value;
+    std::unique_ptr<const T> value;
   };
-
-  /// Latch + lazily-built type summary for the first Dtd this entry saw
-  /// (defined in the .cc — TypeSummary is incomplete here to keep the
-  /// pattern layer's headers from including the dtd layer's).
-  struct TypesSlot;
 
   struct Entry {
     Pattern stored;
     std::string code;
     bool is_linear = false;
-    std::unique_ptr<CompiledSlot> compiled_slot;
-    std::unique_ptr<TypesSlot> types_slot;
+    std::unique_ptr<LazySlot<CompiledPattern>> compiled_slot;
+    std::unique_ptr<LazySlot<TypeSummary>> types_slot;
   };
 
   /// Append-only entry storage readable without locks: a fixed top-level
@@ -244,11 +241,11 @@ class PatternStore {
 
   const PatternStoreOptions options_;
   /// The store's one writer-side lock: guards the intern index maps and
-  /// the symbol-table binding. Deliberately NOT held on the resolution
-  /// hot path — entries_ publishes lock-free (see EntryTable) and the
-  /// per-entry latches are std::once_flag. Leaf lock: nothing in this
-  /// class takes another lock while holding it (minimization and summary
-  /// construction run outside it by design).
+  /// the symbol-table and schema bindings. Deliberately NOT held on the
+  /// resolution hot path — entries_ publishes lock-free (see EntryTable)
+  /// and the per-entry latches are std::once_flag. Leaf lock: nothing in
+  /// this class takes another lock while holding it (minimization and
+  /// summary construction run outside it by design).
   mutable Mutex mu_;
   std::shared_ptr<SymbolTable> symbols_ XMLUP_GUARDED_BY(mu_);
   /// Not GUARDED_BY(mu_): readers resolve entries lock-free through the
@@ -260,11 +257,12 @@ class PatternStore {
   /// to one entry each pay minimization only once.
   std::unordered_map<std::string, uint32_t> by_code_ XMLUP_GUARDED_BY(mu_);
   std::unordered_map<std::string, uint32_t> content_ids_ XMLUP_GUARDED_BY(mu_);
-  /// Overflow path of type_summary(): summaries for Dtds other than the
-  /// one an entry latched first. Rare by design.
-  mutable std::map<std::pair<uint32_t, const Dtd*>,
-                   std::unique_ptr<const TypeSummary>>
-      extra_type_summaries_ XMLUP_GUARDED_BY(mu_);
+  /// The bound schema (BindSchema): its owner under mu_, and its address
+  /// published for the lock-free check and for type_summary(). Owning it
+  /// is what makes the address compare sound: no other Dtd can occupy a
+  /// live schema's address.
+  mutable std::shared_ptr<const Dtd> schema_ XMLUP_GUARDED_BY(mu_);
+  mutable std::atomic<const Dtd*> bound_schema_{nullptr};
 };
 
 }  // namespace xmlup

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "analysis/program_parser.h"
-#include "engine/engine.h"
+#include "dtd/dtd.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
@@ -25,6 +25,15 @@ class LintTest : public ::testing::Test {
 
   std::shared_ptr<const Tree> Content(const char* xml) {
     return std::make_shared<const Tree>(Xml(xml, symbols_));
+  }
+
+  /// Lint options whose detector runs under `schema`, parsed on `symbols`.
+  static LintOptions WithSchema(const char* schema,
+                                const std::shared_ptr<SymbolTable>& symbols) {
+    LintOptions options;
+    options.batch.detector.dtd =
+        std::make_shared<const Dtd>(Dtd::Parse(schema, symbols).value());
+    return options;
   }
 
   std::vector<const Diagnostic*> ByRule(const LintResult& result,
@@ -174,10 +183,8 @@ TEST_F(LintTest, NoUpdateRaceForCertifiedPair) {
 }
 
 TEST_F(LintTest, DtdViolationForForbiddenChild) {
-  Result<Dtd> dtd = Dtd::Parse("allow book : title author\n", symbols_);
-  ASSERT_TRUE(dtd.ok());
-  LintOptions options;
-  options.dtd = &*dtd;
+  const LintOptions options =
+      WithSchema("allow book : title author\n", symbols_);
   Program program;
   program.AddInsert("x", Xp("catalog/book", symbols_), Content("<price/>"));
   const Linter linter(options);
@@ -189,10 +196,7 @@ TEST_F(LintTest, DtdViolationForForbiddenChild) {
 }
 
 TEST_F(LintTest, DtdViolationForMissingRequiredChild) {
-  Result<Dtd> dtd = Dtd::Parse("require book : title\n", symbols_);
-  ASSERT_TRUE(dtd.ok());
-  LintOptions options;
-  options.dtd = &*dtd;
+  const LintOptions options = WithSchema("require book : title\n", symbols_);
   Program program;
   program.AddInsert("x", Xp("catalog", symbols_),
                     Content("<book><author/></book>"));
@@ -202,12 +206,8 @@ TEST_F(LintTest, DtdViolationForMissingRequiredChild) {
 }
 
 TEST_F(LintTest, DtdConformingInsertIsClean) {
-  Result<Dtd> dtd =
-      Dtd::Parse("allow book : title author\nrequire book : title\n",
-                 symbols_);
-  ASSERT_TRUE(dtd.ok());
-  LintOptions options;
-  options.dtd = &*dtd;
+  const LintOptions options = WithSchema(
+      "allow book : title author\nrequire book : title\n", symbols_);
   Program program;
   program.AddInsert("x", Xp("catalog", symbols_),
                     Content("<book><title/></book>"));
@@ -224,11 +224,9 @@ TEST_F(LintTest, DtdOnAnotherSymbolTableIsReportedNotCompared) {
   Program program;
   program.AddInsert("x", Xp("catalog/book", symbols_), Content("<price/>"));
   program.AddInsert("x", Xp("catalog", symbols_), Content("<book/>"));
-  const Dtd dtd =
-      Dtd::Parse("allow book : title author\n", NewSymbols()).value();
-  LintOptions options;
-  options.dtd = &dtd;
-  const LintResult result = Linter(options).Lint(program);
+  const LintResult result =
+      Linter(WithSchema("allow book : title author\n", NewSymbols()))
+          .Lint(program);
   const auto violations = ByRule(result, LintRule::kDtdViolation);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_TRUE(violations[0]->statements.empty());
@@ -250,22 +248,45 @@ TEST_F(LintTest, SchemaOnAnotherSymbolTableNeverLicensesAFixIt) {
   const std::shared_ptr<SymbolTable> foreign = NewSymbols();
   foreign->Intern("c");
   foreign->Intern("d");
-  const Dtd dtd =
-      Dtd::Parse("root r\nallow r : c d\nseal c\nseal d\n", foreign).value();
-
-  LintOptions options;
-  options.dtd = &dtd;
-  const LintResult linted = Linter(options).Lint(program);
+  const LintResult linted =
+      Linter(WithSchema("root r\nallow r : c d\nseal c\nseal d\n", foreign))
+          .Lint(program);
   EXPECT_TRUE(ByRule(linted, LintRule::kRedundantRead).empty());
   EXPECT_EQ(linted.partition.width, 1u);
+}
 
-  // Engine::Lint with a per-call schema and no engine schema: same path.
-  Engine engine(symbols_);
-  Engine::LintRunOptions run;
-  run.dtd = &dtd;
-  const LintResult via_engine = engine.Lint(program, run);
-  EXPECT_TRUE(ByRule(via_engine, LintRule::kRedundantRead).empty());
-  EXPECT_EQ(via_engine.partition.width, 1u);
+TEST_F(LintTest, ASecondSchemaOnASharedStoreNeverLicensesAFixIt) {
+  // Under the first schema `a` is a sealed leaf, so the delete never
+  // reaches below r/a: v may alias u and all three statements share one
+  // batch. Under the second, `a` may hold b children and the delete
+  // changes what v reads. A store serving the first schema's footprints
+  // under the second would give the second lint the first one's answer;
+  // the store rejects the second schema pair by pair instead, and every
+  // rejected pair stays a dependence.
+  Program program;
+  program.AddRead("u", "x", Xp("r/a", symbols_));
+  program.AddDelete("x", Xp("r//b", symbols_));
+  program.AddRead("v", "x", Xp("r/a", symbols_));
+  const char* const kLeaf = "root r\nallow r : a b\nseal a\nseal b\n";
+  const char* const kNested = "root r\nallow r : a b\nallow a : b\nseal b\n";
+  auto store = std::make_shared<PatternStore>(symbols_);
+  auto lint_under = [&](const char* schema,
+                        std::shared_ptr<PatternStore> shared) {
+    LintOptions options = WithSchema(schema, symbols_);
+    options.batch.store = std::move(shared);
+    return Linter(options).Lint(program);
+  };
+
+  const LintResult first = lint_under(kLeaf, store);
+  EXPECT_EQ(ByRule(first, LintRule::kRedundantRead).size(), 1u);
+  EXPECT_EQ(first.partition.width, 3u);
+  const LintResult second = lint_under(kNested, store);
+  EXPECT_TRUE(ByRule(second, LintRule::kRedundantRead).empty());
+  EXPECT_EQ(second.partition.width, 1u);
+  // The second schema on a store of its own answers the same.
+  const LintResult alone = lint_under(kNested, nullptr);
+  EXPECT_TRUE(ByRule(alone, LintRule::kRedundantRead).empty());
+  EXPECT_EQ(alone.partition.width, 1u);
 }
 
 TEST_F(LintTest, MalformedInsertReported) {

@@ -1,10 +1,10 @@
 // TSan-targeted regression tests for the PatternStore's two call_once
-// latches: the compiled-automata latch behind compiled() and the
-// type-summary latch behind type_summary(). Both promise "first caller
-// builds, everyone else waits, all callers observe the same object" —
-// the races this file drives are exactly the ones the latches exist to
-// close, so a latch regression shows up here as a TSan report (or as the
-// accounting/identity assertions below firing).
+// latches: the compiled-form latch behind compiled() and the type-summary
+// latch behind type_summary() (under the schema bound before the race).
+// Both promise "first caller builds, everyone else waits, all callers
+// observe the same object" — the races this file drives are exactly the
+// ones the latches exist to close, so a latch regression shows up here as
+// a TSan report (or as the accounting/identity assertions below firing).
 //
 // The threading pattern is deliberate: a start gate (threads spin on an
 // atomic until all are created) maximizes the chance that every thread
@@ -106,7 +106,7 @@ TEST(StoreLatchRaceTest, ColdCompiledLatchBuildsOncePerEntry) {
 TEST(StoreLatchRaceTest, ColdTypeSummaryLatchBuildsOncePerEntry) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
-  auto dtd = CatalogDtd(symbols);
+  ASSERT_TRUE(store->BindSchema(CatalogDtd(symbols)).ok());
 
   std::vector<PatternRef> refs;
   for (int i = 0; i < 6; ++i) {
@@ -119,7 +119,7 @@ TEST(StoreLatchRaceTest, ColdTypeSummaryLatchBuildsOncePerEntry) {
   std::vector<std::vector<const TypeSummary*>> seen(kThreads);
   RunRaced([&](size_t t) {
     for (const PatternRef ref : refs) {
-      seen[t].push_back(&store->type_summary(ref, *dtd));
+      seen[t].push_back(&store->type_summary(ref));
     }
   });
 
@@ -138,7 +138,7 @@ TEST(StoreLatchRaceTest, BothLatchesRaceIndependentlyOnOneEntry) {
   // not serialize or corrupt each other.
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
-  auto dtd = CatalogDtd(symbols);
+  ASSERT_TRUE(store->BindSchema(CatalogDtd(symbols)).ok());
   const PatternRef ref = store->Intern(Xp("catalog//stock", symbols));
 
   const uint64_t nfa_misses_before = CounterValue("store.nfa.misses");
@@ -149,9 +149,9 @@ TEST(StoreLatchRaceTest, BothLatchesRaceIndependentlyOnOneEntry) {
   RunRaced([&](size_t t) {
     if (t % 2 == 0) {
       compiled[t] = &store->compiled(ref);
-      summaries[t] = &store->type_summary(ref, *dtd);
+      summaries[t] = &store->type_summary(ref);
     } else {
-      summaries[t] = &store->type_summary(ref, *dtd);
+      summaries[t] = &store->type_summary(ref);
       compiled[t] = &store->compiled(ref);
     }
   });

@@ -5,7 +5,8 @@
 // detector's. This suite covers the TypeSet lattice, the summary
 // computation, the two pruning rules and their deliberate asymmetries, the
 // facade/batch/engine integration (accounting invariants, one Stage 0 in
-// the Detect facade, schemas on a foreign SymbolTable rejected),
+// the Detect facade, schemas on a foreign SymbolTable rejected, one schema
+// per store, kept alive by the store),
 // determinism across thread counts on a shared store (the TSan leg), and
 // an exhaustive small-pattern sweep checked against the conformant-tree
 // oracles in dtd/dtd_conflict.h.
@@ -223,7 +224,7 @@ TEST_F(TypePruneTest, SchemaDeadReadPrunesDeletesButNotInserts) {
       store, store->Intern(Xp("r/a", symbols_)),
       std::make_shared<const Tree>(Xml("<b/>", symbols_)));
   DetectorOptions with_dtd;
-  with_dtd.dtd = &dtd;
+  with_dtd.dtd = std::make_shared<const Dtd>(dtd);
   const Result<ConflictReport> report =
       Detect(*store, read_ref, insert, with_dtd);
   ASSERT_TRUE(report.ok());
@@ -297,7 +298,7 @@ SmallTypedWorkload MakeSmallTypedWorkload(size_t subsystems) {
 TEST_F(TypePruneTest, FacadeStageZeroPrunesCrossSubsystemPairsOnly) {
   const SmallTypedWorkload w = MakeSmallTypedWorkload(2);
   DetectorOptions pruned;
-  pruned.dtd = w.dtd.get();
+  pruned.dtd = w.dtd;
 
   // Cross-subsystem: Stage 0 answers.
   const Result<ConflictReport> cross =
@@ -336,24 +337,98 @@ TEST_F(TypePruneTest, StageZeroRejectsASchemaOnAnotherSymbolTable) {
   const std::shared_ptr<SymbolTable> foreign = NewSymbols();
   foreign->Intern("c");
   foreign->Intern("d");
-  const Dtd foreign_dtd = Dtd::Parse(kSchema, foreign).value();
-  const Dtd own_dtd = Dtd::Parse(kSchema, symbols_).value();
+  auto foreign_dtd =
+      std::make_shared<const Dtd>(Dtd::Parse(kSchema, foreign).value());
+  auto own_dtd =
+      std::make_shared<const Dtd>(Dtd::Parse(kSchema, symbols_).value());
 
   const obs::Counter& errors =
       obs::MetricsRegistry::Default().GetCounter("detector.errors");
   const uint64_t errors0 = errors.value();
   DetectorOptions options;
-  options.dtd = &foreign_dtd;
+  options.dtd = foreign_dtd;
   const Result<ConflictReport> rejected = Detect(*store, read, del, options);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(errors.value() - errors0, 1u);
 
-  options.dtd = &own_dtd;
+  // The rejected schema never bound: the store takes its own table's.
+  options.dtd = own_dtd;
   const Result<ConflictReport> real = Detect(*store, read, del, options);
   ASSERT_TRUE(real.ok());
   EXPECT_EQ(real->verdict, ConflictVerdict::kConflict);
   EXPECT_EQ(real->method, DetectorMethod::kLinearPtime);
+}
+
+// One schema per store. Under kLeafSchema `a` is a sealed leaf, so r//b
+// never reaches below r/a and tree-semantics r/a against delete r//b
+// prunes; under kNestedSchema `a` may hold b children and the pair is a
+// real conflict, which a store serving kLeafSchema's footprints under
+// kNestedSchema would prune.
+constexpr char kLeafSchema[] = "root r\nallow r : a b\nseal a\nseal b\n";
+constexpr char kNestedSchema[] =
+    "root r\nallow r : a b\nallow a : b\nseal b\n";
+
+Result<ConflictReport> DetectReadADeleteB(
+    const std::shared_ptr<PatternStore>& store,
+    std::shared_ptr<const Dtd> dtd) {
+  const std::shared_ptr<SymbolTable> symbols = store->symbols();
+  DetectorOptions options;
+  options.semantics = ConflictSemantics::kTree;
+  options.dtd = std::move(dtd);
+  const UpdateOp del =
+      UpdateOp::MakeDelete(store, store->Intern(Xp("r//b", symbols))).value();
+  return Detect(*store, store->Intern(Xp("r/a", symbols)), del, options);
+}
+
+TEST_F(TypePruneTest, AStoreServesOneSchema) {
+  auto leaf = std::make_shared<const Dtd>(
+      Dtd::Parse(kLeafSchema, symbols_).value());
+  auto nested = std::make_shared<const Dtd>(
+      Dtd::Parse(kNestedSchema, symbols_).value());
+  const obs::Counter& errors =
+      obs::MetricsRegistry::Default().GetCounter("detector.errors");
+
+  auto store = std::make_shared<PatternStore>(symbols_);
+  const Result<ConflictReport> under_leaf = DetectReadADeleteB(store, leaf);
+  ASSERT_TRUE(under_leaf.ok());
+  EXPECT_EQ(under_leaf->method, DetectorMethod::kTypePruned);
+
+  const uint64_t errors0 = errors.value();
+  const Result<ConflictReport> second = DetectReadADeleteB(store, nested);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(errors.value() - errors0, 1u);
+
+  const Result<ConflictReport> under_nested =
+      DetectReadADeleteB(std::make_shared<PatternStore>(symbols_), nested);
+  ASSERT_TRUE(under_nested.ok());
+  EXPECT_EQ(under_nested->verdict, ConflictVerdict::kConflict);
+}
+
+TEST_F(TypePruneTest, TheStoreKeepsItsSchemaAlive) {
+  auto store = std::make_shared<PatternStore>(symbols_);
+  std::shared_ptr<const Dtd> leaf = std::make_shared<const Dtd>(
+      Dtd::Parse(kLeafSchema, symbols_).value());
+  const std::weak_ptr<const Dtd> weak = leaf;
+  ASSERT_TRUE(DetectReadADeleteB(store, std::move(leaf)).ok());
+  // The caller's last reference is gone; the store's keeps the schema.
+  ASSERT_FALSE(weak.expired());
+
+  // Entries interned now are summarized from the store's own reference.
+  const PatternRef read = store->Intern(Xp("r/a/a", symbols_));
+  const PatternRef del = store->Intern(Xp("r/b//b", symbols_));
+  EXPECT_TRUE(store->type_summary(read).dead);
+  EXPECT_TRUE(TypePrunesReadDelete(store->type_summary(read),
+                                   store->type_summary(del),
+                                   ConflictSemantics::kTree));
+  const Result<ConflictReport> later = DetectReadADeleteB(store, weak.lock());
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->method, DetectorMethod::kTypePruned);
+
+  // And the store's reference is its only one: it goes with the store.
+  store.reset();
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST_F(TypePruneTest, FacadeAccountingInvariantHoldsWithStageZero) {
@@ -370,7 +445,7 @@ TEST_F(TypePruneTest, FacadeAccountingInvariantHoldsWithStageZero) {
   const uint64_t pruned0 = counter("detector.method.type_pruned");
 
   DetectorOptions options;
-  options.dtd = w.dtd.get();
+  options.dtd = w.dtd;
   uint64_t pruned_seen = 0;
   for (const PatternRef read : w.reads) {
     for (const UpdateOp& update : w.updates) {
@@ -404,7 +479,7 @@ TEST_F(TypePruneTest, FacadeAccountingInvariantHoldsWithStageZero) {
 TEST_F(TypePruneTest, BatchPrunesThroughTheDetectFacade) {
   const SmallTypedWorkload w = MakeSmallTypedWorkload(3);
   BatchDetectorOptions options;
-  options.detector.dtd = w.dtd.get();
+  options.detector.dtd = w.dtd;
   options.detector.build_witness = false;
   options.store = w.store;
   BatchConflictDetector batch(options);
@@ -500,7 +575,7 @@ TEST_F(TypePruneTest, BatchVerdictsAreIdenticalAcrossThreadCounts) {
   const SmallTypedWorkload w = MakeSmallTypedWorkload(4);
   auto run = [&](size_t num_threads) {
     BatchDetectorOptions options;
-    options.detector.dtd = w.dtd.get();
+    options.detector.dtd = w.dtd;
     options.detector.build_witness = false;
     options.num_threads = num_threads;
     options.store = w.store;
@@ -520,24 +595,14 @@ TEST_F(TypePruneTest, BatchVerdictsAreIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(TypePruneTest, ConcurrentFacadeDetectsOnOneSharedStore) {
-  // A fresh workload per run: the eight threads race the lazy summary
-  // builds (TypesSlot call_once), the lock-free entry-table reads, and —
-  // via their own Intern calls — the writer side of the table.
+  // A fresh workload per run, and the reference only after the join: the
+  // eight threads race the store's first schema bind, the lazy summary
+  // builds (their call_once latches), the lock-free entry-table reads,
+  // and — via their own Intern calls — the writer side of the table.
   const SmallTypedWorkload w = MakeSmallTypedWorkload(4);
   DetectorOptions options;
-  options.dtd = w.dtd.get();
+  options.dtd = w.dtd;
   options.build_witness = false;
-
-  std::vector<ConflictVerdict> reference;
-  std::vector<DetectorMethod> reference_methods;
-  for (const PatternRef read : w.reads) {
-    for (const UpdateOp& update : w.updates) {
-      const Result<ConflictReport> r = Detect(*w.store, read, update, options);
-      ASSERT_TRUE(r.ok());
-      reference.push_back(r->verdict);
-      reference_methods.push_back(r->method);
-    }
-  }
 
   constexpr size_t kThreads = 8;
   std::vector<std::vector<ConflictVerdict>> verdicts(kThreads);
@@ -561,6 +626,17 @@ TEST_F(TypePruneTest, ConcurrentFacadeDetectsOnOneSharedStore) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+
+  std::vector<ConflictVerdict> reference;
+  std::vector<DetectorMethod> reference_methods;
+  for (const PatternRef read : w.reads) {
+    for (const UpdateOp& update : w.updates) {
+      const Result<ConflictReport> r = Detect(*w.store, read, update, options);
+      ASSERT_TRUE(r.ok());
+      reference.push_back(r->verdict);
+      reference_methods.push_back(r->method);
+    }
+  }
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(verdicts[t], reference) << "thread " << t;
     EXPECT_EQ(methods[t], reference_methods) << "thread " << t;
@@ -618,13 +694,14 @@ void AppendChains(const std::shared_ptr<SymbolTable>& symbols,
 class TypePruneSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dtd_ = std::make_unique<Dtd>(symbols_);
-    dtd_->SetRootLabel(L("r"));
-    dtd_->Allow(L("r"), L("a"));
-    dtd_->Allow(L("a"), L("a"));
-    dtd_->Allow(L("a"), L("b"));
-    dtd_->Seal(L("b"));
-    ASSERT_TRUE(dtd_->Validate().ok());
+    auto dtd = std::make_shared<Dtd>(symbols_);
+    dtd->SetRootLabel(L("r"));
+    dtd->Allow(L("r"), L("a"));
+    dtd->Allow(L("a"), L("a"));
+    dtd->Allow(L("a"), L("b"));
+    dtd->Seal(L("b"));
+    ASSERT_TRUE(dtd->Validate().ok());
+    dtd_ = std::move(dtd);
     store_ = std::make_shared<PatternStore>(symbols_);
 
     std::vector<Pattern> read_patterns;
@@ -660,7 +737,7 @@ class TypePruneSweepTest : public ::testing::Test {
     plain.semantics = semantics;
     plain.build_witness = false;
     DetectorOptions pruned = plain;
-    pruned.dtd = dtd_.get();
+    pruned.dtd = dtd_;
 
     const Result<ConflictReport> off = Detect(*store_, read, update, plain);
     const Result<ConflictReport> on = Detect(*store_, read, update, pruned);
@@ -686,7 +763,7 @@ class TypePruneSweepTest : public ::testing::Test {
   Label L(const char* name) { return symbols_->Intern(name); }
 
   std::shared_ptr<SymbolTable> symbols_ = NewSymbols();
-  std::unique_ptr<Dtd> dtd_;
+  std::shared_ptr<const Dtd> dtd_;
   std::shared_ptr<PatternStore> store_;
   std::vector<PatternRef> reads_;
 };

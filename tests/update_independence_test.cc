@@ -67,6 +67,21 @@ TEST_F(UpdateIndependenceTest, DeleteOfInsertTargetNotCertified) {
             CommutativityCertificate::kUnknown);
 }
 
+TEST_F(UpdateIndependenceTest, DeleteBelowInsertPointsCertified) {
+  // The delete removes b children of the very a nodes the insert grafts
+  // under: strictly below the insert's points, so neither selection
+  // changes under node semantics, and the two commute on every tree.
+  const UpdateOp del = Del("r/a/b");
+  const UpdateOp ins = Ins("r/a", "<c/>");
+  EXPECT_EQ(Certify(del, ins), CommutativityCertificate::kCertified);
+  BoundedSearchOptions options;
+  options.max_nodes = 6;
+  const BruteForceResult violation =
+      FindCommutativityViolation(del, ins, options);
+  EXPECT_EQ(violation.outcome, SearchOutcome::kExhaustedNoWitness);
+  EXPECT_FALSE(violation.truncated);
+}
+
 TEST_F(UpdateIndependenceTest, NestedDeletesNotCertified) {
   // Deleting b subtrees removes the other delete's b/c points.
   EXPECT_EQ(Certify(Del("a/b"), Del("a/b/c")),
