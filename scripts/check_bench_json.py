@@ -243,10 +243,17 @@ def check_workload(stats, args):
     report = require(stats, "workload",
                      ["workload", "seed", "phases", "total_verdicts"],
                      sub="workload")
-    counters = require(stats["metrics"], "workload", ["detector.calls"],
+    counters = require(stats["metrics"], "workload",
+                       ["detector.calls",
+                        "detector.method.leaf_path_certificate"],
                        sub="counters")
     if counters["detector.calls"] == 0:
         structural("no detector calls recorded: the driver never ran")
+    # The smoke spec's branching reads are mostly independent of their
+    # updates; the leaf-path certificate proves that in PTIME.
+    if counters["detector.method.leaf_path_certificate"] == 0:
+        structural("no pair resolved via kLeafPathCertificate: "
+                   "the leaf-path certificate is dead")
     phases = report["phases"]
     if not phases:
         structural("workload report has no phases")

@@ -10,6 +10,8 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
+#include "pattern/compiled_pattern.h"
+#include "pattern/pattern_ops.h"
 #include "xml/tree_algos.h"
 
 namespace xmlup {
@@ -31,6 +33,7 @@ struct DetectorMetrics {
   obs::Counter& method_mainline;
   obs::Counter& method_bounded;
   obs::Counter& method_type_pruned;
+  obs::Counter& method_leaf_path;
   obs::Histogram& latency_us;
 
   static const DetectorMetrics& Get() {
@@ -48,6 +51,7 @@ struct DetectorMetrics {
           reg.GetCounter("detector.method.mainline_heuristic"),
           reg.GetCounter("detector.method.bounded_search"),
           reg.GetCounter("detector.method.type_pruned"),
+          reg.GetCounter("detector.method.leaf_path_certificate"),
           reg.GetHistogram("detector.latency_us"),
       };
     }();
@@ -85,6 +89,9 @@ void CountReport(const DetectorMetrics& metrics, const ConflictReport& report) {
       break;
     case DetectorMethod::kTypePruned:
       metrics.method_type_pruned.Increment();
+      break;
+    case DetectorMethod::kLeafPathCertificate:
+      metrics.method_leaf_path.Increment();
       break;
   }
 }
@@ -126,6 +133,52 @@ ConflictReport MainlineHeuristicReport(Tree witness) {
   report.witness = std::move(witness);
   report.method = DetectorMethod::kMainlineHeuristic;
   report.detail = "mainline witness extended with branch models";
+  return report;
+}
+
+/// Stage 1b, the leaf-path independence certificate for a branching read
+/// (proof in DESIGN.md, "Leaf-path independence certificate"). A node
+/// conflict of the read shows as a node conflict of one of its
+/// root-to-leaf paths SEQ_ROOT^l: a delete loses a result only by deleting
+/// the image of some pattern node, and with it the images of every leaf
+/// below that node; an insert gains one only through a pattern node mapped
+/// into the inserted copy, and every leaf below it maps there too. Under
+/// tree or value semantics a result whose subtree changed is a result of
+/// the mainline before and after, so the mainline's own report (computed
+/// under the requested semantics by the heuristic) must also be clean.
+///
+/// True when `mainline` and every leaf path are kNoConflict; each leaf
+/// path is compiled on the spot and handed to `detect_node` (the complete
+/// linear core under node semantics). A leaf-path error propagates.
+template <typename DetectNodeFn>
+Result<bool> LeafPathsCertify(const Pattern& read,
+                              const ConflictReport& mainline,
+                              ConflictSemantics semantics,
+                              const DetectNodeFn& detect_node) {
+  // An output leaf's path is the mainline itself, and a clean mainline
+  // report under any semantics includes its node-semantics check.
+  const bool output_is_leaf = read.first_child(read.output()) ==
+                              kNullPatternNode;
+  if ((semantics != ConflictSemantics::kNode || output_is_leaf) &&
+      mainline.verdict != ConflictVerdict::kNoConflict) {
+    return false;
+  }
+  for (PatternNodeId n = 0; n < read.size(); ++n) {
+    if (n == read.output() || read.first_child(n) != kNullPatternNode) {
+      continue;
+    }
+    XMLUP_ASSIGN_OR_RETURN(
+        ConflictReport path,
+        detect_node(CompiledPattern(ExtractSeq(read, read.root(), n))));
+    if (path.verdict != ConflictVerdict::kNoConflict) return false;
+  }
+  return true;
+}
+
+ConflictReport LeafPathCertificateReport() {
+  ConflictReport report;
+  report.verdict = ConflictVerdict::kNoConflict;
+  report.method = DetectorMethod::kLeafPathCertificate;
   return report;
 }
 
@@ -183,8 +236,9 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
 /// witness checker the heuristic extension must pass, and the Stage 2
 /// search; the linear path and the heuristic's mainline probe both run on
 /// the store's compiled forms (the compiled read *is* its mainline chain,
-/// so one call serves both), and only the heuristic extension and the
-/// bounded search touch the full stored read.
+/// so one call serves both), and only the heuristic extension, the
+/// leaf-path certificate and the bounded search touch the full stored
+/// read.
 Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
                                     const UpdateOp& update,
                                     const DetectorOptions& options) {
@@ -209,18 +263,21 @@ Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
   }
   const CompiledPattern& read_compiled = store.compiled(read);
   const CompiledPattern& update_compiled = store.compiled(update.pattern_ref());
-  auto linear_core = [&](bool build_witness) {
+  // The complete linear core on a linear read form: the stored read's
+  // compiled mainline, or one of its leaf paths.
+  auto linear_core = [&](const CompiledPattern& read_form,
+                         ConflictSemantics semantics, bool build_witness) {
     return is_insert ? DetectReadInsertConflictCompiled(
-                           read_compiled, update_compiled, update_pattern,
-                           *inserted, options.semantics, build_witness)
+                           read_form, update_compiled, update_pattern,
+                           *inserted, semantics, build_witness)
                      : DetectReadDeleteConflictCompiled(
-                           read_compiled, update_compiled, update_pattern,
-                           options.semantics, build_witness);
+                           read_form, update_compiled, update_pattern,
+                           semantics, build_witness);
   };
   const DetectorMetrics& metrics = DetectorMetrics::Get();
   if (store.linear(read)) {
     metrics.dispatch_linear.Increment();
-    return linear_core(options.build_witness);
+    return linear_core(read_compiled, options.semantics, options.build_witness);
   }
   metrics.dispatch_branching.Increment();
   // Heuristic: conflict of the read's mainline often extends to the full
@@ -229,7 +286,8 @@ Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
   // that verified tree. The mainline of any read is linear, so a failure
   // here is a real InvalidArgument/Internal error, not a heuristic miss —
   // propagate it instead of masking it behind the bounded search.
-  Result<ConflictReport> mainline_report = linear_core(/*build_witness=*/true);
+  Result<ConflictReport> mainline_report =
+      linear_core(read_compiled, options.semantics, /*build_witness=*/true);
   if (!mainline_report.ok()) return mainline_report;
   const Pattern& full_read = store.pattern(read);
   std::optional<Tree> candidate = TryMainlineWitness(
@@ -243,6 +301,14 @@ Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
   if (candidate.has_value()) {
     return MainlineHeuristicReport(std::move(*candidate));
   }
+  XMLUP_ASSIGN_OR_RETURN(
+      const bool certified,
+      LeafPathsCertify(full_read, *mainline_report, options.semantics,
+                       [&](const CompiledPattern& path) {
+                         return linear_core(path, ConflictSemantics::kNode,
+                                            /*build_witness=*/false);
+                       }));
+  if (certified) return LeafPathCertificateReport();
   BruteForceResult search =
       is_insert ? BruteForceReadInsertSearch(full_read, update_pattern,
                                              *inserted, options.semantics,

@@ -59,6 +59,12 @@ struct DetectorOptions {
 ///     Corollaries 1-2), method kLinearPtime, definitive verdict;
 ///     branching read: the sound mainline heuristic (method
 ///     kMainlineHeuristic on success);
+///   - Stage 1b (branching reads the heuristic left open): the leaf-path
+///     independence certificate — the complete linear algorithms under
+///     node semantics on every root-to-leaf path SEQ_ROOT^l of the read,
+///     each compiled on the spot, plus, under tree or value semantics, the
+///     heuristic's mainline report. All clean is a PTIME proof of
+///     independence: method kLeafPathCertificate, kNoConflict;
 ///   - Stage 2: bounded witness search (method kBoundedSearch), which may
 ///     answer kUnknown when the budget does not cover the paper's witness
 ///     bound.

@@ -24,6 +24,8 @@ std::string_view DetectorMethodName(DetectorMethod method) {
       return "bounded-search";
     case DetectorMethod::kTypePruned:
       return "type-pruned";
+    case DetectorMethod::kLeafPathCertificate:
+      return "leaf-path-certificate";
   }
   return "?";
 }

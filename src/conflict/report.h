@@ -36,6 +36,13 @@ enum class DetectorMethod {
   /// (dtd/type_summary.h) proved the pair independent over DTD-conformant
   /// documents before any matching work. Always kNoConflict.
   kTypePruned,
+  /// Branching reads the heuristic did not settle: the complete linear
+  /// algorithms found no node conflict on any root-to-leaf path of the
+  /// read and, under tree or value semantics, none on its mainline — a
+  /// PTIME proof of independence (DESIGN.md, "Leaf-path independence
+  /// certificate"). Always kNoConflict; a failed certificate hands the
+  /// pair to the bounded search.
+  kLeafPathCertificate,
 };
 
 std::string_view DetectorMethodName(DetectorMethod method);

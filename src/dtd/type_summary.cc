@@ -129,9 +129,12 @@ bool TypePrunesReadInsert(const TypeSummary& read, const TypeSummary& update,
   // insert-sensitivity set — or, under subtree-sensitive semantics, a
   // graft at or below an existing result node. The content walk tests
   // labels directly (== Intersects(ContentLabels(content), ...)) — this
-  // runs per pair on the Stage 0 hot path, so it must not allocate.
-  for (NodeId n : content.PreOrder()) {
-    if (read.insert_sensitive.Contains(content.label(n))) return false;
+  // runs per pair on the Stage 0 hot path, so it must not allocate: it
+  // scans the node slots, whose live ones are exactly the tree's nodes.
+  for (NodeId n = 0; n < content.capacity(); ++n) {
+    if (content.alive(n) && read.insert_sensitive.Contains(content.label(n))) {
+      return false;
+    }
   }
   if (semantics != ConflictSemantics::kNode &&
       TypeSet::Intersects(update.output_types, read.subtree)) {

@@ -55,6 +55,8 @@ TEST_F(DetectorTest, MethodNames) {
             "mainline-heuristic");
   EXPECT_EQ(DetectorMethodName(DetectorMethod::kBoundedSearch),
             "bounded-search");
+  EXPECT_EQ(DetectorMethodName(DetectorMethod::kLeafPathCertificate),
+            "leaf-path-certificate");
 }
 
 TEST_F(DetectorTest, LinearReadUsesPtimePath) {
@@ -93,37 +95,42 @@ TEST_F(DetectorTest, BranchingReadFallsBackToSearch) {
   EXPECT_GT(r->trees_checked, 0u);
 }
 
+/// A branching pair only the bounded search can settle: read a[b]/c
+/// against an insert of <b/> at a[b]. The leaf path a/b conflicts with
+/// the insert (a new b child), so the leaf-path certificate cannot apply,
+/// yet the read never changes — the insert fires only where the predicate
+/// [b] already holds. Paper bound |R|·|I|·(k+1) = 3·2·1 = 6. Checks that
+/// the search decides the pair, as `verdict`, under all three semantics.
+void ExpectSearchDecides(const std::shared_ptr<SymbolTable>& symbols,
+                         const BoundedSearchOptions& search,
+                         ConflictVerdict verdict) {
+  for (ConflictSemantics semantics :
+       {ConflictSemantics::kNode, ConflictSemantics::kTree,
+        ConflictSemantics::kValue}) {
+    DetectorOptions options;
+    options.semantics = semantics;
+    options.search = search;
+    Result<ConflictReport> r =
+        DetectInsert(Xp("a[b]/c", symbols), Xp("a[b]", symbols),
+                     Xml("<b/>", symbols), options);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->method, DetectorMethod::kBoundedSearch)
+        << ConflictSemanticsName(semantics);
+    EXPECT_EQ(r->verdict, verdict) << ConflictSemanticsName(semantics);
+  }
+}
+
 TEST_F(DetectorTest, BranchingReadUnknownWhenBudgetTooSmall) {
-  // A conflict-free branching instance whose paper bound exceeds the
+  // A conflict-free branching instance whose paper bound (6) exceeds the
   // searched size: the detector must say Unknown, not NoConflict.
-  Pattern read(symbols_);
-  const PatternNodeId root = read.CreateRoot(symbols_->Intern("a"));
-  read.AddChild(root, symbols_->Intern("zz"), Axis::kDescendant);
-  read.SetOutput(root);
-  Tree x = Xml("<qq/>", symbols_);
-  DetectorOptions options;
-  options.search.max_nodes = 3;  // paper bound is larger
-  Result<ConflictReport> r =
-      DetectInsert(read, Xp("a/b", symbols_), x, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->verdict, ConflictVerdict::kUnknown);
+  ExpectSearchDecides(symbols_, {.max_nodes = 5}, ConflictVerdict::kUnknown);
 }
 
 TEST_F(DetectorTest, BranchingReadNoConflictWhenPaperBoundCovered) {
-  // Tiny patterns: |R|=2, |I|=1 wait — use sizes where the bound fits in
-  // the searched space. read = a[zz] (size 2), insert pattern size 2,
-  // star length 0 ⇒ bound 4.
-  Pattern read(symbols_);
-  const PatternNodeId root = read.CreateRoot(symbols_->Intern("a"));
-  read.AddChild(root, symbols_->Intern("zz"), Axis::kChild);
-  read.SetOutput(root);
-  Tree x = Xml("<qq/>", symbols_);
-  DetectorOptions options;
-  options.search.max_nodes = 4;
-  Result<ConflictReport> r =
-      DetectInsert(read, Xp("a/b", symbols_), x, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->verdict, ConflictVerdict::kNoConflict);
+  // The same instance with max_nodes = 6, the paper bound: the exhaustive
+  // search is complete and proves no-conflict.
+  ExpectSearchDecides(symbols_, {.max_nodes = 6},
+                      ConflictVerdict::kNoConflict);
 }
 
 TEST_F(DetectorTest, TruncatedSearchNeverReportsNoConflict) {
@@ -133,19 +140,8 @@ TEST_F(DetectorTest, TruncatedSearchNeverReportsNoConflict) {
   // even when max_nodes covers the paper bound. Same conflict-free
   // instance as BranchingReadNoConflictWhenPaperBoundCovered, but with a
   // max_trees cap tiny enough to force truncation.
-  Pattern read(symbols_);
-  const PatternNodeId root = read.CreateRoot(symbols_->Intern("a"));
-  read.AddChild(root, symbols_->Intern("zz"), Axis::kChild);
-  read.SetOutput(root);
-  Tree x = Xml("<qq/>", symbols_);
-  DetectorOptions options;
-  options.search.max_nodes = 4;  // covers the paper bound of 4
-  options.search.max_trees = 3;  // ... but truncates the enumeration
-  Result<ConflictReport> r =
-      DetectInsert(read, Xp("a/b", symbols_), x, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->method, DetectorMethod::kBoundedSearch);
-  EXPECT_EQ(r->verdict, ConflictVerdict::kUnknown);
+  ExpectSearchDecides(symbols_, {.max_nodes = 6, .max_trees = 3},
+                      ConflictVerdict::kUnknown);
 }
 
 TEST_F(DetectorTest, MainlineHeuristicFindsBranchingConflicts) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/program_parser.h"
+#include "conflict/detector.h"
 #include "dtd/dtd.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -34,6 +35,29 @@ class LintTest : public ::testing::Test {
     options.batch.detector.dtd =
         std::make_shared<const Dtd>(Dtd::Parse(schema, symbols).value());
     return options;
+  }
+
+  /// y = read a[b]/c; insert <b/> at a[b]; z = read a[b]/c — a branching
+  /// (read, insert) pair that only the bounded search decides.
+  Program SearchOnlyProgram() {
+    Program program;
+    program.AddRead("y", "x", Xp("a[b]/c", symbols_));
+    program.AddInsert("x", Xp("a[b]", symbols_), Content("<b/>"));
+    program.AddRead("z", "x", Xp("a[b]/c", symbols_));
+    return program;
+  }
+
+  /// The program's (read, insert) pair reaches the bounded search under
+  /// `options` and gets `verdict` there.
+  void ExpectSearchDecides(const LintOptions& options,
+                           ConflictVerdict verdict) {
+    const Result<ConflictReport> report =
+        Detect(Xp("a[b]/c", symbols_),
+               UpdateOp::MakeInsert(Xp("a[b]", symbols_), Content("<b/>")),
+               options.batch.detector);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->method, DetectorMethod::kBoundedSearch);
+    EXPECT_EQ(report->verdict, verdict);
   }
 
   std::vector<const Diagnostic*> ByRule(const LintResult& result,
@@ -348,25 +372,17 @@ TEST_F(LintTest, OneLintSolvesEachPairOnce) {
 /// below the paper bound and assert that (a) the truncation is surfaced
 /// and (b) no unsafe diagnostic or fix-it is derived from the pair.
 TEST_F(LintTest, TruncatedVerdictIsSurfacedAndTreatedAsDependence) {
-  // Branching read a[zz]/b (output = the b child) against an insert of
-  // <c/> at the root a: under tree semantics a sibling insert never
-  // changes the selected b subtrees, but proving that needs the bounded
-  // search (the mainline a/b finds no witness to extend). Paper bound =
-  // |R|·|I|·(k+1) = 3·1·1 = 3; budget max_nodes=2 < 3 → kUnknown.
-  Pattern read(symbols_);
-  const PatternNodeId root = read.CreateRoot(symbols_->Intern("a"));
-  read.AddChild(root, symbols_->Intern("zz"), Axis::kChild);
-  read.SetOutput(read.AddChild(root, symbols_->Intern("b"), Axis::kChild));
-
-  Program program;
-  program.AddRead("y", "x", read);
-  program.AddInsert("x", Xp("a", symbols_), Content("<c/>"));
-  program.AddRead("z", "x", read);
-
+  // Branching read a[b]/c against an insert of <b/> at a[b]: the insert
+  // fires only where the predicate [b] already holds, so the read never
+  // changes, but proving that needs the bounded search — the leaf path
+  // a/b conflicts with the insert, so the leaf-path certificate does not
+  // apply. Paper bound = |R|·|I|·(k+1) = 3·2·1 = 6; budget max_nodes=5
+  // < 6 → kUnknown.
   LintOptions options;
-  options.batch.detector.search.max_nodes = 2;
+  options.batch.detector.search.max_nodes = 5;
   const Linter linter(options);
-  const LintResult result = linter.Lint(program);
+  const LintResult result = linter.Lint(SearchOnlyProgram());
+  ExpectSearchDecides(options, ConflictVerdict::kUnknown);
 
   // (a) surfaced, never dropped: both (read, insert) pairs truncate.
   const auto truncated = ByRule(result, LintRule::kTruncatedVerdict);
@@ -392,23 +408,14 @@ TEST_F(LintTest, TruncatedVerdictIsSurfacedAndTreatedAsDependence) {
 }
 
 TEST_F(LintTest, RaisedBudgetResolvesTruncation) {
-  // Same program with the budget raised to the paper bound (3): the
+  // Same program with the budget raised to the paper bound (6): the
   // exhaustive search proves no-conflict, the truncation diagnostics
   // disappear, and CSE fires across the now-independent insert.
-  Pattern read(symbols_);
-  const PatternNodeId root = read.CreateRoot(symbols_->Intern("a"));
-  read.AddChild(root, symbols_->Intern("zz"), Axis::kChild);
-  read.SetOutput(read.AddChild(root, symbols_->Intern("b"), Axis::kChild));
-
-  Program program;
-  program.AddRead("y", "x", read);
-  program.AddInsert("x", Xp("a", symbols_), Content("<c/>"));
-  program.AddRead("z", "x", read);
-
   LintOptions options;
-  options.batch.detector.search.max_nodes = 3;
+  options.batch.detector.search.max_nodes = 6;
   const Linter linter(options);
-  const LintResult result = linter.Lint(program);
+  const LintResult result = linter.Lint(SearchOnlyProgram());
+  ExpectSearchDecides(options, ConflictVerdict::kNoConflict);
   EXPECT_TRUE(ByRule(result, LintRule::kTruncatedVerdict).empty());
   EXPECT_EQ(ByRule(result, LintRule::kRedundantRead).size(), 1u);
 }
