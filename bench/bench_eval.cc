@@ -1,8 +1,15 @@
 // Experiment E1 (§3, Figure 1): read/insert/delete evaluation cost is
-// polynomial — linear in |t| for fixed patterns and linear in |p| for a
-// fixed tree. Series: Evaluate over catalog documents of growing size with
-// the Figure 1 patterns; pattern-size sweep on a fixed document, past one
-// 64-bit word of pattern nodes; insert and delete operation throughput.
+// polynomial — linear in the region a pattern can reach for fixed
+// patterns and linear in |p| for a fixed tree. Series: Evaluate over
+// catalog documents of growing size with the Figure 1 patterns;
+// pattern-size sweep on a fixed document, past one 64-bit word of pattern
+// nodes; an anchored path on documents that grow outside its region;
+// witness-sized trees, for the fixed per-call cost; insert and delete
+// operation throughput.
+
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "benchmark/benchmark.h"
 #include "bench/bench_util.h"
@@ -47,6 +54,82 @@ void BM_EvaluatePatternSizeScaling(benchmark::State& state) {
 BENCHMARK(BM_EvaluatePatternSizeScaling)
     ->DenseRange(2, 130, 16)
     ->Complexity(benchmark::oN);
+
+/// A document shaped like xbench's merge_edits seeds, with `anchors`
+/// anchors s0, s1, ... under <r>, each holding 60 a groups of 1-3 b, 30 c
+/// groups of 0-2 d and 10 e/f pairs: about 275 nodes per anchor.
+Tree MergeDocument(size_t anchors, uint64_t seed) {
+  const auto& symbols = bench::Symbols();
+  Rng rng(seed);
+  Tree t(symbols);
+  const NodeId root = t.CreateRoot(symbols->Intern("r"));
+  for (size_t k = 0; k < anchors; ++k) {
+    const NodeId s = t.AddChild(root, symbols->Intern("s" + std::to_string(k)));
+    for (int i = 0; i < 60; ++i) {
+      const NodeId a = t.AddChild(s, symbols->Intern("a"));
+      for (uint64_t j = 0, m = 1 + rng.NextBounded(3); j < m; ++j) {
+        t.AddChild(a, symbols->Intern("b"));
+      }
+    }
+    for (int i = 0; i < 30; ++i) {
+      const NodeId c = t.AddChild(s, symbols->Intern("c"));
+      for (uint64_t j = 0, m = rng.NextBounded(3); j < m; ++j) {
+        t.AddChild(c, symbols->Intern("d"));
+      }
+    }
+    for (int i = 0; i < 10; ++i) {
+      t.AddChild(t.AddChild(s, symbols->Intern("e")), symbols->Intern("f"));
+    }
+  }
+  return t;
+}
+
+// merge_edits' anchored writes: r/s3/a/b reaches the root, s3 and s3's a/b
+// groups whatever the document's size, so the time should stay nearly flat
+// (it grows only with the root's fan-out) on 2k, 20k and 200k nodes.
+void BM_EvaluateAnchoredPath(benchmark::State& state) {
+  const Tree doc = MergeDocument(static_cast<size_t>(state.range(0)), 7);
+  const Pattern path = bench::Xp("r/s3/a/b");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Evaluate(path, doc));
+  }
+  state.counters["tree_nodes"] = static_cast<double>(doc.size());
+}
+BENCHMARK(BM_EvaluateAnchoredPath)->Arg(8)->Arg(80)->Arg(800);
+
+// Witness-sized trees of 5-30 nodes: the Lemma 1 checks evaluate patterns
+// on trees like these about half a million times per branching_detect
+// run, so this series guards the fixed cost of one call.
+void BM_EvaluateSmallTree(benchmark::State& state) {
+  TreeGenOptions options;
+  options.target_size = static_cast<size_t>(state.range(0));
+  options.alphabet = {bench::Symbols()->Intern("a"),
+                      bench::Symbols()->Intern("b"),
+                      bench::Symbols()->Intern("c")};
+  const RandomTreeGenerator generator(bench::Symbols(), options);
+  Rng rng(6);
+  std::vector<Tree> trees;
+  size_t nodes = 0;
+  for (int i = 0; i < 8; ++i) {
+    trees.push_back(generator.Generate(&rng));
+    nodes += trees.back().size();
+  }
+  const Pattern patterns[] = {bench::RandomLinear(3, 1),
+                              bench::RandomLinear(4, 2), bench::Xp("a[b]//c"),
+                              bench::Xp("*//b[c]")};
+  for (auto _ : state) {
+    for (const Tree& t : trees) {
+      for (const Pattern& p : patterns) {
+        benchmark::DoNotOptimize(Evaluate(p, t));
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(
+      state.iterations() * trees.size() * std::size(patterns)));
+  state.counters["tree_nodes"] =
+      static_cast<double>(nodes) / static_cast<double>(trees.size());
+}
+BENCHMARK(BM_EvaluateSmallTree)->Arg(5)->Arg(10)->Arg(30);
 
 void BM_ApplyInsert(benchmark::State& state) {
   const size_t books = static_cast<size_t>(state.range(0));

@@ -48,7 +48,12 @@ DependenceAnalyzer::DependenceAnalyzer(DetectorOptions options)
           BatchDetectorOptions{.detector = options, .store = nullptr}) {}
 
 DependenceAnalyzer::DependenceAnalyzer(BatchDetectorOptions options)
-    : batch_(std::move(options)) {}
+    : batch_([&options] {
+        // Edges come from verdicts alone: no witness is built or
+        // re-checked.
+        options.detector.build_witness = false;
+        return std::move(options);
+      }()) {}
 
 DependenceGraph DependenceAnalyzer::Graph(const Program& program) const {
   const std::vector<Statement>& statements = program.statements();

@@ -206,6 +206,9 @@ Linter::Linter(LintOptions options)
         // to rewrite content *below* a read's result nodes. Forced here,
         // whatever the caller put in options.batch.detector.semantics.
         options.batch.detector.semantics = ConflictSemantics::kTree;
+        // Diagnostics and edges come from verdicts alone: no witness is
+        // built or re-checked.
+        options.batch.detector.build_witness = false;
         return options;
       }()),
       batch_(options_.batch) {}

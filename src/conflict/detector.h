@@ -21,12 +21,13 @@ struct DetectorOptions {
   /// Budget for the NP path (branching reads).
   BoundedSearchOptions search;
   /// Construct (and re-verify) a witness tree on kConflict verdicts.
-  /// Verdict-only callers (the batch matrix, lint) can turn this off: the
-  /// witness construction re-runs the Lemma 1 checker per conflict, which
-  /// dominates the cached hot path. Verdict,
-  /// method and detail are unaffected. The branching-read heuristic
-  /// internally still builds the mainline witness it extends (its
-  /// soundness proof needs the verified tree).
+  /// Verdict-only callers turn this off, since the witness construction
+  /// re-runs the Lemma 1 checker per conflict: CertifyUpdatesCommute (and
+  /// through it merge and transactions), Linter and DependenceAnalyzer
+  /// clear it whatever their caller set. Verdict, method and detail are
+  /// unaffected. The branching-read heuristic internally still builds the
+  /// mainline witness it extends (its soundness proof needs the verified
+  /// tree).
   bool build_witness = true;
   /// Schema for the Stage 0 type-pruning filter (dtd/type_summary.h).
   /// When set, detection is *conservative under the schema*: Stage 0 may

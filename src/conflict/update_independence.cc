@@ -25,6 +25,8 @@ Result<IndependenceReport> CertifyUpdatesCommute(
   IndependenceReport report;
   DetectorOptions node_options = options;
   node_options.semantics = ConflictSemantics::kNode;
+  // The report carries no witness, so none is built or re-checked.
+  node_options.build_witness = false;
 
   // Soundness argument (see header): if neither update can change the
   // other's selected point set — on *any* tree — then in either order both

@@ -67,6 +67,8 @@ Result<UpdateOp> UpdateOp::MakeDelete(std::shared_ptr<const PatternStore> store,
 
 UpdateOp UpdateOp::Bind(const std::shared_ptr<PatternStore>& store) const {
   XMLUP_CHECK(store != nullptr);
+  // Already bound here: the stored pattern would re-intern to this ref.
+  if (store_.get() == store.get() && pattern_ref_.valid()) return *this;
   const PatternRef ref = store->Intern(pattern());
   return Visit(
       [&](const InsertDesc& insert) {

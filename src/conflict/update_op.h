@@ -84,7 +84,8 @@ class UpdateOp {
   /// A copy of this op bound to `store`: its pattern interned (minimized)
   /// and the ref recorded. Amortizes canonicalization across pair loops
   /// (update_independence, transactions, batch). Equivalence-preserving:
-  /// the bound op selects the same nodes on every tree.
+  /// the bound op selects the same nodes on every tree. An op already
+  /// bound to `store` is returned as it is, without touching the store.
   UpdateOp Bind(const std::shared_ptr<PatternStore>& store) const;
 
   /// The interning ref, or an invalid ref for ops built from raw Patterns.

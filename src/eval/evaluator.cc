@@ -1,6 +1,7 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace xmlup {
 namespace {
@@ -14,54 +15,211 @@ uint64_t SatMul(uint64_t a, uint64_t b) {
   return a > UINT64_MAX / b ? UINT64_MAX : a * b;
 }
 
-/// The sat and below rows (PatternMasks::Step) of tree slots lo and up.
-struct SatRows {
-  size_t words;
-  NodeId lo;
-  std::vector<uint64_t> rows;
+constexpr uint32_t kNoParent = UINT32_MAX;
 
-  uint64_t* Sat(NodeId n) { return &rows[(n - lo) * 2 * words]; }
-  uint64_t* Below(NodeId n) { return Sat(n) + words; }
+/// A node of the region, with its tree parent's position in the region
+/// (kNoParent at the anchor).
+struct RegionNode {
+  NodeId node;
+  uint32_t up;
 };
 
-/// One sweep over the slots [lo, capacity) in descending id order. A
-/// parent's id is smaller than its children's (see Tree), so a node comes
-/// after all its children: by then its rows hold the unions of theirs (cs,
-/// cb), which Step turns into its own before they are added to its
-/// parent's. Dead slots stay empty.
-SatRows SweepFrom(const Pattern& p, const Tree& t, NodeId lo) {
+/// A node waiting on the walk stack. `subtree`: a pattern node open at it
+/// or above it has a descendant-axis child, so the walk takes every node
+/// below it.
+struct Frame {
+  NodeId node;
+  uint32_t up;
+  bool subtree;
+};
+
+/// One edge of the pattern path ROOT(p) → O(p), as word/bit positions.
+struct Link {
+  size_t word, up_word;
+  uint64_t bit, up_bit;
+  bool child;
+};
+
+/// The evaluator's scratch, one per thread and reused across calls like
+/// dp_matcher's: every vector is cleared or assigned, which keeps its
+/// capacity, so a warm thread allocates nothing per call but the result.
+/// It is bounded by the largest region the thread has evaluated. No entry
+/// point calls another while it uses the scratch.
+struct Scratch {
+  PatternMasks masks;
+  /// Per pattern node, the row of its child-axis children.
+  std::vector<uint64_t> kids;
+  /// The pattern nodes with a descendant-axis child.
+  std::vector<uint64_t> desc_parents;
+  /// The walked nodes, each after its tree parent.
+  std::vector<RegionNode> region;
+  /// Per region position its sat and below rows, then one spare sat row.
+  std::vector<uint64_t> rows;
+  std::vector<Frame> stack;
+  /// The open row of every stacked frame not in subtree mode, in stack
+  /// order, so a popped frame not in subtree mode owns the last row.
+  std::vector<uint64_t> open;
+  /// The kid row of the node being expanded.
+  std::vector<uint64_t> kid;
+  std::vector<Link> path;
+
+  static Scratch& Get() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
+
+  size_t words() const { return masks.words(); }
+  uint64_t* Sat(uint32_t at) { return &rows[size_t{at} * 2 * words()]; }
+  uint64_t* Below(uint32_t at) { return Sat(at) + words(); }
+};
+
+/// Compiles `p` into the scratch's masks, kid rows and desc_parents.
+void Compile(const Pattern& p, Scratch& s) {
   const Pattern* const forest[] = {&p};
-  const PatternMasks masks(forest);
-  const size_t words = masks.words();
-  // One slot more than the tree has, for the sat row Step writes.
-  SatRows out{words, lo,
-              std::vector<uint64_t>((t.capacity() - lo + 1) * 2 * words, 0)};
-  uint64_t* const base = out.rows.data();
-  uint64_t* const sat = base + out.rows.size() - words;
-  for (NodeId n = static_cast<NodeId>(t.capacity()); n-- > lo;) {
-    if (!t.alive(n)) continue;
-    uint64_t* const cs = base + (n - lo) * 2 * words;
+  s.masks.Assign(forest);
+  const size_t words = s.words();
+  s.kids.assign(p.size() * words, 0);
+  s.desc_parents.assign(words, 0);
+  for (PatternNodeId q = 0; q < p.size(); ++q) {
+    for (PatternNodeId c = p.first_child(q); c != kNullPatternNode;
+         c = p.next_sibling(c)) {
+      if (p.axis(c) == Axis::kChild) {
+        s.kids[q * words + c / 64] |= uint64_t{1} << (c % 64);
+      } else {
+        s.desc_parents[q / 64] |= uint64_t{1} << (q % 64);
+      }
+    }
+  }
+}
+
+/// Walks the region of `p` under `anchor` into s.region, top-down. A node
+/// is open for the pattern nodes that may map to it: ROOT(p) at the
+/// anchor, and at a child the child-axis children of its parent's open
+/// nodes whose label test accepts it. The walk enters a child only when
+/// that set is non-empty, and once an open node has a descendant-axis
+/// child it takes the whole subtree without mask work. Every embedding
+/// that maps ROOT(p) to the anchor has its image in the region, and each
+/// region node's rows are exact for the pattern nodes open at it (see
+/// DESIGN.md, "Evaluator"). With `anywhere`, ROOT(p) may map to any node,
+/// so the region is the whole subtree.
+void Walk(const Pattern& p, const Tree& t, NodeId anchor, bool anywhere,
+          Scratch& s) {
+  const size_t words = s.words();
+  s.region.clear();
+  s.stack.clear();
+  s.open.clear();
+  s.kid.resize(words);
+  if (anywhere) {
+    s.stack.push_back({anchor, kNoParent, true});
+  } else {
+    const PatternNodeId root = p.root();
+    if (!PatternMasks::Test(s.masks.LabelRow(t.label(anchor)), root)) return;
+    const bool subtree = PatternMasks::Test(s.desc_parents.data(), root);
+    if (!subtree) {
+      s.open.assign(words, 0);
+      s.open[root / 64] = uint64_t{1} << (root % 64);
+    }
+    s.stack.push_back({anchor, kNoParent, subtree});
+  }
+  uint64_t* const kid = s.kid.data();
+  while (!s.stack.empty()) {
+    const Frame frame = s.stack.back();
+    s.stack.pop_back();
+    const uint32_t at = static_cast<uint32_t>(s.region.size());
+    s.region.push_back({frame.node, frame.up});
+    if (frame.subtree) {
+      for (NodeId c = t.first_child(frame.node); c != kNullNode;
+           c = t.next_sibling(c)) {
+        s.stack.push_back({c, at, true});
+      }
+      continue;
+    }
+    // The kid row: the child-axis children of the node's open nodes.
+    const uint64_t* const open = &s.open[s.open.size() - words];
+    std::fill(kid, kid + words, 0);
+    uint64_t any = 0;
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = open[w]; bits != 0; bits &= bits - 1) {
+        const uint64_t* const row =
+            &s.kids[(w * 64 + std::countr_zero(bits)) * words];
+        for (size_t v = 0; v < words; ++v) {
+          kid[v] |= row[v];
+          any |= row[v];
+        }
+      }
+    }
+    s.open.resize(s.open.size() - words);
+    if (any == 0) continue;
+    for (NodeId c = t.first_child(frame.node); c != kNullNode;
+         c = t.next_sibling(c)) {
+      const uint64_t* const labels = s.masks.LabelRow(t.label(c));
+      uint64_t entered = 0;
+      uint64_t pending = 0;
+      for (size_t w = 0; w < words; ++w) {
+        entered |= kid[w] & labels[w];
+        pending |= kid[w] & labels[w] & s.desc_parents[w];
+      }
+      if (entered == 0) continue;
+      if (pending == 0) {
+        for (size_t w = 0; w < words; ++w) {
+          s.open.push_back(kid[w] & labels[w]);
+        }
+      }
+      s.stack.push_back({c, at, pending != 0});
+    }
+  }
+}
+
+/// The sat and below rows (PatternMasks::Step) of every region node, in
+/// one pass from the last walked node to the anchor: a node comes after
+/// its tree parent in the region, so by its turn its rows hold the unions
+/// of its children's (cs, cb), which Step turns into its own before they
+/// are added to its parent's. A node outside the region counts as one
+/// where nothing embeds.
+void SatBelow(const Tree& t, Scratch& s) {
+  const size_t words = s.words();
+  const size_t size = s.region.size();
+  s.rows.assign((2 * size + 1) * words, 0);
+  uint64_t* const sat = s.rows.data() + 2 * size * words;
+  for (size_t i = size; i-- > 0;) {
+    uint64_t* const cs = s.Sat(static_cast<uint32_t>(i));
     uint64_t* const cb = cs + words;
-    const uint64_t* const labels = masks.LabelRow(t.label(n));
+    const uint64_t* const labels =
+        s.masks.LabelRow(t.label(s.region[i].node));
     // A label no pattern node accepts, with nothing embedded below, leaves
     // the rows of the node and of its parent as they are.
     uint64_t live = 0;
     for (size_t w = 0; w < words; ++w) live |= labels[w] | cb[w];
     if (live == 0) continue;
-    masks.Step(labels, cs, cb, sat, cb);
+    s.masks.Step(labels, cs, cb, sat, cb);
     std::copy(sat, sat + words, cs);
-    const NodeId parent = t.parent(n);
-    if (parent == kNullNode || parent < lo) continue;
+    const uint32_t up = s.region[i].up;
+    if (up == kNoParent) continue;
     // The parent's sat row, then its below row.
-    uint64_t* const up = base + (parent - lo) * 2 * words;
-    for (size_t w = 0; w < 2 * words; ++w) up[w] |= cs[w];
+    uint64_t* const dst = s.Sat(up);
+    for (size_t w = 0; w < 2 * words; ++w) dst[w] |= cs[w];
   }
-  return out;
+}
+
+/// Compiles `p`, walks its region under `anchor` and computes the region's
+/// rows; position 0 is the anchor. Null when the region is empty.
+Scratch* EvaluateRegion(const Pattern& p, const Tree& t, NodeId anchor,
+                        bool anywhere) {
+  Scratch& s = Scratch::Get();
+  Compile(p, s);
+  Walk(p, t, anchor, anywhere, s);
+  if (s.region.empty()) return nullptr;
+  SatBelow(t, s);
+  return &s;
 }
 
 }  // namespace
 
-PatternMasks::PatternMasks(std::span<const Pattern* const> patterns) {
+void PatternMasks::Assign(std::span<const Pattern* const> patterns) {
+  offsets_.clear();
+  labels_.clear();
+  inner_.clear();
+  needs_.clear();
   size_t nodes = 0;
   for (const Pattern* p : patterns) {
     offsets_.push_back(nodes);
@@ -156,42 +314,38 @@ uint64_t CountEmbeddings(const Pattern& p, const Tree& t) {
 std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t) {
   XMLUP_CHECK(p.has_root());
   if (!t.has_root() || t.size() == 0) return {};
-  const NodeId root = t.root();
-  SatRows rows = SweepFrom(p, t, root);
-  if (!PatternMasks::Test(rows.Sat(root), p.root())) return {};
-  if (p.output() == p.root()) return {root};
-  // Only the path ROOT(p) → O(p) decides where O(p) maps. In ascending id
-  // order, parents first, each node's rows are rewritten on that path: sat
-  // becomes cand (the path nodes some full embedding maps to the node) and
-  // below becomes reach (cand of the node or of a proper ancestor). A path
-  // node q joins cand(n) iff q ∈ sat(n) and its parent is in cand (child
-  // axis) or reach (descendant axis) of n's parent.
-  struct Link {
-    size_t word, up_word;
-    uint64_t bit, up_bit;
-    bool child;
-  };
-  std::vector<Link> path;
+  Scratch* const s = EvaluateRegion(p, t, t.root(), /*anywhere=*/false);
+  if (s == nullptr || !PatternMasks::Test(s->Sat(0), p.root())) return {};
+  if (p.output() == p.root()) return {t.root()};
+  // Only the path ROOT(p) → O(p) decides where O(p) maps. Parents first,
+  // each region node's rows are rewritten on that path: sat becomes cand
+  // (the path nodes some full embedding maps to the node) and below
+  // becomes reach (cand of the node or of a proper ancestor). A path node
+  // q joins cand(n) iff q ∈ sat(n) and its parent is in cand (child axis)
+  // or reach (descendant axis) of n's parent.
+  std::vector<Link>& path = s->path;
+  path.clear();
   for (PatternNodeId q = p.output(); q != p.root(); q = p.parent(q)) {
     const PatternNodeId up = p.parent(q);
     path.push_back({q / 64, up / 64, uint64_t{1} << (q % 64),
                     uint64_t{1} << (up % 64), p.axis(q) == Axis::kChild});
   }
   std::reverse(path.begin(), path.end());
+  const size_t words = s->words();
   const size_t root_word = p.root() / 64;
   const uint64_t root_bit = uint64_t{1} << (p.root() % 64);
   // At the tree root only ROOT(p) is a candidate.
-  std::fill(rows.Sat(root), rows.Sat(root) + 2 * rows.words, 0);
-  rows.Sat(root)[root_word] = root_bit;
-  rows.Below(root)[root_word] = root_bit;
+  std::fill(s->Sat(0), s->Sat(0) + 2 * words, 0);
+  s->Sat(0)[root_word] = root_bit;
+  s->Below(0)[root_word] = root_bit;
   const Link& output = path.back();
   std::vector<NodeId> result;
-  for (NodeId n = root + 1; n < t.capacity(); ++n) {
-    if (!t.alive(n)) continue;
-    const uint64_t* const cand_up = rows.Sat(t.parent(n));
-    const uint64_t* const reach_up = rows.Below(t.parent(n));
-    uint64_t* const cand = rows.Sat(n);
-    uint64_t* const reach = rows.Below(n);
+  for (uint32_t i = 1; i < s->region.size(); ++i) {
+    const uint32_t up = s->region[i].up;
+    const uint64_t* const cand_up = s->Sat(up);
+    const uint64_t* const reach_up = s->Below(up);
+    uint64_t* const cand = s->Sat(i);
+    uint64_t* const reach = s->Below(i);
     cand[root_word] &= ~root_bit;
     reach[root_word] |= root_bit;
     for (const Link& link : path) {
@@ -204,8 +358,12 @@ std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t) {
       reach[link.word] = (reach[link.word] & ~link.bit) | on |
                          (reach_up[link.word] & link.bit);
     }
-    if ((cand[output.word] & output.bit) != 0) result.push_back(n);
+    if ((cand[output.word] & output.bit) != 0) {
+      result.push_back(s->region[i].node);
+    }
   }
+  // The walk's order is not id order once grafts interleave subtrees.
+  std::sort(result.begin(), result.end());
   return result;
 }
 
@@ -218,13 +376,15 @@ bool HasEmbedding(const Pattern& p, const Tree& t) {
 bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at) {
   XMLUP_CHECK(p.has_root());
   XMLUP_DCHECK(t.alive(at));
-  return PatternMasks::Test(SweepFrom(p, t, at).Sat(at), p.root());
+  Scratch* const s = EvaluateRegion(p, t, at, /*anywhere=*/false);
+  return s != nullptr && PatternMasks::Test(s->Sat(0), p.root());
 }
 
 bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope) {
   XMLUP_CHECK(p.has_root());
   XMLUP_DCHECK(t.alive(scope));
-  return PatternMasks::Test(SweepFrom(p, t, scope).Below(scope), p.root());
+  Scratch* const s = EvaluateRegion(p, t, scope, /*anywhere=*/true);
+  return PatternMasks::Test(s->Below(0), p.root());
 }
 
 }  // namespace xmlup

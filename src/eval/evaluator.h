@@ -15,11 +15,16 @@ namespace xmlup {
 /// label-preserving (wildcards match anything), need not be injective, and
 /// must satisfy the child/descendant edge constraints.
 ///
-/// Runs in O(|p|·|t|): one descending-id sweep computes, per tree node, the
-/// pattern nodes whose subpattern embeds there (PatternMasks::Step), and
-/// one ascending-id sweep carries the root-to-output candidates down — the
-/// Core-XPath-style evaluation the paper cites ([7]) for the polynomial
-/// cost of its operations. The result is sorted and duplicate-free.
+/// Runs in O(|p|·|region|), where the region is the part of t an embedding
+/// can reach: one walk down from the anchor enters a child only when some
+/// pattern node may map to it, and takes a whole subtree once a
+/// descendant-axis edge is open above it. Over the region, a bottom-up pass
+/// computes the pattern nodes whose subpattern embeds at each node
+/// (PatternMasks::Step) and a top-down pass carries the root-to-output
+/// candidates down — the Core-XPath-style evaluation the paper cites ([7])
+/// for the polynomial cost of its operations. The result is sorted and
+/// duplicate-free. Scratch is per thread and reused across calls, so a
+/// warm thread allocates only the result.
 std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t);
 
 /// True iff [[p]](t) is non-empty, i.e. some embedding of p into t exists.
@@ -28,11 +33,12 @@ bool HasEmbedding(const Pattern& p, const Tree& t);
 /// True iff there is an embedding of `p` into the subtree of `t` rooted at
 /// `at` that maps ROOT(p) to `at` (anchored, not root-preserving w.r.t. t).
 /// Used for "there is an embedding from SEQ into X" (Lemma 6) and by the
-/// containment checker.
+/// containment checker. Walks only the region below `at`.
 bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at);
 
 /// True iff EmbedsAt(p, t, n) holds for some node n in the subtree rooted
-/// at `scope` ("an embedding into X or some subtree of X", Lemma 6).
+/// at `scope` ("an embedding into X or some subtree of X", Lemma 6). ROOT(p)
+/// may map anywhere under `scope`, so the region is that whole subtree.
 bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope);
 
 /// Number of distinct embeddings of `p` into `t` (root-preserving), in
@@ -48,7 +54,14 @@ uint64_t CountEmbeddings(const Pattern& p, const Tree& t);
 /// descendant-axis children, only for the words that hold them.
 class PatternMasks {
  public:
-  explicit PatternMasks(std::span<const Pattern* const> patterns);
+  PatternMasks() = default;
+  explicit PatternMasks(std::span<const Pattern* const> patterns) {
+    Assign(patterns);
+  }
+
+  /// Recompiles for `patterns` in place. The rows keep their capacity, so
+  /// a PatternMasks reused across calls allocates nothing once warm.
+  void Assign(std::span<const Pattern* const> patterns);
 
   size_t words() const { return words_; }
   size_t Bit(size_t pattern, PatternNodeId q) const {
@@ -96,8 +109,8 @@ class PatternMasks {
   std::vector<Need> needs_;
 };
 
-// Step and LabelRow run once per tree node or shape: defined here so both
-// sweeps inline them.
+// Step and LabelRow run once per tree node or shape: defined here so the
+// evaluator and the bounded search inline them.
 
 inline const uint64_t* PatternMasks::LabelRow(Label label) const {
   size_t row = labels_.size();

@@ -35,8 +35,9 @@ inline constexpr NodeId kNullNode = 0xFFFFFFFFu;
 /// created in a fresh slot under an existing live parent (CreateRoot,
 /// AddChild, GraftCopy) and nothing re-links a node, so one pass over the
 /// slots in descending id order sees every child before its parent, and in
-/// ascending order every parent before its children. The evaluator's
-/// sweeps rely on this; Validate checks it.
+/// ascending order every parent before its children. Validate checks it.
+/// The evaluator does not rely on it: it walks the links down from its
+/// anchor, and grafts under early nodes interleave subtrees in id order.
 ///
 /// Although the data model is unordered, child lists have a deterministic
 /// stored order so that traversals, serialization and tests are

@@ -155,6 +155,27 @@ TEST(DetectorFacadeTest, BindPreservesOpSemantics) {
   EXPECT_FALSE(op.pattern_ref().valid());
 }
 
+TEST(DetectorFacadeTest, RebindingOntoItsOwnStoreTouchesNoStore) {
+  auto symbols = NewSymbols();
+  auto store = std::make_shared<PatternStore>(symbols);
+  const UpdateOp bound =
+      UpdateOp::MakeDelete(Xp("a/b[c]", symbols)).value().Bind(store);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const uint64_t hits_before = reg.GetCounter("pattern_store.hits").value();
+  const uint64_t misses_before =
+      reg.GetCounter("pattern_store.misses").value();
+  const UpdateOp again = bound.Bind(store);
+  EXPECT_EQ(again.pattern_ref(), bound.pattern_ref());
+  EXPECT_EQ(again.pattern_store(), store.get());
+  EXPECT_EQ(reg.GetCounter("pattern_store.hits").value(), hits_before);
+  EXPECT_EQ(reg.GetCounter("pattern_store.misses").value(), misses_before);
+  // Another store still interns the pattern.
+  auto other = std::make_shared<PatternStore>(symbols);
+  EXPECT_EQ(bound.Bind(other).pattern_store(), other.get());
+  EXPECT_EQ(reg.GetCounter("pattern_store.misses").value(),
+            misses_before + 1);
+}
+
 TEST(DetectorFacadeTest, DetectReportsVerdictAndMethodCounters) {
   auto symbols = NewSymbols();
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "eval/embedding_enumerator.h"
@@ -278,8 +280,8 @@ void ExpectMatchesEnumeration(const Pattern& p, const Tree& t,
 
 /// Property sweep: the evaluator agrees with explicit embedding enumeration
 /// on random (tree, pattern) pairs. Every other tree is first mutated by
-/// random deletes and grafts, so the id-order sweeps meet tombstoned slots
-/// and grafted ids.
+/// random deletes and grafts, so the walk meets tombstoned slots and
+/// grafted subtrees out of id order.
 class EvaluatorPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
@@ -323,6 +325,151 @@ TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EvaluatorPropertyTest,
                          ::testing::Range(0, 12));
+
+/// A document shaped like the merge_edits seeds: <r> with eight anchors
+/// s0..s7, each holding 60 a groups of 1-3 b, 30 c groups of 0-2 d and 10
+/// e/f pairs, about 2 200 nodes. Then `edits` random edits: grafts of
+/// small anchor-shaped pieces under early nodes, whose fresh ids follow
+/// the whole seed, so subtrees interleave in id order, and deletes below
+/// the anchors. The grafted copies' roots go to `grafted`.
+Tree MergeShapedDocument(const std::shared_ptr<SymbolTable>& symbols,
+                         Rng& rng, int edits, std::vector<NodeId>* grafted) {
+  Tree t(symbols);
+  const auto label = [&](const std::string& name) {
+    return symbols->Intern(name);
+  };
+  const NodeId root = t.CreateRoot(label("r"));
+  for (int k = 0; k < 8; ++k) {
+    const NodeId s = t.AddChild(root, label("s" + std::to_string(k)));
+    for (int i = 0; i < 60; ++i) {
+      const NodeId a = t.AddChild(s, label("a"));
+      for (uint64_t j = 0, m = 1 + rng.NextBounded(3); j < m; ++j) {
+        t.AddChild(a, label("b"));
+      }
+    }
+    for (int i = 0; i < 30; ++i) {
+      const NodeId c = t.AddChild(s, label("c"));
+      for (uint64_t j = 0, m = rng.NextBounded(3); j < m; ++j) {
+        t.AddChild(c, label("d"));
+      }
+    }
+    for (int i = 0; i < 10; ++i) {
+      t.AddChild(t.AddChild(s, label("e")), label("f"));
+    }
+  }
+  const Tree pieces[] = {
+      Xml("<s3><a><b/><b/></a><c><d/></c><e><f/></e></s3>", symbols),
+      Xml("<a><b/></a>", symbols),
+      Xml("<c><d/><d/></c>", symbols),
+      Xml("<a><c><d/></c><b/></a>", symbols),
+  };
+  const NodeId early = static_cast<NodeId>(t.capacity() / 8);
+  for (int edit = 0; edit < edits; ++edit) {
+    if (rng.NextBool(0.7)) {
+      NodeId parent = static_cast<NodeId>(rng.NextBounded(early));
+      while (!t.alive(parent)) --parent;  // the root, id 0, stays alive
+      const Tree& piece = pieces[rng.NextBounded(std::size(pieces))];
+      grafted->push_back(t.GraftCopy(parent, piece, piece.root()));
+    } else {
+      const NodeId n = static_cast<NodeId>(rng.NextBounded(t.capacity()));
+      if (t.alive(n) && n != root && t.parent(n) != root) t.DeleteSubtree(n);
+    }
+  }
+  return t;
+}
+
+TEST_F(EvaluatorTest, MergeShapedDocumentsAfterGraftsAndDeletes) {
+  // Rooted at the document root: anchored child paths, a first step on
+  // the descendant axis, descendant steps further down, wildcard roots,
+  // output = root, and predicates below the anchor.
+  const char* const rooted[] = {
+      "r/s3/a/b",        "r/s5/c/d",       "r/s3/a",      "r//a/b",
+      "r/s3//d",         "r/*/a[.//d]/b",  "*/s3/a/b",    "*//d",
+      "r",               "r[s3/a/b]",      "r[s1/e/f][.//d]",
+      "r/s3/a[b]",       "r/s3[e/f]/c[d]", "r/*/a[b][c]",
+  };
+  // Rooted at inner labels, for EmbedsAt and EmbedsAnywhereIn at every
+  // node, grafted copy roots included.
+  const char* const inner[] = {"s3/a/b", "a/b", "a[b][c/d]", "c/d",
+                               "a//d", "*/b"};
+  for (int seed = 0; seed < 3; ++seed) {
+    Rng rng(500 + seed);
+    std::vector<NodeId> grafted;
+    const Tree t = MergeShapedDocument(symbols_, rng, 60, &grafted);
+    ASSERT_TRUE(t.Validate().ok());
+    ASSERT_GE(t.size(), 2000u);
+    // The grafts interleave subtrees in id order.
+    const std::vector<NodeId> preorder = t.PreOrder();
+    ASSERT_FALSE(std::is_sorted(preorder.begin(), preorder.end()));
+    const std::string where = "seed " + std::to_string(seed) + " ";
+    for (const char* xpath : rooted) {
+      ExpectMatchesEnumeration(Xp(xpath, symbols_), t, where + xpath);
+    }
+    for (const char* xpath : inner) {
+      ExpectMatchesEnumeration(Xp(xpath, symbols_), t, where + xpath);
+    }
+    EXPECT_FALSE(Evaluate(Xp("r/s3/a/b", symbols_), t).empty()) << where;
+    // At the grafted roots, named: the copies hold embeddings of their own.
+    size_t anchored = 0;
+    for (NodeId g : grafted) {
+      if (!t.alive(g)) continue;
+      for (const char* xpath : inner) {
+        const Pattern p = Xp(xpath, symbols_);
+        const bool at = !EnumerateEmbeddings(p, CopySubtree(t, g), 1).empty();
+        bool anywhere = false;
+        for (NodeId m : t.SubtreeNodes(g)) {
+          anywhere = anywhere ||
+                     !EnumerateEmbeddings(p, CopySubtree(t, m), 1).empty();
+        }
+        EXPECT_EQ(EmbedsAt(p, t, g), at) << where << xpath << " at " << g;
+        EXPECT_EQ(EmbedsAnywhereIn(p, t, g), anywhere)
+            << where << xpath << " in " << g;
+        anchored += at;
+      }
+    }
+    EXPECT_GT(anchored, 0u) << where;
+  }
+}
+
+TEST_F(EvaluatorTest, EightThreadsEvaluateOneSharedTree) {
+  Rng rng(77);
+  std::vector<NodeId> grafted;
+  const Tree t = MergeShapedDocument(symbols_, rng, 40, &grafted);
+  const Tree small = Xml("<r><s3><a><b/></a></s3><s1/></r>", symbols_);
+  // Regions of very different sizes, so each thread's scratch grows and
+  // is reused at other sizes.
+  const char* const xpaths[] = {"r/s3/a/b", "r//b", "*//c[d]", "r[s3/a/b]",
+                                "r/s1/e/f", "r/*/a[b][c]"};
+  std::vector<Pattern> patterns;
+  std::vector<std::vector<NodeId>> expected;
+  std::vector<std::vector<NodeId>> expected_small;
+  for (const char* xpath : xpaths) {
+    patterns.push_back(Xp(xpath, symbols_));
+    expected.push_back(Evaluate(patterns.back(), t));
+    expected_small.push_back(Evaluate(patterns.back(), small));
+  }
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int id = 0; id < kThreads; ++id) {
+    threads.emplace_back([&, id] {
+      for (int round = 0; round < 20; ++round) {
+        for (size_t k = 0; k < patterns.size(); ++k) {
+          const size_t i = (k + id) % patterns.size();
+          mismatches[id] += Evaluate(patterns[i], t) != expected[i];
+          mismatches[id] += Evaluate(patterns[i], small) != expected_small[i];
+          mismatches[id] +=
+              HasEmbedding(patterns[i], t) != !expected[i].empty();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int id = 0; id < kThreads; ++id) {
+    EXPECT_EQ(mismatches[id], 0) << "thread " << id;
+  }
+  EXPECT_FALSE(expected[0].empty());
+}
 
 }  // namespace
 }  // namespace xmlup

@@ -7,11 +7,13 @@
 #include <vector>
 
 #include "analysis/program_parser.h"
+#include "common/random.h"
 #include "conflict/detector.h"
 #include "dtd/dtd.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
+#include "workload/program_generator.h"
 
 namespace xmlup {
 namespace {
@@ -479,6 +481,35 @@ TEST_F(LintTest, LintIsDeterministicAcrossThreadCounts) {
   const LintResult r1 = Linter(one).Lint(program);
   const LintResult r8 = Linter(eight).Lint(program);
   EXPECT_EQ(RenderLintJson(program, r1), RenderLintJson(program, r8));
+}
+
+TEST_F(LintTest, OutputDoesNotDependOnTheCallersWitnessSetting) {
+  ProgramGenOptions program_options;
+  program_options.num_statements = 8;
+  program_options.pattern.size = 3;
+  program_options.pattern.alphabet = {symbols_->Intern("a"),
+                                      symbols_->Intern("b"),
+                                      symbols_->Intern("c")};
+  const RandomProgramGenerator programs(symbols_, program_options);
+  LintOptions with;
+  with.batch.num_threads = 1;
+  with.batch.detector.search.max_nodes = 4;
+  with.batch.detector.build_witness = true;
+  LintOptions without = with;
+  without.batch.detector.build_witness = false;
+  const Linter linter_with(with);
+  const Linter linter_without(without);
+  Rng rng(7);
+  size_t edges = 0;
+  for (int iter = 0; iter < 40; ++iter) {
+    const Program program = programs.Generate(&rng);
+    const LintResult result = linter_with.Lint(program);
+    edges += result.stats.dependence_edges;
+    EXPECT_EQ(RenderLintJson(program, result),
+              RenderLintJson(program, linter_without.Lint(program)))
+        << "iter " << iter;
+  }
+  EXPECT_GT(edges, 0u);
 }
 
 TEST_F(LintTest, ApplyFixItRejectsMismatches) {

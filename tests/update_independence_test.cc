@@ -100,6 +100,46 @@ TEST_F(UpdateIndependenceTest, DetailIsPopulated) {
   EXPECT_FALSE(r->detail.empty());
 }
 
+TEST_F(UpdateIndependenceTest, CertificateDoesNotDependOnWitnessSetting) {
+  PatternGenOptions options;
+  options.size = 3;
+  options.alphabet = {symbols_->Intern("a"), symbols_->Intern("b")};
+  RandomPatternGenerator gen(symbols_, options);
+  Rng rng(31);
+  auto random_update = [&]() -> UpdateOp {
+    Pattern p = rng.NextBool(0.5) ? gen.GenerateLinear(&rng)
+                                  : gen.GenerateBranching(&rng);
+    if (rng.NextBool(0.5)) {
+      Tree content(symbols_);
+      content.CreateRoot(options.alphabet[rng.NextBounded(2)]);
+      return UpdateOp::MakeInsert(
+          std::move(p), std::make_shared<const Tree>(std::move(content)));
+    }
+    Result<UpdateOp> del = UpdateOp::MakeDelete(std::move(p));
+    return del.ok() ? std::move(del).value() : Del("a/b");
+  };
+  DetectorOptions with;
+  with.search.max_nodes = 4;
+  with.build_witness = true;
+  DetectorOptions without = with;
+  without.build_witness = false;
+  int certified = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const UpdateOp o1 = random_update();
+    const UpdateOp o2 = random_update();
+    const Result<IndependenceReport> a = CertifyUpdatesCommute(o1, o2, with);
+    const Result<IndependenceReport> b =
+        CertifyUpdatesCommute(o1, o2, without);
+    ASSERT_TRUE(a.ok() && b.ok()) << "iter " << iter;
+    EXPECT_EQ(a->certificate, b->certificate) << "iter " << iter;
+    EXPECT_EQ(a->detail, b->detail) << "iter " << iter;
+    certified += a->certificate == CommutativityCertificate::kCertified;
+  }
+  // Both outcomes occur, or the sweep compares only one kind of answer.
+  EXPECT_GT(certified, 0);
+  EXPECT_LT(certified, 60);
+}
+
 /// Soundness sweep: every certified pair must survive an exhaustive
 /// commutativity-violation search over small trees.
 class CertificatePropertyTest : public ::testing::TestWithParam<int> {};
