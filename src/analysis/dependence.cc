@@ -25,8 +25,9 @@ struct DependenceMetrics {
   }
 };
 
-}  // namespace
-
+/// `graph` over `statements` as an analysis result: one Dependence per
+/// edge, its reason the shared tree variable, and the pair counts. Records
+/// the dependence.* counters.
 DependenceAnalysisResult SummarizeDependences(
     const std::vector<Statement>& statements, const DependenceGraph& graph) {
   DependenceAnalysisResult result;
@@ -42,6 +43,8 @@ DependenceAnalysisResult SummarizeDependences(
   metrics.edges_pruned.Increment(result.pairs_independent);
   return result;
 }
+
+}  // namespace
 
 DependenceAnalyzer::DependenceAnalyzer(DetectorOptions options)
     : DependenceAnalyzer(
@@ -64,10 +67,7 @@ DependenceGraph DependenceAnalyzer::Graph(const Program& program) const {
 DependenceAnalysisResult DependenceAnalyzer::Analyze(
     const Program& program) const {
   obs::TraceSpan span("DependenceAnalyze");
-  DependenceAnalysisResult result =
-      SummarizeDependences(program.statements(), Graph(program));
-  result.batch_stats = batch_.stats();
-  return result;
+  return SummarizeDependences(program.statements(), Graph(program));
 }
 
 }  // namespace xmlup

@@ -47,16 +47,7 @@ struct DependenceAnalysisResult {
   /// independent fraction).
   size_t pairs_total = 0;
   size_t pairs_independent = 0;
-  /// Snapshot of the batch engine's cumulative pair/solve counters after
-  /// this analysis.
-  BatchStats batch_stats;
 };
-
-/// `graph` over `statements` as an analysis result: one Dependence per
-/// edge, its reason the shared tree variable, and the pair counts. Records
-/// the dependence.* counters; both dependence analyzers report through it.
-DependenceAnalysisResult SummarizeDependences(
-    const std::vector<Statement>& statements, const DependenceGraph& graph);
 
 class DependenceAnalyzer {
  public:
@@ -65,7 +56,7 @@ class DependenceAnalyzer {
   explicit DependenceAnalyzer(BatchDetectorOptions options);
 
   /// The classified dependence graph of `program`, edge reasons included
-  /// (one DetectPairs call plus the shared pair classifier).
+  /// (BuildDependenceGraph: one DetectPairs call plus the certificates).
   DependenceGraph Graph(const Program& program) const;
 
   /// Graph() summarized as a dependence list.

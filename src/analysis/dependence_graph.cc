@@ -1,9 +1,9 @@
 #include "analysis/dependence_graph.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/check.h"
+#include "conflict/update_independence.h"
 #include "obs/trace.h"
 #include "pattern/pattern_ops.h"
 
@@ -13,8 +13,8 @@ namespace {
 enum class PairKind { kMalformed, kUpdatePair, kReadUpdate };
 
 /// Calls fn(i, j, kind) for every pair i < j on one tree variable with at
-/// least one update, in (i, j) order — the pairs the classifier orders or
-/// asks about.
+/// least one update, in (i, j) order — the pairs BuildDependenceGraph
+/// orders or asks about.
 template <typename Fn>
 void ForEachSameVariablePair(const std::vector<Statement>& statements,
                              const std::vector<Result<UpdateOp>>& ops,
@@ -91,11 +91,40 @@ void DependenceGraph::AddEdge(DependenceEdge edge) {
   edges_.push_back(std::move(edge));
 }
 
-DependenceGraph ClassifyPairs(const std::vector<Statement>& statements,
-                              const std::vector<Result<UpdateOp>>& ops,
-                              const VerdictFn& verdict,
-                              const CertificateFn& certificate) {
-  DependenceGraph graph(statements.size());
+DependenceGraph BuildDependenceGraph(const std::vector<Statement>& statements,
+                                     const std::vector<Result<UpdateOp>>& ops,
+                                     BatchConflictDetector& batch) {
+  obs::TraceSpan span("DependenceGraph.build");
+  const size_t n = statements.size();
+  // Each statement enters the read/update pools once, on interned refs and
+  // bound ops, so the batch call runs with no per-pair canonicalization.
+  const std::shared_ptr<PatternStore>& store = batch.pattern_store();
+  std::vector<PatternRef> reads;
+  std::vector<UpdateOp> updates;
+  std::vector<size_t> slot(n, SIZE_MAX);  // statement → reads/updates index
+  std::vector<ReadUpdatePair> pairs;
+  ForEachSameVariablePair(statements, ops, [&](size_t i, size_t j,
+                                               PairKind kind) {
+    if (kind != PairKind::kReadUpdate) return;
+    const size_t read = IsUpdate(statements[i]) ? j : i;
+    const size_t update = IsUpdate(statements[i]) ? i : j;
+    if (slot[read] == SIZE_MAX) {
+      slot[read] = reads.size();
+      reads.push_back(store->Intern(statements[read].pattern));
+    }
+    if (slot[update] == SIZE_MAX) {
+      slot[update] = updates.size();
+      updates.push_back(*ops[update]);
+    }
+    pairs.push_back({slot[read], slot[update]});
+  });
+  const std::vector<SharedConflictResult> verdicts =
+      batch.DetectPairs(reads, updates, pairs);
+  const DetectorOptions& options = batch.options().detector;
+
+  // The second visit meets the read/update pairs in the order the first
+  // one listed them, so the k-th such pair takes verdicts[k].
+  DependenceGraph graph(n);
   ForEachSameVariablePair(statements, ops, [&](size_t i, size_t j,
                                                PairKind kind) {
     switch (kind) {
@@ -110,7 +139,8 @@ DependenceGraph ClassifyPairs(const std::vector<Statement>& statements,
         // commutativity certificate proves many pairs reorderable, and
         // anything it cannot clear stays ordered.
         ++graph.certificates_consulted_;
-        const Result<IndependenceReport> cert = certificate(i, j);
+        const Result<IndependenceReport> cert =
+            CertifyUpdatesCommute(*ops[i], *ops[j], options);
         if (!cert.ok()) {
           graph.AddEdge(
               {i, j, EdgeReason::kUpdatePair, cert.status().ToString()});
@@ -120,10 +150,8 @@ DependenceGraph ClassifyPairs(const std::vector<Statement>& statements,
         return;
       }
       case PairKind::kReadUpdate: {
-        ++graph.verdicts_consulted_;
-        const bool read_first = !IsUpdate(statements[i]);
         const Result<ConflictReport>& report =
-            read_first ? verdict(i, j) : verdict(j, i);
+            *verdicts[graph.verdicts_consulted_++];
         if (!report.ok()) {
           graph.AddEdge({i, j, EdgeReason::kError, report.status().ToString()});
         } else if (report->verdict == ConflictVerdict::kConflict) {
@@ -137,48 +165,6 @@ DependenceGraph ClassifyPairs(const std::vector<Statement>& statements,
     }
   });
   return graph;
-}
-
-DependenceGraph BuildDependenceGraph(const std::vector<Statement>& statements,
-                                     const std::vector<Result<UpdateOp>>& ops,
-                                     BatchConflictDetector& batch) {
-  obs::TraceSpan span("DependenceGraph.build");
-  const size_t n = statements.size();
-  // Each statement enters the read/update pools once, on interned refs and
-  // bound ops, so the batch call runs with no per-pair canonicalization.
-  const std::shared_ptr<PatternStore>& store = batch.pattern_store();
-  std::vector<PatternRef> reads;
-  std::vector<UpdateOp> updates;
-  std::vector<size_t> slot(n, SIZE_MAX);  // statement → reads/updates index
-  std::vector<ReadUpdatePair> pairs;
-  std::unordered_map<size_t, size_t> pair_of;  // read * n + update → pairs
-  ForEachSameVariablePair(statements, ops, [&](size_t i, size_t j,
-                                               PairKind kind) {
-    if (kind != PairKind::kReadUpdate) return;
-    const size_t read = IsUpdate(statements[i]) ? j : i;
-    const size_t update = IsUpdate(statements[i]) ? i : j;
-    if (slot[read] == SIZE_MAX) {
-      slot[read] = reads.size();
-      reads.push_back(store->Intern(statements[read].pattern));
-    }
-    if (slot[update] == SIZE_MAX) {
-      slot[update] = updates.size();
-      updates.push_back(*ops[update]);
-    }
-    pair_of.emplace(read * n + update, pairs.size());
-    pairs.push_back({slot[read], slot[update]});
-  });
-  const std::vector<SharedConflictResult> verdicts =
-      batch.DetectPairs(reads, updates, pairs);
-  const DetectorOptions& options = batch.options().detector;
-  return ClassifyPairs(
-      statements, ops,
-      [&](size_t read, size_t update) -> const Result<ConflictReport>& {
-        return *verdicts[pair_of.at(read * n + update)];
-      },
-      [&](size_t earlier, size_t later) {
-        return CertifyUpdatesCommute(*ops[earlier], *ops[later], options);
-      });
 }
 
 std::vector<std::optional<size_t>> SelectReadAliases(

@@ -2,7 +2,6 @@
 #define XMLUP_ANALYSIS_DEPENDENCE_GRAPH_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -11,19 +10,19 @@
 #include "analysis/program.h"
 #include "common/result.h"
 #include "conflict/batch_detector.h"
-#include "conflict/update_independence.h"
 #include "conflict/update_op.h"
 
 namespace xmlup {
 
 /// The dependence core of the §1 compiler use case: knowing when two
 /// statements of a straight-line program must keep their order. Every
-/// client — DependenceAnalyzer, IncrementalDependenceAnalyzer, the Linter,
-/// the Optimizer and the MergeExecutor — builds on the four pieces here:
+/// client — DependenceAnalyzer, the Linter, the Optimizer and the
+/// MergeExecutor — builds on the four pieces here:
 ///
 ///  1. the statement model (IsUpdate, ToUpdateOp);
-///  2. the same-variable pair classifier, which turns read/update verdicts
-///     and update/update §6 certificates into forward edges;
+///  2. the same-variable pair classifier (BuildDependenceGraph), which
+///     turns read/update verdicts and update/update §6 certificates into
+///     forward edges;
 ///  3. read-CSE alias selection over those edges;
 ///  4. wavefront levels over forward edges.
 
@@ -61,14 +60,6 @@ struct DependenceEdge {
   std::string detail;
 };
 
-/// The classifier's per-pair inputs: the detector's answer for a read
-/// statement against an update statement, and the §6 certificate for two
-/// update statements in program order.
-using VerdictFn =
-    std::function<const Result<ConflictReport>&(size_t read, size_t update)>;
-using CertificateFn =
-    std::function<Result<IndependenceReport>(size_t earlier, size_t later)>;
-
 /// Forward edges over `size()` nodes (from < to), at most one per pair.
 class DependenceGraph {
  public:
@@ -88,9 +79,9 @@ class DependenceGraph {
   size_t certificates_consulted() const { return certificates_consulted_; }
 
  private:
-  friend DependenceGraph ClassifyPairs(const std::vector<Statement>&,
-                                       const std::vector<Result<UpdateOp>>&,
-                                       const VerdictFn&, const CertificateFn&);
+  friend DependenceGraph BuildDependenceGraph(
+      const std::vector<Statement>&, const std::vector<Result<UpdateOp>>&,
+      BatchConflictDetector&);
 
   size_t size_;
   std::vector<DependenceEdge> edges_;
@@ -103,21 +94,14 @@ class DependenceGraph {
 /// `statements` on one tree variable with at least one update, in (i, j)
 /// order, and orders it when
 ///  - either update is malformed (`ops`, the statement model) — kMalformed;
-///  - both are updates and `certificate(i, j)` fails or is not kCertified —
-///    kUpdatePair;
-///  - it is a read/update pair and `verdict(read, update)` is an error,
-///    kConflict or kUnknown — kError / kConflict / kUnknown.
+///  - both are updates and CertifyUpdatesCommute, under the engine's
+///    detector options, fails or is not kCertified — kUpdatePair;
+///  - it is a read/update pair and its verdict is an error, kConflict or
+///    kUnknown — kError / kConflict / kUnknown.
 /// Everything else, reads on one variable and pairs on different
-/// variables included, is independent. `verdict` and `certificate` are
-/// asked only about pairs whose updates are well-formed.
-DependenceGraph ClassifyPairs(const std::vector<Statement>& statements,
-                              const std::vector<Result<UpdateOp>>& ops,
-                              const VerdictFn& verdict,
-                              const CertificateFn& certificate);
-
-/// ClassifyPairs on a batch engine: every same-variable read/update pair
-/// is solved in one DetectPairs call, and update pairs are certified with
-/// CertifyUpdatesCommute under the engine's detector options. `ops` must be
+/// variables included, is independent. The read/update pairs are solved
+/// in one DetectPairs call on `batch`; a pair with a malformed update is
+/// neither solved nor certified. `ops` must be
 /// BindStatements(statements, batch.pattern_store()).
 DependenceGraph BuildDependenceGraph(const std::vector<Statement>& statements,
                                      const std::vector<Result<UpdateOp>>& ops,

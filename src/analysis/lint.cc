@@ -533,7 +533,6 @@ LintResult Linter::Lint(const Program& program) const {
                                                             : b.statements[0];
                      return pa < pb;
                    });
-  result.stats.batch = batch_.stats();
   return result;
 }
 

@@ -129,9 +129,6 @@ struct LintStats {
   /// Conservative dependence edges (conflicts, Unknowns, result-variable
   /// write-after-write, alias ordering).
   size_t dependence_edges = 0;
-  /// Snapshot of the engine's cumulative pair/dedup counters after this
-  /// run.
-  BatchStats batch;
 };
 
 struct LintResult {

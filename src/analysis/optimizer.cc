@@ -8,8 +8,6 @@ namespace xmlup {
 
 Optimizer::Optimizer(DetectorOptions options) : analyzer_(options) {}
 
-Optimizer::Optimizer(BatchDetectorOptions options) : analyzer_(options) {}
-
 OptimizeResult Optimizer::EliminateCommonReads(const Program& program) const {
   OptimizeResult result;
   result.program = program;

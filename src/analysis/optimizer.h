@@ -28,9 +28,6 @@ struct OptimizeResult {
 class Optimizer {
  public:
   explicit Optimizer(DetectorOptions options = {});
-  /// Full control over the underlying batch engine (thread count, shared
-  /// PatternStore).
-  explicit Optimizer(BatchDetectorOptions options);
 
   /// Applies read CSE; the returned program is observably equivalent under
   /// value semantics (validated by the test suite by executing both).

@@ -23,11 +23,10 @@ struct DetectorOptions {
   /// Construct (and re-verify) a witness tree on kConflict verdicts.
   /// Verdict-only callers turn this off, since the witness construction
   /// re-runs the Lemma 1 checker per conflict: CertifyUpdatesCommute (and
-  /// through it merge and transactions), Linter and DependenceAnalyzer
-  /// clear it whatever their caller set. Verdict, method and detail are
-  /// unaffected. The branching-read heuristic internally still builds the
-  /// mainline witness it extends (its soundness proof needs the verified
-  /// tree).
+  /// through it merge), Linter and DependenceAnalyzer clear it whatever
+  /// their caller set. Verdict, method and detail are unaffected. The
+  /// branching-read heuristic internally still builds the mainline witness
+  /// it extends (its soundness proof needs the verified tree).
   bool build_witness = true;
   /// Schema for the Stage 0 type-pruning filter (dtd/type_summary.h).
   /// When set, detection is *conservative under the schema*: Stage 0 may
@@ -50,7 +49,7 @@ struct DetectorOptions {
 ///   - Stage 0 (only with options.dtd set): the schema-type disjointness
 ///     filter — method kTypePruned, always kNoConflict, no matching work.
 ///     The one Stage 0 of the library: the batch engine, lint, the
-///     dependence analyzers and the Engine facade all reach it through
+///     dependence analyzer and the Engine facade all reach it through
 ///     this function. A schema whose SymbolTable is not the read's
 ///     returns InvalidArgument (counted under detector.errors) instead of
 ///     comparing labels across tables, and so does a schema other than

@@ -5,8 +5,8 @@ namespace {
 
 /// Treats `read_op`'s own pattern evaluation as a read and asks whether
 /// the other update can ever change it (`options` carries node semantics).
-/// Ops bound to a PatternStore go through the ref facade, so
-/// transaction-level callers that Bind their ops once pay no per-pair
+/// Ops bound to a PatternStore go through the ref facade, so callers that
+/// Bind their ops once (the dependence graph, merge) pay no per-pair
 /// canonicalization here.
 Result<ConflictReport> PatternVsUpdate(const UpdateOp& read_op,
                                        const UpdateOp& update,

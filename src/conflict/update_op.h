@@ -40,7 +40,7 @@ void DeleteAt(Tree* t, const std::vector<NodeId>& points,
 /// A single update operation — the paper's INSERT_{p,X} or DELETE_p (§3) —
 /// as the library's one update value type: the detector facade
 /// (conflict/detector.h), the batch engine, commutativity analysis, the
-/// dependence analyzers, the interpreter and the merge executor all take
+/// dependence analyzer, the interpreter and the merge executor all take
 /// it. READ_p is Evaluate (eval/evaluator.h).
 ///
 /// Internally a std::variant over the two descriptions, so adding an
@@ -83,7 +83,7 @@ class UpdateOp {
 
   /// A copy of this op bound to `store`: its pattern interned (minimized)
   /// and the ref recorded. Amortizes canonicalization across pair loops
-  /// (update_independence, transactions, batch). Equivalence-preserving:
+  /// (update_independence, merge, batch). Equivalence-preserving:
   /// the bound op selects the same nodes on every tree. An op already
   /// bound to `store` is returned as it is, without touching the store.
   UpdateOp Bind(const std::shared_ptr<PatternStore>& store) const;

@@ -188,16 +188,12 @@ class Engine {
   DependenceAnalysisResult AnalyzeDependences(const Program& program)
       XMLUP_EXCLUDES(batch_mu_);
 
-  /// --- Observability / escape hatches ---
+  /// --- Observability ---
 
   /// Snapshot of the process-wide metrics registry the stack reports into.
   obs::MetricsSnapshot MetricsSnapshot() const;
   /// Cumulative pair/dedup counters of the shared matrix engine.
   BatchStats batch_stats() const;
-  /// The shared matrix engine. Callers taking this accept its
-  /// single-caller-at-a-time contract (the facade's DetectMatrix/Lint
-  /// serialization no longer protects them).
-  BatchConflictDetector& batch() { return *batch_; }
 
  private:
   /// CHECK-fails when called from a ThreadPool worker: every serialized

@@ -1,5 +1,8 @@
 #include "analysis/optimizer.h"
 
+#include <tuple>
+#include <vector>
+
 #include "analysis/interpreter.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -177,6 +180,52 @@ TEST_F(AnalysisTest, MalformedInsertsAreDependentOnTheirVariable) {
   Optimizer optimizer;
   EXPECT_EQ(optimizer.EliminateCommonReads(program).reads_aliased, 0u);
   EXPECT_EQ(optimizer.HoistReadsSchedule(program).size(), 4u);
+}
+
+TEST_F(AnalysisTest, GraphClassifiesMixedTwoVariableProgram) {
+  // Reads, inserts and deletes on x and v, with a root-selecting delete, a
+  // null-content insert and a rootless insert among them: malformed,
+  // update/update and read/update pairs interleave in visit order, so a
+  // verdict or certificate handed to the wrong pair changes the list.
+  Program program;
+  program.AddRead("y", "x", Xp("a//b", symbols_));                    // 0
+  program.AddRead("y", "x", Xp("a/b/c", symbols_));                   // 1
+  program.AddRead("y", "x", Xp("x//C", symbols_));                    // 2
+  program.AddRead("y", "v", Xp("a//b", symbols_));                    // 3
+  program.AddInsert("x", Xp("a/b", symbols_), Content("<c/>"));       // 4
+  program.AddInsert("x", Xp("a", symbols_), Content("<b><c/></b>"));  // 5
+  program.AddInsert("v", Xp("a/b", symbols_), Content("<c/>"));       // 6
+  program.AddDelete("x", Xp("a//c", symbols_));                       // 7
+  program.AddDelete("x", Xp("a/zzz", symbols_));                      // 8
+  program.AddDelete("v", Xp("b/c", symbols_));                        // 9
+  program.AddDelete("x", Xp("a", symbols_));  // 10: selects the root
+  program.AddInsert("x", Xp("a/b", symbols_), nullptr);  // 11: no content
+  program.AddInsert("v", Xp("a", symbols_),
+                    std::make_shared<const Tree>(symbols_));  // 12: rootless
+  BatchDetectorOptions options;
+  options.detector.search.max_nodes = 4;
+  options.num_threads = 2;
+  const DependenceGraph graph = DependenceAnalyzer(options).Graph(program);
+
+  using Edge = std::tuple<size_t, size_t, EdgeReason>;
+  std::vector<Edge> edges;
+  for (const DependenceEdge& e : graph.edges()) {
+    edges.emplace_back(e.from, e.to, e.reason);
+  }
+  constexpr EdgeReason kC = EdgeReason::kConflict;
+  constexpr EdgeReason kU = EdgeReason::kUpdatePair;
+  constexpr EdgeReason kM = EdgeReason::kMalformed;
+  const std::vector<Edge> expected = {
+      {0, 5, kC},  {0, 7, kC},  {0, 8, kC},  {0, 10, kM}, {0, 11, kM},
+      {1, 4, kC},  {1, 5, kC},  {1, 7, kC},  {1, 10, kM}, {1, 11, kM},
+      {2, 10, kM}, {2, 11, kM}, {3, 12, kM}, {4, 5, kU},  {4, 7, kU},
+      {4, 10, kM}, {4, 11, kM}, {5, 7, kU},  {5, 10, kM}, {5, 11, kM},
+      {6, 12, kM}, {7, 8, kU},  {7, 10, kM}, {7, 11, kM}, {8, 10, kM},
+      {8, 11, kM}, {9, 12, kM}, {10, 11, kM},
+  };
+  EXPECT_EQ(edges, expected);
+  EXPECT_EQ(graph.verdicts_consulted(), 14u);
+  EXPECT_EQ(graph.certificates_consulted(), 7u);
 }
 
 TEST_F(AnalysisTest, CseAliasesRepeatedRead) {

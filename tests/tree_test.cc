@@ -6,7 +6,6 @@
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "xml/tree_algos.h"
-#include "xml/tree_builder.h"
 
 namespace xmlup {
 namespace {
@@ -239,36 +238,6 @@ TEST_F(TreeTest, SnapshotUnaffectedByOutsideMutation) {
   const SubtreeSnapshot snap = SnapshotSubtree(t, a);
   t.AddChild(c, L("x"));
   EXPECT_TRUE(SnapshotUnchanged(t, snap));
-}
-
-TEST_F(TreeTest, BuilderBuildsNestedTree) {
-  TreeBuilder b(symbols_);
-  b.Begin("catalog").Begin("book").Leaf("title").Leaf("quantity").End().End();
-  Result<Tree> t = std::move(b).Build();
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->size(), 4u);
-  EXPECT_EQ(t->LabelName(t->root()), "catalog");
-}
-
-TEST_F(TreeTest, BuilderImplicitlyClosesRoot) {
-  TreeBuilder b(symbols_);
-  b.Begin("a").Begin("b");  // neither closed
-  Result<Tree> t = std::move(b).Build();
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->size(), 2u);
-}
-
-TEST_F(TreeTest, BuilderRejectsUnbalancedEnd) {
-  TreeBuilder b(symbols_);
-  b.Begin("a").End().End();
-  Result<Tree> t = std::move(b).Build();
-  EXPECT_FALSE(t.ok());
-}
-
-TEST_F(TreeTest, BuilderRejectsSecondRoot) {
-  TreeBuilder b(symbols_);
-  b.Begin("a").End().Begin("b");
-  EXPECT_FALSE(std::move(b).Build().ok());
 }
 
 TEST_F(TreeTest, BuildPathTree) {
