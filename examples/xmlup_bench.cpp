@@ -166,8 +166,7 @@ int main(int argc, char** argv) {
   obs::TraceRecorder::Default().set_enabled(obs_enabled);
 
   // A spec with a "dtd" block builds a schema-aware engine: its Stage 0
-  // type filter prunes schema-disjoint pairs before any automata work
-  // (unless the block sets "pruning": false — the ablation switch).
+  // type filter prunes schema-disjoint pairs before any automata work.
   auto symbols = std::make_shared<SymbolTable>();
   Result<EngineOptions> options = driver::EngineOptionsForSpec(spec, symbols);
   if (!options.ok()) {

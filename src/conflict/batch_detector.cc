@@ -1,6 +1,7 @@
 #include "conflict/batch_detector.h"
 
 #include <atomic>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -36,27 +37,6 @@ struct BatchMetrics {
   }
 };
 
-/// One job = one ref-facade call on the canonicalized pair, Stage 0
-/// included. The op is re-bound to the engine's store so Detect takes the
-/// compiled path — compiled forms by ref — and the matrix pays zero
-/// per-pair compilation. The root-delete guard is re-checked by the
-/// factory and by the facade (centralized in ValidateDeletePattern), so a
-/// root-selecting delete cannot reach the detectors through this engine.
-Result<ConflictReport> SolvePair(
-    const std::shared_ptr<const PatternStore>& store, PatternRef read,
-    const UpdateOp& update, PatternRef update_ref,
-    const DetectorOptions& options) {
-  if (update.kind() == UpdateOp::Kind::kInsert) {
-    return Detect(*store, read,
-                  UpdateOp::MakeInsert(store, update_ref,
-                                       update.shared_content()),
-                  options);
-  }
-  XMLUP_ASSIGN_OR_RETURN(UpdateOp canonical,
-                         UpdateOp::MakeDelete(store, update_ref));
-  return Detect(*store, read, canonical, options);
-}
-
 }  // namespace
 
 BatchConflictDetector::BatchConflictDetector(BatchDetectorOptions options)
@@ -68,13 +48,6 @@ BatchConflictDetector::BatchConflictDetector(BatchDetectorOptions options)
                              ? ThreadPool::DefaultThreadCount()
                              : options_.num_threads;
   pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-PatternRef BatchConflictDetector::UpdateRef(const UpdateOp& update) {
-  if (update.pattern_store() == store_.get() && update.pattern_ref().valid()) {
-    return update.pattern_ref();
-  }
-  return store_->Intern(update.pattern());
 }
 
 std::vector<SharedConflictResult> BatchConflictDetector::DetectMatrix(
@@ -144,18 +117,19 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
   stats_.pairs_total += pairs.size();
   metrics.pairs_total.Increment(pairs.size());
 
-  // Phase 1 — intern every update once, in parallel (reads arrive as refs;
-  // ops bound to this engine's store skip interning entirely). The store
-  // memoizes minimization and canonical codes across calls, so this phase
-  // does real work only for patterns the engine has never seen.
+  // Phase 1 — bind every update to the store once, in parallel (reads
+  // arrive as refs; Bind returns an op already bound here unchanged). The
+  // store memoizes minimization and canonical codes across calls, so this
+  // phase does real work only for patterns the engine has never seen, and
+  // each job's Detect then takes the compiled path on the bound op.
   const size_t n_reads = reads.size();
   const size_t n_updates = updates.size();
-  std::vector<PatternRef> update_refs(n_updates);
+  std::vector<std::optional<UpdateOp>> bound(n_updates);
   std::vector<uint32_t> content_ids(n_updates, 0);
   {
     obs::TraceSpan phase_span(recorder, "batch.canonicalize");
     ParallelFor(pool_.get(), n_updates, [&](size_t j) {
-      update_refs[j] = UpdateRef(updates[j]);
+      bound[j] = updates[j].Bind(store_);
       if (updates[j].kind() == UpdateOp::Kind::kInsert) {
         content_ids[j] = store_->InternContentCode(updates[j].content());
       }
@@ -179,7 +153,8 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
     const size_t i = pairs[k].read_index;
     const size_t j = pairs[k].update_index;
     XMLUP_CHECK(i < n_reads && j < n_updates);
-    const BatchPairKey key{reads[i].id(), update_refs[j].id(), content_ids[j],
+    const BatchPairKey key{reads[i].id(), bound[j]->pattern_ref().id(),
+                           content_ids[j],
                            static_cast<uint8_t>(updates[j].kind())};
     auto [it, inserted] = job_by_key.emplace(key, jobs.size());
     if (inserted) jobs.push_back({i, j, nullptr});
@@ -193,8 +168,8 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
   XMLUP_CHECK(stats_.cache_hits + stats_.cache_misses == stats_.pairs_total);
 
   // Phase 3 — solve every job on the pool against the store's
-  // pre-minimized forms. Each job writes only its own slot, so the result
-  // layout is independent of scheduling.
+  // pre-minimized forms, Stage 0 included. Each job writes only its own
+  // slot, so the result layout is independent of scheduling.
   {
     obs::TraceSpan phase_span(recorder, "batch.solve");
     ParallelFor(pool_.get(), jobs.size(), [&](size_t index) {
@@ -202,8 +177,8 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
       obs::TraceSpan job_span(recorder, "batch.solve_pair");
       obs::ScopedTimer job_timer(&metrics.solve_pair_us);
       job.result = std::make_shared<const Result<ConflictReport>>(
-          SolvePair(store_, reads[job.read_index], updates[job.update_index],
-                    update_refs[job.update_index], options_.detector));
+          Detect(*store_, reads[job.read_index], *bound[job.update_index],
+                 options_.detector));
     });
   }
 

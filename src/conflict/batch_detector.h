@@ -146,10 +146,6 @@ class BatchConflictDetector {
   const std::shared_ptr<PatternStore>& pattern_store() const { return store_; }
 
  private:
-  /// The update ref within store_, reusing the op's own ref when it was
-  /// bound to the same store.
-  PatternRef UpdateRef(const UpdateOp& update);
-
   BatchDetectorOptions options_;
   std::shared_ptr<PatternStore> store_;
   std::unique_ptr<ThreadPool> pool_;

@@ -144,16 +144,6 @@ ContainmentDecision DecideContainment(const Pattern& p, const Pattern& q) {
   return decision;
 }
 
-bool HasContainmentHomomorphism(const PatternStore& store, PatternRef p,
-                                PatternRef q) {
-  return HasContainmentHomomorphism(store.pattern(p), store.pattern(q));
-}
-
-ContainmentDecision DecideContainment(const PatternStore& store, PatternRef p,
-                                      PatternRef q) {
-  return DecideContainment(store.pattern(p), store.pattern(q));
-}
-
 uint64_t CanonicalModelCount(const Pattern& p, const Pattern& q) {
   size_t desc_edges = 0;
   for (PatternNodeId n : p.PreOrder()) {

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "pattern/pattern.h"
-#include "pattern/pattern_store.h"
 #include "xml/tree.h"
 
 namespace xmlup {
@@ -21,14 +20,6 @@ namespace xmlup {
 /// descendant edges to downward paths) implies p ⊆ q. Absence implies
 /// nothing.
 bool HasContainmentHomomorphism(const Pattern& p, const Pattern& q);
-
-/// Ref-based variant over patterns interned in `store`. Containment is a
-/// semantic property, so deciding it on the store's minimized forms agrees
-/// with the original patterns; only the *counterexample* of
-/// DecideContainment may differ syntactically (it is a model of the
-/// minimized p, which is still a model of the original p).
-bool HasContainmentHomomorphism(const PatternStore& store, PatternRef p,
-                                PatternRef q);
 
 /// For the output-preserving strengthening (additionally maps O(q) to
 /// O(p), giving *selected-node* containment — what the lint
@@ -50,8 +41,6 @@ struct ContainmentDecision {
 };
 
 ContainmentDecision DecideContainment(const Pattern& p, const Pattern& q);
-ContainmentDecision DecideContainment(const PatternStore& store, PatternRef p,
-                                      PatternRef q);
 
 /// Number of canonical models the exact decision would enumerate —
 /// (w+1)^d; used by benchmark E6.

@@ -143,13 +143,4 @@ Result<ConflictReport> DetectLinearReadDeleteConflict(
       semantics, build_witness);
 }
 
-Result<ConflictReport> DetectLinearReadDeleteConflict(
-    const PatternStore& store, PatternRef read, PatternRef delete_pattern,
-    ConflictSemantics semantics, bool build_witness) {
-  if (!store.linear(read)) return NonLinearReadError();
-  return DetectReadDeleteConflictCompiled(
-      store.compiled(read), store.compiled(delete_pattern),
-      store.pattern(delete_pattern), semantics, build_witness);
-}
-
 }  // namespace xmlup

@@ -7,7 +7,6 @@
 #include "match/matching.h"
 #include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
-#include "pattern/pattern_store.h"
 
 namespace xmlup {
 
@@ -49,16 +48,6 @@ Result<ConflictReport> DetectLinearReadDeleteConflict(
 Result<ConflictReport> DetectReadDeleteConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& del,
     const Pattern& delete_pattern,
-    ConflictSemantics semantics = ConflictSemantics::kNode,
-    bool build_witness = true);
-
-/// Ref-based entry point: both patterns are interned refs resolved
-/// against `store`; compiled forms are fetched (and lazily built) via
-/// PatternStore::compiled(). The read ref must denote a linear pattern and
-/// the delete ref must not select the root — both violations return
-/// InvalidArgument, exactly like the value overload.
-Result<ConflictReport> DetectLinearReadDeleteConflict(
-    const PatternStore& store, PatternRef read, PatternRef delete_pattern,
     ConflictSemantics semantics = ConflictSemantics::kNode,
     bool build_witness = true);
 

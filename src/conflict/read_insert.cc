@@ -112,13 +112,4 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
       inserted, semantics, build_witness);
 }
 
-Result<ConflictReport> DetectLinearReadInsertConflict(
-    const PatternStore& store, PatternRef read, PatternRef insert_pattern,
-    const Tree& inserted, ConflictSemantics semantics, bool build_witness) {
-  if (!store.linear(read)) return NonLinearReadError();
-  return DetectReadInsertConflictCompiled(
-      store.compiled(read), store.compiled(insert_pattern),
-      store.pattern(insert_pattern), inserted, semantics, build_witness);
-}
-
 }  // namespace xmlup

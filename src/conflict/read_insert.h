@@ -7,7 +7,6 @@
 #include "match/matching.h"
 #include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
-#include "pattern/pattern_store.h"
 #include "xml/tree.h"
 
 namespace xmlup {
@@ -50,16 +49,6 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
 Result<ConflictReport> DetectReadInsertConflictCompiled(
     const CompiledPattern& read, const CompiledPattern& ins,
     const Pattern& insert_pattern, const Tree& inserted,
-    ConflictSemantics semantics = ConflictSemantics::kNode,
-    bool build_witness = true);
-
-/// Ref-based entry point: both patterns are interned refs resolved
-/// against `store`; compiled forms are fetched (and lazily built) via
-/// PatternStore::compiled(). The read ref must denote a linear pattern
-/// (InvalidArgument otherwise, exactly like the value overload).
-Result<ConflictReport> DetectLinearReadInsertConflict(
-    const PatternStore& store, PatternRef read, PatternRef insert_pattern,
-    const Tree& inserted,
     ConflictSemantics semantics = ConflictSemantics::kNode,
     bool build_witness = true);
 

@@ -7,8 +7,10 @@
 #include <optional>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
+#include "common/mutex.h"
 #include "common/random.h"
 #include "conflict/conflict_matrix.h"
 #include "conflict/report.h"
@@ -75,28 +77,91 @@ struct WorkerTally {
   }
 };
 
-/// Shared per-phase execution state; workers claim plan units through
-/// `next_unit` (a detect op is one unit, a whole session edit stream is
-/// one unit, so streams stay single-writer).
+/// Keeps each session single-writer and in plan order without making a
+/// worker wait. Each session has one due edit, the next to start, and it
+/// advances only when that edit finishes. An edit claimed before it is due
+/// (its predecessor is running or has not started) is parked, and the
+/// worker that finishes its predecessor — or skips it, once the phase is
+/// out of time — runs it next. So a worker that claims an edit either runs
+/// it at once or moves on to its next slot, and no edit is left behind.
+class SessionHandOff {
+ public:
+  explicit SessionHandOff(const PhasePlan& plan)
+      : next_(plan.ops.size(), kNone),
+        due_(plan.sessions.size(), kNone),
+        parked_(plan.ops.size(), false) {
+    std::vector<size_t> last(plan.sessions.size(), kNone);
+    for (size_t slot = 0; slot < plan.ops.size(); ++slot) {
+      const SessionEdit* edit = std::get_if<SessionEdit>(&plan.ops[slot]);
+      if (edit == nullptr) continue;
+      size_t& previous = last[edit->session];
+      if (previous == kNone) {
+        due_[edit->session] = slot;
+      } else {
+        next_[previous] = slot;
+      }
+      previous = slot;
+    }
+  }
+
+  /// Called by the worker that claimed the edit at `slot`: true when it
+  /// runs the edit now, false when the edit is parked.
+  bool Claim(size_t session, size_t slot) XMLUP_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (due_[session] == slot) return true;
+    parked_[slot] = true;
+    return false;
+  }
+
+  /// Called once the edit at `slot` has run or been skipped. Returns the
+  /// session's next edit when it is already parked — the caller runs it —
+  /// and nullopt otherwise (its claimer will run it).
+  std::optional<size_t> Finish(size_t session, size_t slot)
+      XMLUP_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    const size_t due = due_[session] = next_[slot];
+    if (due == kNone || !parked_[due]) return std::nullopt;
+    parked_[due] = false;
+    return due;
+  }
+
+ private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  /// next_[slot]: the slot of the next edit of the same session (kNone
+  /// after its last edit). Written only by the constructor.
+  std::vector<size_t> next_;
+  Mutex mu_;
+  /// The slot of each session's next edit to start.
+  std::vector<size_t> due_ XMLUP_GUARDED_BY(mu_);
+  /// Edits claimed before their turn, waiting for their predecessor's
+  /// worker.
+  std::vector<bool> parked_ XMLUP_GUARDED_BY(mu_);
+};
+
+/// Shared per-phase execution state; workers claim plan slots, in arrival
+/// order, through `next_slot`.
 struct PhaseRun {
   const PhasePlan& plan;
   const PhaseSpec& spec;
   std::vector<std::unique_ptr<Engine::Session>>& sessions;
+  SessionHandOff hand_off;
   Clock::time_point start;
   /// Absolute deadline; Clock::time_point::max() when uncapped.
   Clock::time_point deadline;
-  std::atomic<size_t> next_unit{0};
+  std::atomic<size_t> next_slot{0};
   std::atomic<bool> truncated{false};
 
   PhaseRun(const PhasePlan& plan_in, const PhaseSpec& spec_in,
            std::vector<std::unique_ptr<Engine::Session>>& sessions_in)
-      : plan(plan_in), spec(spec_in), sessions(sessions_in) {}
+      : plan(plan_in), spec(spec_in), sessions(sessions_in),
+        hand_off(plan_in) {}
 
-  /// The scheduled arrival of op `op_index`: phase start for closed-loop
-  /// phases (no pacing), start + i/rate for open-loop ones.
-  Clock::time_point Arrival(size_t op_index) const {
+  /// The scheduled arrival of the op at `slot`: phase start for
+  /// closed-loop phases (no pacing), start + slot/rate for open-loop ones.
+  Clock::time_point Arrival(size_t slot) const {
     if (spec.mode != PhaseMode::kOpen) return start;
-    const double offset_us = 1e6 * static_cast<double>(op_index) /
+    const double offset_us = 1e6 * static_cast<double>(slot) /
                              spec.arrival_rate;
     return start + std::chrono::microseconds(
                        static_cast<int64_t>(offset_us));
@@ -106,7 +171,8 @@ struct PhaseRun {
   /// deadline. Returns the op's latency anchor — the scheduled arrival in
   /// open phases, issue time in closed ones — or nullopt when the phase is
   /// out of time (the caller stops issuing and the phase reports
-  /// truncated).
+  /// truncated). An arrival past the deadline is skipped without waiting
+  /// for it, so a capped open phase ends at its cap.
   ///
   /// Overload audit: arrivals stay anchored to the fixed schedule
   /// (start + i/rate) no matter how far behind a worker falls — Arrival()
@@ -116,62 +182,96 @@ struct PhaseRun {
   /// from the returned anchor therefore charges queueing delay under
   /// overload to the ops that suffered it — the coordinated-omission-safe
   /// measurement. driver_test's OpenLoopOverloadStaysAnchored pins this.
-  std::optional<Clock::time_point> PaceAndCheck(size_t op_index) {
-    if (spec.mode == PhaseMode::kOpen) {
-      const Clock::time_point arrival = Arrival(op_index);
-      if (Clock::now() < arrival) std::this_thread::sleep_until(arrival);
+  std::optional<Clock::time_point> PaceAndCheck(size_t slot) {
+    const Clock::time_point arrival = Arrival(slot);
+    Clock::time_point now = Clock::now();
+    if (now < arrival && arrival <= deadline) {
+      std::this_thread::sleep_until(arrival);
+      now = Clock::now();
     }
-    if (Clock::now() > deadline) {
+    if (arrival > deadline || now > deadline) {
       // ordering: relaxed — a monotone sticky flag, only read after the
       // worker joins (the join supplies the happens-before edge).
       truncated.store(true, std::memory_order_relaxed);
       return std::nullopt;
     }
-    return spec.mode == PhaseMode::kOpen ? Arrival(op_index) : Clock::now();
+    return spec.mode == PhaseMode::kOpen ? arrival : now;
   }
 };
 
-void RunDetectUnit(const Engine& engine, PhaseRun& run, size_t unit,
-                   WorkerTally& tally) {
-  const size_t op_index = run.plan.detect_op_indices[unit];
-  // Latency is measured from the anchor PaceAndCheck returns: the
-  // scheduled arrival in open phases (so queueing behind a saturated
-  // engine is charged, not omitted), issue time in closed ones.
-  const std::optional<Clock::time_point> anchor = run.PaceAndCheck(op_index);
-  if (!anchor.has_value()) return;
-  const DetectUnit& detect = run.plan.detects[unit];
-  const Clock::time_point from = *anchor;
-  Result<ConflictReport> result = engine.Detect(detect.read, detect.update);
-  tally.RecordVerdict(result);
-  tally.RecordLatency(ElapsedMicros(from, Clock::now()));
-  ++tally.ops;
-}
+/// One worker's side of a phase: runs each claimed slot through the Run
+/// overload of its op's kind (std::visit picks it).
+class Worker {
+ public:
+  Worker(Engine* engine, PhaseRun& run, WorkerTally& tally)
+      : engine_(engine), run_(run), tally_(tally) {
+    if (run.spec.kind == PhaseKind::kMerge) {
+      MergeOptions options;
+      options.num_threads = run.spec.merge.threads;
+      merger_.emplace(engine, options);
+    }
+  }
 
-void RunSessionStream(PhaseRun& run, size_t session_index,
-                      WorkerTally& tally) {
-  const SessionScript& script = run.plan.sessions[session_index];
-  MaintainedConflictMatrix& matrix =
-      run.sessions[session_index]->matrix();
-  for (size_t k = 0; k < script.edits.size(); ++k) {
-    const size_t op_index = script.op_indices[k];
-    const std::optional<Clock::time_point> anchor = run.PaceAndCheck(op_index);
+  void Run(size_t slot, const DetectUnit& detect) {
+    // Latency is measured from the anchor PaceAndCheck returns: the
+    // scheduled arrival in open phases (so queueing behind a saturated
+    // engine is charged, not omitted), issue time in closed ones.
+    const std::optional<Clock::time_point> anchor = run_.PaceAndCheck(slot);
     if (!anchor.has_value()) return;
-    const EditOp& edit = script.edits[k];
-    const Clock::time_point from = *anchor;
+    tally_.RecordVerdict(engine_->Detect(detect.read, detect.update));
+    Record(*anchor);
+  }
+
+  /// Runs the edit if it is due, then each of its session's edits that was
+  /// parked meanwhile; otherwise parks it and returns at once.
+  void Run(size_t slot, const SessionEdit& edit) {
+    if (!run_.hand_off.Claim(edit.session, slot)) return;
+    for (std::optional<size_t> next = slot; next.has_value();
+         next = run_.hand_off.Finish(edit.session, *next)) {
+      Apply(*next, edit.session);
+    }
+  }
+
+  void Run(size_t slot, const MergeUnit& unit) {
+    const std::optional<Clock::time_point> anchor = run_.PaceAndCheck(slot);
+    if (!anchor.has_value()) return;
+    // The plan stays immutable (re-runnable): each execution merges into a
+    // private copy of the unit's seed tree.
+    Tree working = CopyTree(unit.seed);
+    const Result<MergeReport> report = merger_->Merge(&working, unit.streams);
+    if (!report.ok()) {
+      ++tally_.merge.errors;
+    } else {
+      ++tally_.merge.merges;
+      tally_.merge.ops_total += report->ops_total;
+      tally_.merge.accepted += report->accepted;
+      tally_.merge.serialized += report->serialized;
+      tally_.merge.rejected += report->rejected;
+    }
+    Record(*anchor);
+  }
+
+ private:
+  /// Runs the session edit at `slot` against its session's matrix.
+  void Apply(size_t slot, size_t session) {
+    const std::optional<Clock::time_point> anchor = run_.PaceAndCheck(slot);
+    if (!anchor.has_value()) return;
+    const EditOp& edit = std::get<SessionEdit>(run_.plan.ops[slot]).edit;
+    MaintainedConflictMatrix& matrix = run_.sessions[session]->matrix();
     switch (edit.kind) {
       case EditOp::Kind::kAddRead:
-        tally.RecordSlice(matrix.row(matrix.AddRead(*edit.pattern)));
+        tally_.RecordSlice(matrix.row(matrix.AddRead(*edit.pattern)));
         break;
       case EditOp::Kind::kAddUpdate:
-        tally.RecordSlice(matrix.column(matrix.AddUpdate(*edit.update)));
+        tally_.RecordSlice(matrix.column(matrix.AddUpdate(*edit.update)));
         break;
       case EditOp::Kind::kReplaceRead:
         matrix.ReplaceRead(edit.index, *edit.pattern);
-        tally.RecordSlice(matrix.row(edit.index));
+        tally_.RecordSlice(matrix.row(edit.index));
         break;
       case EditOp::Kind::kReplaceUpdate:
         matrix.ReplaceUpdate(edit.index, *edit.update);
-        tally.RecordSlice(matrix.column(edit.index));
+        tally_.RecordSlice(matrix.column(edit.index));
         break;
       case EditOp::Kind::kRemoveRead:
         matrix.RemoveRead(edit.index);
@@ -180,38 +280,20 @@ void RunSessionStream(PhaseRun& run, size_t session_index,
         matrix.RemoveUpdate(edit.index);
         break;
     }
-    tally.RecordLatency(ElapsedMicros(from, Clock::now()));
-    ++tally.ops;
+    Record(*anchor);
   }
-}
 
-void RunMergeUnit(Engine* engine, PhaseRun& run, size_t unit_index,
-                  WorkerTally& tally) {
-  const size_t op_index = run.plan.merge_op_indices[unit_index];
-  const std::optional<Clock::time_point> anchor = run.PaceAndCheck(op_index);
-  if (!anchor.has_value()) return;
-  const MergeUnit& unit = run.plan.merges[unit_index];
-  MergeOptions options;
-  options.num_threads = run.spec.merge.threads;
-  options.policy = run.spec.merge.reject ? ConflictPolicy::kReject
-                                         : ConflictPolicy::kSerialize;
-  const MergeExecutor executor(engine, options);
-  // The plan stays immutable (re-runnable): each execution merges into a
-  // private copy of the unit's seed tree.
-  Tree working = CopyTree(unit.seed);
-  const Result<MergeReport> report = executor.Merge(&working, unit.streams);
-  if (!report.ok()) {
-    ++tally.merge.errors;
-  } else {
-    ++tally.merge.merges;
-    tally.merge.ops_total += report->ops_total;
-    tally.merge.accepted += report->accepted;
-    tally.merge.serialized += report->serialized;
-    tally.merge.rejected += report->rejected;
+  void Record(Clock::time_point anchor) {
+    tally_.RecordLatency(ElapsedMicros(anchor, Clock::now()));
+    ++tally_.ops;
   }
-  tally.RecordLatency(ElapsedMicros(*anchor, Clock::now()));
-  ++tally.ops;
-}
+
+  Engine* engine_;
+  PhaseRun& run_;
+  WorkerTally& tally_;
+  /// One executor for all the merges this worker runs in a merge phase.
+  std::optional<MergeExecutor> merger_;
+};
 
 LatencySummary SummarizeLatency(const std::vector<WorkerTally>& tallies) {
   obs::HistogramData data;
@@ -340,11 +422,7 @@ Result<EngineOptions> EngineOptionsForSpec(
     return Status::InvalidArgument("workload spec \"dtd\" block: " +
                                    std::string(dtd.status().message()));
   }
-  // The schema drives Stage 0 and nothing else in the driver, so with
-  // pruning off it is parsed (and validated) but not installed.
-  if (spec.dtd.pruning) {
-    base.dtd = std::make_shared<const Dtd>(*std::move(dtd));
-  }
+  base.dtd = std::make_shared<const Dtd>(*std::move(dtd));
   return base;
 }
 
@@ -449,6 +527,7 @@ Result<WorkloadPlan> Driver::BuildPlan(const WorkloadSpec& spec,
   plan.phases.reserve(spec.phases.size());
   for (const PhaseSpec& phase : spec.phases) {
     PhasePlan phase_plan;
+    phase_plan.ops.reserve(phase.ops);
     if (phase.kind == PhaseKind::kMerge) {
       // Each op slot is one whole merge unit: a private seed tree plus
       // per-session update streams. Ops are bound here so the executors
@@ -463,8 +542,7 @@ Result<WorkloadPlan> Driver::BuildPlan(const WorkloadSpec& spec,
                 engine->Bind(DrawUpdate(phase.mix, patterns, trees, &rng)));
           }
         }
-        phase_plan.merges.push_back(std::move(unit));
-        phase_plan.merge_op_indices.push_back(i);
+        phase_plan.ops.emplace_back(std::move(unit));
       }
       plan.phases.push_back(std::move(phase_plan));
       continue;
@@ -487,7 +565,7 @@ Result<WorkloadPlan> Driver::BuildPlan(const WorkloadSpec& spec,
       session_reads[s] = spec.sessions.initial_reads;
       session_updates[s] = spec.sessions.initial_updates;
     }
-    // Then the op sequence. Op index i is also the arrival-schedule slot.
+    // Then the ops, in arrival order.
     size_t next_session = 0;
     const std::vector<double> kind_weights = {
         phase.mix.insert, phase.mix.delete_, has_edits ? phase.mix.edit : 0.0};
@@ -502,11 +580,9 @@ Result<WorkloadPlan> Driver::BuildPlan(const WorkloadSpec& spec,
       if (kind == 2) {
         const size_t s = next_session;
         next_session = (next_session + 1) % session_count;
-        SessionScript& script = phase_plan.sessions[s];
-        script.edits.push_back(DrawEdit(phase.mix, patterns, trees, &rng,
-                                        &session_reads[s],
-                                        &session_updates[s]));
-        script.op_indices.push_back(i);
+        phase_plan.ops.emplace_back(
+            SessionEdit{s, DrawEdit(phase.mix, patterns, trees, &rng,
+                                    &session_reads[s], &session_updates[s])});
         continue;
       }
       const PatternRef read = engine->Intern(patterns.GenerateBranching(&rng));
@@ -521,9 +597,8 @@ Result<WorkloadPlan> Driver::BuildPlan(const WorkloadSpec& spec,
         XMLUP_CHECK(del.ok());
         update = *std::move(del);
       }
-      phase_plan.detects.push_back(
+      phase_plan.ops.emplace_back(
           DetectUnit{read, engine->Bind(*std::move(update))});
-      phase_plan.detect_op_indices.push_back(i);
     }
     plan.phases.push_back(std::move(phase_plan));
   }
@@ -559,32 +634,22 @@ Result<DriverReport> Driver::Run() {
                               phase.max_duration_s * 1e6))
             : Clock::time_point::max();
 
-    const size_t num_units = phase_plan.detects.size() +
-                             phase_plan.sessions.size() +
-                             phase_plan.merges.size();
     std::vector<WorkerTally> tallies(phase.workers);
     {
       std::vector<std::thread> workers;
       workers.reserve(phase.workers);
       for (size_t w = 0; w < phase.workers; ++w) {
-        workers.emplace_back([this, &run, &tallies, num_units, w] {
-          WorkerTally& tally = tallies[w];
+        workers.emplace_back([this, &run, &tallies, w] {
+          Worker worker(engine_, run, tallies[w]);
           for (;;) {
             // ordering: relaxed — pure index claiming: each worker only
-            // needs a distinct unit, and all results are published through
+            // needs a distinct slot, and all results are published through
             // per-worker tallies read after join().
-            const size_t unit =
-                run.next_unit.fetch_add(1, std::memory_order_relaxed);
-            if (unit >= num_units) break;
-            const size_t sessions_end =
-                run.plan.detects.size() + run.plan.sessions.size();
-            if (unit < run.plan.detects.size()) {
-              RunDetectUnit(*engine_, run, unit, tally);
-            } else if (unit < sessions_end) {
-              RunSessionStream(run, unit - run.plan.detects.size(), tally);
-            } else {
-              RunMergeUnit(engine_, run, unit - sessions_end, tally);
-            }
+            const size_t slot =
+                run.next_slot.fetch_add(1, std::memory_order_relaxed);
+            if (slot >= run.plan.ops.size()) break;
+            std::visit([&](const auto& op) { worker.Run(slot, op); },
+                       run.plan.ops[slot]);
           }
         });
       }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/json.h"
@@ -112,7 +113,7 @@ struct DriverReport {
 ///
 /// The driver never consults an Rng while the clock runs: every operation
 /// of every phase is materialized up front, single-threaded, from the
-/// spec's seed. Workers then merely *claim and execute* plan units, so op
+/// spec's seed. Workers then merely *claim and execute* plan slots, so op
 /// sequences (and hence verdict tallies) are identical at any worker
 /// count. Exposed publicly so tests can replay the exact detect pairs
 /// through the batch engine as an independent oracle.
@@ -145,19 +146,20 @@ struct EditOp {
   std::optional<UpdateOp> update;
 };
 
-/// The ordered edit stream of one session within one phase. A stream is a
-/// single work unit: exactly one worker claims it and applies the edits in
-/// order (sessions are single-writer), tallying the verdicts of each
-/// edit's recomputed row/column slice.
+/// One edit of the session `session`. A session is single-writer: its
+/// edits run one at a time and in plan order, whichever workers claim
+/// their slots.
+struct SessionEdit {
+  size_t session = 0;
+  EditOp edit;
+};
+
+/// A session's baseline: the matrix contents Assign()ed before the phase
+/// clock starts (untimed setup — the phase measures churn, not initial
+/// construction).
 struct SessionScript {
-  /// Matrix contents Assign()ed before the phase clock starts (untimed
-  /// setup — the phase measures churn, not initial construction).
   std::vector<Pattern> initial_reads;
   std::vector<UpdateOp> initial_updates;
-  std::vector<EditOp> edits;
-  /// Global op index (into the phase's arrival schedule) of each edit;
-  /// parallel to `edits`. Open-loop phases pace each edit to its slot.
-  std::vector<size_t> op_indices;
 };
 
 /// One concurrent-edit merge of a kMerge phase: a private seed tree plus
@@ -168,17 +170,15 @@ struct MergeUnit {
   std::vector<std::vector<UpdateOp>> streams;
 };
 
+/// What arrives in one slot of a phase's schedule.
+using PlannedOp = std::variant<DetectUnit, SessionEdit, MergeUnit>;
+
 struct PhasePlan {
-  /// Singleton detect units, each also carrying its arrival-schedule slot.
-  std::vector<DetectUnit> detects;
-  std::vector<size_t> detect_op_indices;
-  /// One script per spec session (scripts may have empty edit lists when
-  /// the phase's edit weight is 0).
+  /// One baseline per spec session (none when the phase draws no edits).
   std::vector<SessionScript> sessions;
-  /// Merge units of a kMerge phase (empty otherwise), with their
-  /// arrival-schedule slots.
-  std::vector<MergeUnit> merges;
-  std::vector<size_t> merge_op_indices;
+  /// The phase's ops in arrival order: ops[i] is due at slot i of the
+  /// arrival schedule.
+  std::vector<PlannedOp> ops;
 };
 
 struct WorkloadPlan {
@@ -187,13 +187,11 @@ struct WorkloadPlan {
 
 /// Engine configuration implied by a spec's "dtd" block: parses the
 /// block's declarations against `symbols` (the table the Engine will be
-/// built over — labels must match the generator's a0..aN-1 names) and,
-/// when the block's `pruning` toggle is on, sets `base.dtd` to the parsed
-/// schema (kept alive by the returned options / the Engine that consumes
-/// them). With `pruning` off the schema is still parsed and validated but
-/// `base.dtd` stays unset: the driver uses it for Stage 0 only. A spec
-/// without a "dtd" block returns `base` unchanged, so callers can pass
-/// every spec through unconditionally:
+/// built over — labels must match the generator's a0..aN-1 names) and
+/// sets `base.dtd` to the parsed schema (kept alive by the returned
+/// options / the Engine that consumes them). A spec without a "dtd" block
+/// returns `base` unchanged, so callers can pass every spec through
+/// unconditionally:
 ///
 ///   auto symbols = std::make_shared<SymbolTable>();
 ///   XMLUP_ASSIGN_OR_RETURN(EngineOptions options,

@@ -21,7 +21,6 @@ JsonValue MergeJson(const MergePhaseSpec& merge) {
   json.Set("sessions", merge.sessions);
   json.Set("ops_per_session", merge.ops_per_session);
   json.Set("threads", merge.threads);
-  json.Set("reject", merge.reject);
   return json;
 }
 
@@ -72,7 +71,6 @@ Status ReadMerge(const JsonValue& json, const std::string& context,
   reader.Size("sessions", &merge->sessions);
   reader.Size("ops_per_session", &merge->ops_per_session);
   reader.Size("threads", &merge->threads);
-  reader.Bool("reject", &merge->reject);
   if (Status s = reader.Finish(); !s.ok()) return s;
   if (merge->sessions == 0) {
     return Status::InvalidArgument(context + ": sessions must be >= 1");
@@ -146,13 +144,11 @@ JsonValue DtdJson(const DtdSpec& dtd) {
   JsonValue declarations = JsonValue::MakeArray();
   for (const std::string& line : dtd.declarations) declarations.Append(line);
   json.Set("declarations", std::move(declarations));
-  json.Set("pruning", dtd.pruning);
   return json;
 }
 
 Status ReadDtd(const JsonValue& json, DtdSpec* dtd) {
   JsonObjectReader reader(json, "dtd");
-  reader.Bool("pruning", &dtd->pruning);
   const JsonValue* declarations = reader.Child("declarations");
   if (declarations == nullptr) {
     reader.RecordError("missing required key \"declarations\"");
@@ -273,12 +269,10 @@ bool operator==(const WorkloadSpec& a, const WorkloadSpec& b) {
            x.mix.edit == y.mix.edit &&
            x.merge.sessions == y.merge.sessions &&
            x.merge.ops_per_session == y.merge.ops_per_session &&
-           x.merge.threads == y.merge.threads &&
-           x.merge.reject == y.merge.reject;
+           x.merge.threads == y.merge.threads;
   };
   if (!(a.name == b.name && a.seed == b.seed && a.generator == b.generator &&
         a.dtd.declarations == b.dtd.declarations &&
-        a.dtd.pruning == b.dtd.pruning &&
         a.sessions.count == b.sessions.count &&
         a.sessions.initial_reads == b.sessions.initial_reads &&
         a.sessions.initial_updates == b.sessions.initial_updates &&

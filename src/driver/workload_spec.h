@@ -50,13 +50,11 @@ struct MergePhaseSpec {
   size_t sessions = 4;
   /// Updates each session submits.
   size_t ops_per_session = 4;
-  /// MergeOptions::num_threads of each unit's executor. The default (1)
+  /// MergeOptions::num_threads of each worker's executor. The default (1)
   /// evaluates inline — right when phase workers already provide the
-  /// parallelism; reports are identical either way.
+  /// parallelism; reports are identical either way. Merges run under the
+  /// serializing ConflictPolicy.
   size_t threads = 1;
-  /// ConflictPolicy::kReject (first committer wins) instead of the
-  /// serializing default.
-  bool reject = false;
 };
 
 /// Relative weights of the operation kinds a phase draws from. Weights
@@ -110,15 +108,13 @@ struct SessionSetup {
 
 /// Optional schema block of a workload: DTD declarations (the dtd/dtd.h
 /// text syntax, one declaration per array element) parsed against the
-/// run's SymbolTable, plus the Stage 0 ablation toggle. When present the
-/// declarations must parse; with `pruning` on (the default) the driver's
-/// Engine is built with EngineOptions::dtd, so every detection the run
-/// issues goes through the staged pipeline's type filter, and with
-/// `pruning` off the Engine gets no schema. Note the generator names
-/// labels a0..aN-1; declarations must use those names.
+/// run's SymbolTable. When present the declarations must parse, and the
+/// driver's Engine is built with EngineOptions::dtd, so every detection
+/// the run issues goes through the staged pipeline's type filter; a spec
+/// without the block runs schema-free. Note the generator names labels
+/// a0..aN-1; declarations must use those names.
 struct DtdSpec {
   std::vector<std::string> declarations;
-  bool pruning = true;
 
   bool enabled() const { return !declarations.empty(); }
 };
@@ -131,8 +127,7 @@ struct DtdSpec {
 ///   {"name": "reference",
 ///    "seed": 42,
 ///    "generator": { ... workload::GeneratorSpec ... },
-///    "dtd": {"declarations": ["root a0", "allow a0 : a1 a2"],
-///            "pruning": true},
+///    "dtd": {"declarations": ["root a0", "allow a0 : a1 a2"]},
 ///    "sessions": {"count": 2, "initial_reads": 4, "initial_updates": 4},
 ///    "phases": [
 ///      {"name": "warmup", "mode": "closed", "workers": 1, "ops": 200,

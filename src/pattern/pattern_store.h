@@ -60,12 +60,6 @@ class PatternRef {
 
 inline constexpr PatternRef kInvalidPatternRef{};
 
-struct PatternRefHash {
-  size_t operator()(PatternRef ref) const {
-    return std::hash<uint32_t>()(ref.id());
-  }
-};
-
 struct PatternStoreOptions {
   /// Canonicalize through MinimizePattern before storing, so equivalent
   /// patterns share one ref. Sound (minimization is equivalence-

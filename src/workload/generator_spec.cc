@@ -12,30 +12,12 @@ JsonValue TreeJson(const TreeGenOptions& tree) {
   return json;
 }
 
-JsonValue CatalogJson(const CatalogOptions& catalog) {
-  JsonValue json = JsonValue::MakeObject();
-  json.Set("num_books", catalog.num_books);
-  json.Set("low_fraction", catalog.low_fraction);
-  json.Set("max_authors", catalog.max_authors);
-  return json;
-}
-
 JsonValue PatternJson(const PatternGenOptions& pattern) {
   JsonValue json = JsonValue::MakeObject();
   json.Set("size", pattern.size);
   json.Set("wildcard_prob", pattern.wildcard_prob);
   json.Set("descendant_prob", pattern.descendant_prob);
   json.Set("branch_prob", pattern.branch_prob);
-  return json;
-}
-
-JsonValue ProgramJson(const ProgramGenOptions& program) {
-  JsonValue json = JsonValue::MakeObject();
-  json.Set("num_statements", program.num_statements);
-  json.Set("num_variables", program.num_variables);
-  json.Set("read_fraction", program.read_fraction);
-  json.Set("insert_fraction", program.insert_fraction);
-  json.Set("repeat_read_prob", program.repeat_read_prob);
   return json;
 }
 
@@ -50,14 +32,6 @@ Status ReadTree(const JsonValue& json, TreeGenOptions* tree) {
   return reader.Finish();
 }
 
-Status ReadCatalog(const JsonValue& json, CatalogOptions* catalog) {
-  JsonObjectReader reader(json, "catalog");
-  reader.Size("num_books", &catalog->num_books);
-  reader.Fraction("low_fraction", &catalog->low_fraction);
-  reader.Size("max_authors", &catalog->max_authors);
-  return reader.Finish();
-}
-
 Status ReadPattern(const JsonValue& json, PatternGenOptions* pattern) {
   JsonObjectReader reader(json, "pattern");
   reader.Size("size", &pattern->size);
@@ -68,22 +42,6 @@ Status ReadPattern(const JsonValue& json, PatternGenOptions* pattern) {
   return reader.Finish();
 }
 
-Status ReadProgram(const JsonValue& json, ProgramGenOptions* program) {
-  JsonObjectReader reader(json, "program");
-  reader.Size("num_statements", &program->num_statements);
-  reader.Size("num_variables", &program->num_variables);
-  reader.Fraction("read_fraction", &program->read_fraction);
-  reader.Fraction("insert_fraction", &program->insert_fraction);
-  reader.Fraction("repeat_read_prob", &program->repeat_read_prob);
-  if (program->num_variables == 0) {
-    reader.RecordError("num_variables must be >= 1");
-  }
-  if (program->read_fraction + program->insert_fraction > 1.0) {
-    reader.RecordError("read_fraction + insert_fraction must be <= 1");
-  }
-  return reader.Finish();
-}
-
 }  // namespace
 
 Result<GeneratorSpec> GeneratorSpec::FromJson(const JsonValue& json) {
@@ -91,26 +49,15 @@ Result<GeneratorSpec> GeneratorSpec::FromJson(const JsonValue& json) {
   JsonObjectReader reader(json, "generator");
   reader.Size("alphabet_size", &spec.alphabet_size);
   const JsonValue* tree = reader.Child("tree");
-  const JsonValue* catalog = reader.Child("catalog");
   const JsonValue* pattern = reader.Child("pattern");
-  const JsonValue* program = reader.Child("program");
   if (spec.alphabet_size == 0) reader.RecordError("alphabet_size must be >= 1");
   if (Status s = reader.Finish(); !s.ok()) return s;
   if (tree != nullptr) {
     if (Status s = ReadTree(*tree, &spec.tree); !s.ok()) return s;
   }
-  if (catalog != nullptr) {
-    if (Status s = ReadCatalog(*catalog, &spec.catalog); !s.ok()) return s;
-  }
   if (pattern != nullptr) {
     if (Status s = ReadPattern(*pattern, &spec.pattern); !s.ok()) return s;
   }
-  if (program != nullptr) {
-    if (Status s = ReadProgram(*program, &spec.program); !s.ok()) return s;
-  }
-  // One pattern shape drives both generators (see header); keep the copy
-  // coherent from the moment of parsing.
-  spec.program.pattern = spec.pattern;
   return spec;
 }
 
@@ -118,9 +65,7 @@ JsonValue GeneratorSpec::ToJson() const {
   JsonValue json = JsonValue::MakeObject();
   json.Set("alphabet_size", alphabet_size);
   json.Set("tree", TreeJson(tree));
-  json.Set("catalog", CatalogJson(catalog));
   json.Set("pattern", PatternJson(pattern));
-  json.Set("program", ProgramJson(program));
   return json;
 }
 
@@ -143,30 +88,15 @@ PatternGenOptions GeneratorSpec::BindPattern(
   return bound;
 }
 
-ProgramGenOptions GeneratorSpec::BindProgram(
-    const std::shared_ptr<SymbolTable>& symbols) const {
-  ProgramGenOptions bound = program;
-  bound.pattern = BindPattern(symbols);
-  return bound;
-}
-
 bool operator==(const GeneratorSpec& a, const GeneratorSpec& b) {
   return a.alphabet_size == b.alphabet_size &&
          a.tree.target_size == b.tree.target_size &&
          a.tree.max_children == b.tree.max_children &&
          a.tree.max_depth == b.tree.max_depth &&
-         a.catalog.num_books == b.catalog.num_books &&
-         a.catalog.low_fraction == b.catalog.low_fraction &&
-         a.catalog.max_authors == b.catalog.max_authors &&
          a.pattern.size == b.pattern.size &&
          a.pattern.wildcard_prob == b.pattern.wildcard_prob &&
          a.pattern.descendant_prob == b.pattern.descendant_prob &&
-         a.pattern.branch_prob == b.pattern.branch_prob &&
-         a.program.num_statements == b.program.num_statements &&
-         a.program.num_variables == b.program.num_variables &&
-         a.program.read_fraction == b.program.read_fraction &&
-         a.program.insert_fraction == b.program.insert_fraction &&
-         a.program.repeat_read_prob == b.program.repeat_read_prob;
+         a.pattern.branch_prob == b.pattern.branch_prob;
 }
 
 }  // namespace workload

@@ -6,20 +6,16 @@
 
 #include "common/json.h"
 #include "common/result.h"
-#include "workload/catalog_generator.h"
 #include "workload/pattern_generator.h"
-#include "workload/program_generator.h"
 #include "workload/tree_generator.h"
 #include "xml/symbol_table.h"
 
 namespace xmlup {
 namespace workload {
 
-/// The one JSON-serializable description of every workload generator —
-/// TreeGenOptions, CatalogOptions, PatternGenOptions and ProgramGenOptions
-/// unified under a single spec, so a workload file configures all of them
-/// in one "generator" block instead of each harness hand-rolling its own
-/// knobs.
+/// The JSON-serializable description of the generators a workload draws
+/// from — TreeGenOptions and PatternGenOptions under a single spec, so a
+/// workload file configures both in one "generator" block.
 ///
 /// Alphabets are the one field the option structs cannot serialize: Labels
 /// are dense ids minted by a SymbolTable, meaningless across processes.
@@ -32,12 +28,8 @@ namespace workload {
 ///
 ///   {"alphabet_size": 3,
 ///    "tree":    {"target_size": 32, "max_children": 4, "max_depth": 12},
-///    "catalog": {"num_books": 50, "low_fraction": 0.3, "max_authors": 3},
 ///    "pattern": {"size": 5, "wildcard_prob": 0.25,
-///                "descendant_prob": 0.4, "branch_prob": 0.35},
-///    "program": {"num_statements": 12, "num_variables": 2,
-///                "read_fraction": 0.5, "insert_fraction": 0.3,
-///                "repeat_read_prob": 0.3}}
+///                "descendant_prob": 0.4, "branch_prob": 0.35}}
 ///
 /// Unknown keys are errors (a typo must not silently fall back to a
 /// default), and FromJson(ToJson(spec)) == spec for every valid spec (the
@@ -48,12 +40,7 @@ struct GeneratorSpec {
   size_t alphabet_size = 3;
 
   TreeGenOptions tree;
-  CatalogOptions catalog;
   PatternGenOptions pattern;
-  /// `program.pattern` is not independently configurable: BindProgram
-  /// copies the spec's `pattern` block into it, so one pattern shape
-  /// drives both standalone pattern generation and program generation.
-  ProgramGenOptions program;
 
   static Result<GeneratorSpec> FromJson(const JsonValue& json);
   JsonValue ToJson() const;
@@ -65,8 +52,6 @@ struct GeneratorSpec {
   /// Materialized option structs with the alphabet filled in.
   TreeGenOptions BindTree(const std::shared_ptr<SymbolTable>& symbols) const;
   PatternGenOptions BindPattern(
-      const std::shared_ptr<SymbolTable>& symbols) const;
-  ProgramGenOptions BindProgram(
       const std::shared_ptr<SymbolTable>& symbols) const;
 
   friend bool operator==(const GeneratorSpec& a, const GeneratorSpec& b);

@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "conflict/report.h"
@@ -51,6 +52,17 @@ DriverReport RunWith(size_t workers_override) {
   Result<DriverReport> report = driver.Run();
   EXPECT_TRUE(report.ok()) << report.status();
   return *report;
+}
+
+/// The detect ops of a phase plan, in arrival order.
+std::vector<const DetectUnit*> Detects(const PhasePlan& plan) {
+  std::vector<const DetectUnit*> detects;
+  for (const PlannedOp& op : plan.ops) {
+    if (const auto* detect = std::get_if<DetectUnit>(&op)) {
+      detects.push_back(detect);
+    }
+  }
+  return detects;
 }
 
 void ExpectSameOutcome(const DriverReport& a, const DriverReport& b) {
@@ -106,6 +118,17 @@ TEST(DriverSpecTest, MalformedSpecsAreRejected) {
   EXPECT_TRUE(fails(
       R"({"sessions": {"count": 0},
           "phases": [{"mix": {"insert": 0, "delete": 0, "edit": 1}}]})"));
+  // Settings the driver has no use for: no catalog or program generator,
+  // an always-installed schema, one merge policy.
+  EXPECT_TRUE(fails(
+      R"({"generator": {"program": {"num_statements": 6}}, "phases": [{}]})"));
+  EXPECT_TRUE(fails(
+      R"({"generator": {"catalog": {"num_books": 5}}, "phases": [{}]})"));
+  EXPECT_TRUE(fails(
+      R"({"dtd": {"declarations": ["root a0"], "pruning": true},
+          "phases": [{}]})"));
+  EXPECT_TRUE(fails(
+      R"({"phases": [{"kind": "merge", "merge": {"reject": false}}]})"));
 
   // And the minimal valid spec parses.
   EXPECT_FALSE(fails(R"({"phases": [{}]})"));
@@ -123,8 +146,7 @@ constexpr char kTypedSpecText[] = R"({
     "pattern": {"size": 4, "wildcard_prob": 0.3, "descendant_prob": 0.4}
   },
   "dtd": {
-    "declarations": ["root a0", "allow a0 : a1", "allow a1 : a1"],
-    "pruning": true
+    "declarations": ["root a0", "allow a0 : a1", "allow a1 : a1"]
   },
   "sessions": {"count": 2, "initial_reads": 2, "initial_updates": 2},
   "phases": [
@@ -138,19 +160,9 @@ TEST(DriverSpecTest, DtdBlockRoundTripsAndValidates) {
   const WorkloadSpec spec = Spec(kTypedSpecText);
   ASSERT_TRUE(spec.dtd.enabled());
   EXPECT_EQ(spec.dtd.declarations.size(), 3u);
-  EXPECT_TRUE(spec.dtd.pruning);
   Result<WorkloadSpec> reparsed = WorkloadSpec::FromJson(spec.ToJson());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
   EXPECT_EQ(*reparsed, spec);
-
-  // The spec-level ablation toggle survives the round trip too.
-  WorkloadSpec ablated = spec;
-  ablated.dtd.pruning = false;
-  Result<WorkloadSpec> reparsed_ablated =
-      WorkloadSpec::FromJson(ablated.ToJson());
-  ASSERT_TRUE(reparsed_ablated.ok()) << reparsed_ablated.status();
-  EXPECT_FALSE(reparsed_ablated->dtd.pruning);
-  EXPECT_NE(*reparsed_ablated, spec);
 
   auto fails = [](const std::string& text) {
     return !WorkloadSpec::Parse(text).ok();
@@ -173,15 +185,6 @@ TEST(DriverSpecTest, EngineOptionsForSpecParsesTheSchema) {
   ASSERT_NE(options->dtd, nullptr);
   EXPECT_EQ(options->dtd->root_label(), symbols->Intern("a0"));
 
-  // With pruning off the schema is parsed but not installed: no schema is
-  // how Stage 0 is switched off.
-  WorkloadSpec ablated = spec;
-  ablated.dtd.pruning = false;
-  Result<EngineOptions> ablated_options =
-      EngineOptionsForSpec(ablated, symbols);
-  ASSERT_TRUE(ablated_options.ok()) << ablated_options.status();
-  EXPECT_EQ(ablated_options->dtd, nullptr);
-
   // A spec without a block passes `base` through untouched.
   Result<EngineOptions> plain = EngineOptionsForSpec(Spec(), symbols);
   ASSERT_TRUE(plain.ok()) << plain.status();
@@ -190,9 +193,6 @@ TEST(DriverSpecTest, EngineOptionsForSpecParsesTheSchema) {
   // Malformed declarations fail at parse, with the offending line's error.
   WorkloadSpec bad = spec;
   bad.dtd.declarations = {"frobnicate a0"};
-  EXPECT_FALSE(EngineOptionsForSpec(bad, symbols).ok());
-  // ... with pruning off too: the declarations are still validated.
-  bad.dtd.pruning = false;
   EXPECT_FALSE(EngineOptionsForSpec(bad, symbols).ok());
 }
 
@@ -243,8 +243,8 @@ TEST(DriverTest, DifferentSeedsGiveDifferentPlans) {
   // Detect/edit split depends on the seed's weighted draws.
   bool any_difference = false;
   for (size_t p = 0; p < plan_a->phases.size(); ++p) {
-    any_difference = any_difference || plan_a->phases[p].detects.size() !=
-                                           plan_b->phases[p].detects.size();
+    any_difference = any_difference || Detects(plan_a->phases[p]).size() !=
+                                           Detects(plan_b->phases[p]).size();
   }
   EXPECT_TRUE(any_difference);
 }
@@ -272,15 +272,16 @@ TEST(DriverTest, DetectVerdictsMatchBatchOracle) {
   Result<WorkloadPlan> plan = Driver::BuildPlan(spec, &oracle_engine);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->phases.size(), 1u);
-  ASSERT_EQ(plan->phases[0].detects.size(), 50u);
+  const std::vector<const DetectUnit*> detects = Detects(plan->phases[0]);
+  ASSERT_EQ(detects.size(), 50u);
 
   VerdictTally oracle;
   std::vector<PatternRef> reads;
   std::vector<UpdateOp> updates;
   std::vector<ReadUpdatePair> pairs;
-  for (size_t k = 0; k < plan->phases[0].detects.size(); ++k) {
-    reads.push_back(plan->phases[0].detects[k].read);
-    updates.push_back(plan->phases[0].detects[k].update);
+  for (size_t k = 0; k < detects.size(); ++k) {
+    reads.push_back(detects[k]->read);
+    updates.push_back(detects[k]->update);
     pairs.push_back({k, k});
   }
   const std::vector<SharedConflictResult> cells =
@@ -349,7 +350,6 @@ TEST(DriverSpecTest, MergeSpecRoundTripsAndValidates) {
   EXPECT_EQ(spec.phases[0].merge.sessions, 3u);
   EXPECT_EQ(spec.phases[0].merge.ops_per_session, 2u);
   EXPECT_EQ(spec.phases[0].merge.threads, 2u);
-  EXPECT_FALSE(spec.phases[0].merge.reject);
   Result<WorkloadSpec> reparsed = WorkloadSpec::FromJson(spec.ToJson());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
   EXPECT_EQ(*reparsed, spec);
@@ -439,6 +439,59 @@ TEST(DriverTest, OpenLoopOverloadStaysAnchored) {
   EXPECT_GT(phase.latency.mean_us, 0.2 * wall_us);
   EXPECT_LE(phase.latency.mean_us,
             static_cast<double>(phase.latency.max_us));
+}
+
+TEST(DriverTest, OpenLoopTailIsServiceTime) {
+  // An open phase the engine keeps up with: 200 arrivals at 400/s, with
+  // session edits interleaved among the detects. Slots are claimed in
+  // arrival order whatever their kind, so no op waits behind later
+  // arrivals and the tail is service time, not the phase's length. The
+  // small search budget keeps every op cheap, also under sanitizers.
+  WorkloadSpec spec = Spec(R"({
+    "seed": 42,
+    "generator": {
+      "alphabet_size": 3,
+      "tree": {"target_size": 10, "max_depth": 6},
+      "pattern": {"size": 4, "wildcard_prob": 0.3, "descendant_prob": 0.4}
+    },
+    "sessions": {"count": 2, "initial_reads": 2, "initial_updates": 2},
+    "phases": [{"name": "steady", "mode": "open", "workers": 4, "ops": 200,
+                "arrival_rate": 400,
+                "mix": {"insert": 0.4, "delete": 0.4, "edit": 0.2}}]
+  })");
+  EngineOptions options;
+  options.batch.detector.search.max_nodes = 3;
+  Engine engine(std::make_shared<SymbolTable>(), std::move(options));
+  Driver driver(&engine, spec);
+  Result<DriverReport> report = driver.Run();
+  ASSERT_TRUE(report.ok()) << report.status();
+  const PhaseReport& phase = report->phases[0];
+  EXPECT_FALSE(phase.truncated);
+  EXPECT_EQ(phase.ops_completed, 200u);
+  EXPECT_LT(phase.latency.p99_us, 100'000.0);
+}
+
+TEST(DriverTest, MaxDurationCapsAnOpenPhase) {
+  // 20 arrivals at 10/s span 1.9 s; the 0.2 s cap must end the phase
+  // without sleeping through the arrivals it skips, session edits
+  // included.
+  WorkloadSpec spec = Spec(R"({
+    "seed": 3,
+    "generator": {"pattern": {"size": 4}, "tree": {"target_size": 8}},
+    "phases": [{"name": "capped", "mode": "open", "workers": 2, "ops": 20,
+                "arrival_rate": 10, "max_duration_s": 0.2,
+                "mix": {"insert": 0.4, "delete": 0.4, "edit": 0.2}}]
+  })");
+  EngineOptions options;
+  options.batch.detector.search.max_nodes = 3;
+  Engine engine(std::make_shared<SymbolTable>(), std::move(options));
+  Driver driver(&engine, spec);
+  Result<DriverReport> report = driver.Run();
+  ASSERT_TRUE(report.ok()) << report.status();
+  const PhaseReport& phase = report->phases[0];
+  EXPECT_TRUE(phase.truncated);
+  EXPECT_LT(phase.ops_completed, 20u);
+  EXPECT_LT(phase.wall_seconds, 1.0);
 }
 
 TEST(DriverTest, MaxDurationTruncatesInsteadOfHanging) {

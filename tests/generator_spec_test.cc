@@ -7,7 +7,6 @@
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "workload/pattern_generator.h"
-#include "workload/program_generator.h"
 #include "workload/tree_generator.h"
 #include "xml/symbol_table.h"
 
@@ -31,7 +30,6 @@ TEST(GeneratorSpecTest, DefaultsMatchOptionStructs) {
   const GeneratorSpec defaults;
   EXPECT_EQ(parsed.tree.target_size, defaults.tree.target_size);
   EXPECT_EQ(parsed.pattern.size, defaults.pattern.size);
-  EXPECT_EQ(parsed.program.num_statements, defaults.program.num_statements);
 }
 
 TEST(GeneratorSpecTest, RoundTripIsIdentity) {
@@ -39,16 +37,10 @@ TEST(GeneratorSpecTest, RoundTripIsIdentity) {
   spec.alphabet_size = 5;
   spec.tree.target_size = 64;
   spec.tree.max_children = 6;
-  spec.catalog.num_books = 17;
-  spec.catalog.low_fraction = 0.125;
   spec.pattern.size = 7;
   spec.pattern.wildcard_prob = 0.5;
   spec.pattern.descendant_prob = 0.25;
   spec.pattern.branch_prob = 0.0625;
-  spec.program.num_statements = 20;
-  spec.program.read_fraction = 0.4;
-  spec.program.insert_fraction = 0.35;
-  spec.program.pattern = spec.pattern;
 
   Result<GeneratorSpec> reparsed = GeneratorSpec::FromJson(spec.ToJson());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
@@ -69,8 +61,6 @@ TEST(GeneratorSpecTest, PartialSpecKeepsOtherDefaults) {
   const GeneratorSpec defaults;
   EXPECT_EQ(spec.pattern.wildcard_prob, defaults.pattern.wildcard_prob);
   EXPECT_EQ(spec.tree.target_size, defaults.tree.target_size);
-  // The program block inherits the spec's pattern shape.
-  EXPECT_EQ(spec.program.pattern.size, 9u);
 }
 
 TEST(GeneratorSpecTest, RejectsUnknownAndInvalidFields) {
@@ -85,9 +75,6 @@ TEST(GeneratorSpecTest, RejectsUnknownAndInvalidFields) {
   EXPECT_TRUE(fails(R"({"tree": {"target_size": 0}})"));
   EXPECT_TRUE(fails(R"({"pattern": {"size": 0}})"));
   EXPECT_TRUE(fails(R"({"pattern": {"wildcard_prob": 1.5}})"));
-  EXPECT_TRUE(fails(
-      R"({"program": {"read_fraction": 0.8, "insert_fraction": 0.5}})"));
-  EXPECT_TRUE(fails(R"({"program": {"num_variables": 0}})"));
   EXPECT_TRUE(fails(R"({"alphabet_size": "three"})"));  // wrong type
 }
 
@@ -95,8 +82,7 @@ TEST(GeneratorSpecTest, BindMaterializesAlphabetAndDrivesGenerators) {
   const GeneratorSpec spec = ParseSpec(
       R"({"alphabet_size": 4,
           "tree": {"target_size": 16},
-          "pattern": {"size": 4},
-          "program": {"num_statements": 6}})");
+          "pattern": {"size": 4}})");
   auto symbols = std::make_shared<SymbolTable>();
 
   const TreeGenOptions tree = spec.BindTree(symbols);
@@ -106,21 +92,15 @@ TEST(GeneratorSpecTest, BindMaterializesAlphabetAndDrivesGenerators) {
 
   const PatternGenOptions pattern = spec.BindPattern(symbols);
   EXPECT_EQ(pattern.alphabet.size(), 4u);
-  const ProgramGenOptions program = spec.BindProgram(symbols);
-  EXPECT_EQ(program.pattern.alphabet.size(), 4u);
 
   // The bound options actually generate: a tree of roughly the target
-  // size, a pattern of the configured size, a program of the configured
-  // length.
+  // size and a pattern of the configured size.
   Rng rng(7);
   const Tree t = RandomTreeGenerator(symbols, tree).Generate(&rng);
   EXPECT_GE(t.size(), 1u);
   const Pattern p =
       RandomPatternGenerator(symbols, pattern).GenerateLinear(&rng);
   EXPECT_EQ(p.size(), 4u);
-  const Program prog =
-      RandomProgramGenerator(symbols, program).Generate(&rng);
-  EXPECT_EQ(prog.size(), 6u);
 }
 
 }  // namespace
