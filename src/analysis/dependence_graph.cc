@@ -145,7 +145,8 @@ DependenceGraph BuildDependenceGraph(const std::vector<Statement>& statements,
           graph.AddEdge(
               {i, j, EdgeReason::kUpdatePair, cert.status().ToString()});
         } else if (cert->certificate != CommutativityCertificate::kCertified) {
-          graph.AddEdge({i, j, EdgeReason::kUpdatePair, cert->detail});
+          graph.AddEdge(
+              {i, j, EdgeReason::kUpdatePair, std::string(cert->detail)});
         }
         return;
       }

@@ -7,21 +7,17 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace xmlup {
 namespace {
 
 /// Batch-engine observability: pair traffic (a "hit" is a pair deduped
-/// onto an identical pair of the same call), job counts, and per-job solve
-/// timings (the per-worker task histogram the pool itself cannot attribute
-/// to the batch workload).
+/// onto an identical pair of the same call) and job counts.
 struct BatchMetrics {
   obs::Counter& pairs_total;
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
-  obs::Histogram& solve_pair_us;
 
   static const BatchMetrics& Get() {
     static const BatchMetrics* const metrics = [] {
@@ -30,7 +26,6 @@ struct BatchMetrics {
           reg.GetCounter("batch.pairs_total"),
           reg.GetCounter("batch.cache_hits"),
           reg.GetCounter("batch.cache_misses"),
-          reg.GetHistogram("batch.solve_pair_us"),
       };
     }();
     return *metrics;
@@ -175,7 +170,6 @@ std::vector<SharedConflictResult> BatchConflictDetector::DetectPairs(
     ParallelFor(pool_.get(), jobs.size(), [&](size_t index) {
       Job& job = jobs[index];
       obs::TraceSpan job_span(recorder, "batch.solve_pair");
-      obs::ScopedTimer job_timer(&metrics.solve_pair_us);
       job.result = std::make_shared<const Result<ConflictReport>>(
           Detect(*store_, reads[job.read_index], *bound[job.update_index],
                  options_.detector));

@@ -8,7 +8,6 @@
 #include "conflict/witness_build.h"
 #include "dtd/type_summary.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "pattern/compiled_pattern.h"
 #include "pattern/pattern_ops.h"
@@ -17,10 +16,10 @@
 namespace xmlup {
 namespace {
 
-/// Detector-level observability: per-verdict and per-method counters, the
-/// linear-vs-bounded dispatch split, and an end-to-end latency histogram.
-/// References are resolved once; the steady-state cost per Detect() call
-/// is a handful of relaxed atomic adds.
+/// Detector-level observability: per-verdict and per-method counters and
+/// the linear-vs-bounded dispatch split. References are resolved once; the
+/// steady-state cost per Detect() call is a handful of relaxed atomic adds
+/// and no clock read.
 struct DetectorMetrics {
   obs::Counter& calls;
   obs::Counter& errors;
@@ -34,7 +33,6 @@ struct DetectorMetrics {
   obs::Counter& method_bounded;
   obs::Counter& method_type_pruned;
   obs::Counter& method_leaf_path;
-  obs::Histogram& latency_us;
 
   static const DetectorMetrics& Get() {
     static const DetectorMetrics* const metrics = [] {
@@ -52,7 +50,6 @@ struct DetectorMetrics {
           reg.GetCounter("detector.method.bounded_search"),
           reg.GetCounter("detector.method.type_pruned"),
           reg.GetCounter("detector.method.leaf_path_certificate"),
-          reg.GetHistogram("detector.latency_us"),
       };
     }();
     return *metrics;
@@ -379,7 +376,6 @@ Result<ConflictReport> Detect(const PatternStore& store, PatternRef read,
     return Detect(store.pattern(read), update, options);
   }
   metrics.calls.Increment();
-  obs::ScopedTimer timer(&metrics.latency_us);
   obs::TraceSpan span("Detect");
   Result<ConflictReport> result = DetectStaged(store, read, update, options);
   CountOutcome(metrics, result);

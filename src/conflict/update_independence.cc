@@ -37,18 +37,18 @@ Result<IndependenceReport> CertifyUpdatesCommute(
                          PatternVsUpdate(o2, o1, node_options));
   if (o1_affects_o2.verdict != ConflictVerdict::kNoConflict) {
     report.certificate = CommutativityCertificate::kUnknown;
-    report.detail =
-        std::string("o1 may change o2's selection (") +
-        std::string(ConflictVerdictName(o1_affects_o2.verdict)) + ")";
+    report.detail = o1_affects_o2.verdict == ConflictVerdict::kConflict
+                        ? "o1 may change o2's selection (conflict)"
+                        : "o1 may change o2's selection (unknown)";
     return report;
   }
   XMLUP_ASSIGN_OR_RETURN(ConflictReport o2_affects_o1,
                          PatternVsUpdate(o1, o2, node_options));
   if (o2_affects_o1.verdict != ConflictVerdict::kNoConflict) {
     report.certificate = CommutativityCertificate::kUnknown;
-    report.detail =
-        std::string("o2 may change o1's selection (") +
-        std::string(ConflictVerdictName(o2_affects_o1.verdict)) + ")";
+    report.detail = o2_affects_o1.verdict == ConflictVerdict::kConflict
+                        ? "o2 may change o1's selection (conflict)"
+                        : "o2 may change o1's selection (unknown)";
     return report;
   }
   report.certificate = CommutativityCertificate::kCertified;

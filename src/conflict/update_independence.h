@@ -1,7 +1,7 @@
 #ifndef XMLUP_CONFLICT_UPDATE_INDEPENDENCE_H_
 #define XMLUP_CONFLICT_UPDATE_INDEPENDENCE_H_
 
-#include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "conflict/commutativity.h"
@@ -38,8 +38,9 @@ enum class CommutativityCertificate {
 
 struct IndependenceReport {
   CommutativityCertificate certificate = CommutativityCertificate::kUnknown;
-  /// Which sub-check failed, for diagnostics.
-  std::string detail;
+  /// Which sub-check failed, for diagnostics: fixed text, so a report
+  /// costs no allocation. Callers that keep it copy it.
+  std::string_view detail;
 };
 
 /// Attempts to certify that o1 and o2 commute on every tree (value

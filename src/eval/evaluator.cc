@@ -33,6 +33,14 @@ struct Frame {
   bool subtree;
 };
 
+/// A node of the linear walk: the chain nodes open at it, and those open
+/// at it or at one of its ancestors.
+struct ChainFrame {
+  NodeId node;
+  uint64_t open;
+  uint64_t reach;
+};
+
 /// One edge of the pattern path ROOT(p) → O(p), as word/bit positions.
 struct Link {
   size_t word, up_word;
@@ -62,6 +70,8 @@ struct Scratch {
   /// The kid row of the node being expanded.
   std::vector<uint64_t> kid;
   std::vector<Link> path;
+  /// The linear walk's stack.
+  std::vector<ChainFrame> chain;
 
   static Scratch& Get() {
     thread_local Scratch scratch;
@@ -213,6 +223,53 @@ Scratch* EvaluateRegion(const Pattern& p, const Tree& t, NodeId anchor,
   return &s;
 }
 
+/// [[p]](t) for a linear p of at most 64 nodes, in one top-down walk: the
+/// Shift-And automaton of the chain run down every tree path. A linear
+/// pattern's node ids are its depths, so chain node i is bit i of one
+/// word. Chain node i is open at a tree node n iff its label test accepts
+/// n and node i - 1 is open at n's parent (child axis) or at some proper
+/// ancestor of n (descendant axis), i.e. in the parent's reach. A child
+/// whose open row and whose parent's descendant-successor row are both
+/// empty has nothing open anywhere in its subtree, so the walk skips it.
+/// With no predicates, n ∈ [[p]](t) iff O(p), the last chain node, is open
+/// at n (see DESIGN.md, "Evaluator").
+std::vector<NodeId> EvaluateChain(const Pattern& p, const Tree& t,
+                                  Scratch& s) {
+  const Pattern* const forest[] = {&p};
+  s.masks.Assign(forest);
+  uint64_t child_axis = 0;
+  uint64_t desc_axis = 0;
+  for (PatternNodeId q = 1; q < p.size(); ++q) {
+    (p.axis(q) == Axis::kChild ? child_axis : desc_axis) |= uint64_t{1}
+                                                            << q;
+  }
+  const uint64_t output = uint64_t{1} << p.output();
+  std::vector<NodeId> result;
+  const uint64_t root = *s.masks.LabelRow(t.label(t.root())) & 1;
+  if (root == 0) return result;
+  s.chain.clear();
+  s.chain.push_back({t.root(), root, root});
+  while (!s.chain.empty()) {
+    const ChainFrame frame = s.chain.back();
+    s.chain.pop_back();
+    if ((frame.open & output) != 0) result.push_back(frame.node);
+    // The chain nodes that may open at a child, and those of them a
+    // descendant edge carries further down whatever the child's label.
+    const uint64_t below = (frame.reach << 1) & desc_axis;
+    const uint64_t next = ((frame.open << 1) & child_axis) | below;
+    if (next == 0) continue;
+    for (NodeId c = t.first_child(frame.node); c != kNullNode;
+         c = t.next_sibling(c)) {
+      const uint64_t open = *s.masks.LabelRow(t.label(c)) & next;
+      if ((open | below) == 0) continue;
+      s.chain.push_back({c, open, frame.reach | open});
+    }
+  }
+  // The walk's order is not id order.
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
 }  // namespace
 
 void PatternMasks::Assign(std::span<const Pattern* const> patterns) {
@@ -314,6 +371,9 @@ uint64_t CountEmbeddings(const Pattern& p, const Tree& t) {
 std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t) {
   XMLUP_CHECK(p.has_root());
   if (!t.has_root() || t.size() == 0) return {};
+  if (p.size() <= 64 && p.IsLinear()) {
+    return EvaluateChain(p, t, Scratch::Get());
+  }
   Scratch* const s = EvaluateRegion(p, t, t.root(), /*anywhere=*/false);
   if (s == nullptr || !PatternMasks::Test(s->Sat(0), p.root())) return {};
   if (p.output() == p.root()) return {t.root()};

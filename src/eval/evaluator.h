@@ -22,9 +22,13 @@ namespace xmlup {
 /// computes the pattern nodes whose subpattern embeds at each node
 /// (PatternMasks::Step) and a top-down pass carries the root-to-output
 /// candidates down — the Core-XPath-style evaluation the paper cites ([7])
-/// for the polynomial cost of its operations. The result is sorted and
-/// duplicate-free. Scratch is per thread and reused across calls, so a
-/// warm thread allocates only the result.
+/// for the polynomial cost of its operations. A linear pattern of at most
+/// 64 nodes (Pattern::IsLinear) takes one top-down walk instead, carrying
+/// per tree node one word of the chain nodes open there and one of those
+/// open there or above; it enters a child only when something may still
+/// open in its subtree. The result is sorted and duplicate-free. Scratch
+/// is per thread and reused across calls, so a warm thread allocates only
+/// the result.
 std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t);
 
 /// True iff [[p]](t) is non-empty, i.e. some embedding of p into t exists.

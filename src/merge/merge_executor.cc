@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "analysis/dependence_graph.h"
@@ -22,13 +23,50 @@ struct Slot {
   UpdateOp op;
 };
 
-std::string PartnerDetail(const Slot& partner, const std::string& why) {
+std::string PartnerDetail(const Slot& partner, std::string_view why) {
   std::string detail = "uncertified against session " +
                        std::to_string(partner.session) + " op " +
                        std::to_string(partner.index);
-  if (!why.empty()) detail += ": " + why;
+  if (!why.empty()) {
+    detail += ": ";
+    detail += why;
+  }
   return detail;
 }
+
+/// The merge.* metrics, resolved once like DetectorMetrics, so a merge
+/// takes no registry lock.
+struct MergeMetrics {
+  obs::Counter& merges;
+  obs::Counter& ops;
+  obs::Counter& accepted;
+  obs::Counter& serialized;
+  obs::Counter& rejected;
+  obs::Counter& levels;
+  obs::Counter& pairs_checked;
+  obs::Counter& pairs_certified;
+  obs::Counter& cert_errors;
+  obs::Histogram& width;
+
+  static const MergeMetrics& Get() {
+    static const MergeMetrics* const metrics = [] {
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+      return new MergeMetrics{
+          reg.GetCounter("merge.merges"),
+          reg.GetCounter("merge.ops"),
+          reg.GetCounter("merge.accepted"),
+          reg.GetCounter("merge.serialized"),
+          reg.GetCounter("merge.rejected"),
+          reg.GetCounter("merge.levels"),
+          reg.GetCounter("merge.pairs_checked"),
+          reg.GetCounter("merge.pairs_certified"),
+          reg.GetCounter("merge.cert_errors"),
+          reg.GetHistogram("merge.width"),
+      };
+    }();
+    return *metrics;
+  }
+};
 
 }  // namespace
 
@@ -99,7 +137,6 @@ Result<MergeReport> MergeExecutor::Merge(
         "merge tree must share the engine's SymbolTable");
   }
   obs::TraceSpan span("Merge");
-  auto& registry = obs::MetricsRegistry::Default();
 
   // Flatten the streams in the serial order (session id, stream index) —
   // the total order every tie-break below falls back to.
@@ -133,12 +170,14 @@ Result<MergeReport> MergeExecutor::Merge(
         ++report.pairs_checked;
         const Result<IndependenceReport> cert =
             engine_->CertifyCommute(slots[i].op, slots[j].op);
-        std::string why;
+        std::string error;
+        std::string_view why;
         if (!cert.ok()) {
           // Soundness: a failed certificate call is never an independence
           // claim — the pair is ordered like any uncertified one.
           ++report.cert_errors;
-          why = cert.status().ToString();
+          error = cert.status().ToString();
+          why = error;
         } else if (cert->certificate == CommutativityCertificate::kCertified) {
           ++report.pairs_certified;
           continue;
@@ -229,17 +268,17 @@ Result<MergeReport> MergeExecutor::Merge(
     }
   }
 
-  registry.GetCounter("merge.merges").Increment();
-  registry.GetCounter("merge.ops").Increment(report.ops_total);
-  registry.GetCounter("merge.accepted").Increment(report.accepted);
-  registry.GetCounter("merge.serialized").Increment(report.serialized);
-  registry.GetCounter("merge.rejected").Increment(report.rejected);
-  registry.GetCounter("merge.levels").Increment(report.levels);
-  registry.GetCounter("merge.pairs_checked").Increment(report.pairs_checked);
-  registry.GetCounter("merge.pairs_certified")
-      .Increment(report.pairs_certified);
-  registry.GetCounter("merge.cert_errors").Increment(report.cert_errors);
-  registry.GetHistogram("merge.width").Observe(report.width);
+  const MergeMetrics& metrics = MergeMetrics::Get();
+  metrics.merges.Increment();
+  metrics.ops.Increment(report.ops_total);
+  metrics.accepted.Increment(report.accepted);
+  metrics.serialized.Increment(report.serialized);
+  metrics.rejected.Increment(report.rejected);
+  metrics.levels.Increment(report.levels);
+  metrics.pairs_checked.Increment(report.pairs_checked);
+  metrics.pairs_certified.Increment(report.pairs_certified);
+  metrics.cert_errors.Increment(report.cert_errors);
+  metrics.width.Observe(report.width);
   return report;
 }
 

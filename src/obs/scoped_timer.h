@@ -11,9 +11,13 @@ namespace obs {
 /// RAII latency probe: records the scope's wall time, in microseconds,
 /// into a Histogram on destruction.
 ///
-///   static obs::Histogram& lat =
-///       obs::MetricsRegistry::Default().GetHistogram("detector.latency_us");
+///   static obs::Histogram& lat = obs::MetricsRegistry::Default()
+///       .GetHistogram("bounded_search.latency_us");
 ///   obs::ScopedTimer timer(&lat);
+///
+/// Each probe reads the clock twice, so it belongs on a call that does
+/// far more work than that, such as one bounded search, not on a
+/// per-pair path.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* histogram)

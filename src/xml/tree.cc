@@ -52,19 +52,27 @@ NodeId Tree::AddChild(NodeId parent, Label label) {
 NodeId Tree::GraftCopy(NodeId parent, const Tree& source, NodeId source_node) {
   XMLUP_DCHECK(alive(parent));
   XMLUP_DCHECK(source.alive(source_node));
-  // Iterative preorder copy; recursion depth is unbounded for adversarial
-  // inputs so an explicit stack is used.
+  // A pre-order walk over the source in lockstep with the copy, by the
+  // parent and sibling links: iterative at any depth and with no stack, so
+  // it allocates nothing but the copy's slots. Each copy node is created
+  // on its first visit, so ids come out in pre-order, parents first.
   const NodeId copy_root = AddChild(parent, source.label(source_node));
-  std::vector<std::pair<NodeId, NodeId>> stack;  // (source node, dest node)
-  stack.emplace_back(source_node, copy_root);
-  while (!stack.empty()) {
-    auto [src, dst] = stack.back();
-    stack.pop_back();
-    for (NodeId c = source.first_child(src); c != kNullNode;
-         c = source.next_sibling(c)) {
-      const NodeId dst_child = AddChild(dst, source.label(c));
-      stack.emplace_back(c, dst_child);
+  NodeId src = source_node;
+  NodeId dst = copy_root;
+  while (true) {
+    const NodeId down = source.first_child(src);
+    if (down != kNullNode) {
+      src = down;
+      dst = AddChild(dst, source.label(src));
+      continue;
     }
+    while (src != source_node && source.next_sibling(src) == kNullNode) {
+      src = source.parent(src);
+      dst = node(dst).parent;
+    }
+    if (src == source_node) break;
+    src = source.next_sibling(src);
+    dst = AddChild(node(dst).parent, source.label(src));
   }
   ++version_;
   return copy_root;
@@ -87,16 +95,20 @@ void Tree::DeleteSubtree(NodeId target) {
   }
   t.next_sibling = kNullNode;
   t.prev_sibling = kNullNode;
-  // Tombstone the whole subtree.
-  std::vector<NodeId> stack = {target};
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    for (NodeId c = first_child(n); c != kNullNode; c = next_sibling(c)) {
-      stack.push_back(c);
-    }
+  // Tombstone the whole subtree in pre-order by the links, climbing back
+  // up no further than the target (whose sibling links are cut above):
+  // iterative at any depth, and no stack to allocate.
+  NodeId n = target;
+  while (true) {
     node(n).alive = false;
     --live_count_;
+    if (first_child(n) != kNullNode) {
+      n = first_child(n);
+      continue;
+    }
+    while (n != target && next_sibling(n) == kNullNode) n = parent(n);
+    if (n == target) break;
+    n = next_sibling(n);
   }
   ++version_;
 }

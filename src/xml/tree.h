@@ -73,12 +73,16 @@ class Tree {
   /// Inserts a deep copy of the subtree of `source` rooted at `source_node`
   /// as a new child of `parent`. Returns the id of the copy's root. The
   /// fresh copy's nodes are disjoint from all existing nodes, matching the
-  /// paper's INSERT semantics ("a fresh copy of X").
+  /// paper's INSERT semantics ("a fresh copy of X"). The copy's ids are
+  /// consecutive in pre-order. It walks the links, so it needs no stack at
+  /// any depth and allocates only the arena's new slots. `parent` must not
+  /// lie in the copied subtree.
   NodeId GraftCopy(NodeId parent, const Tree& source, NodeId source_node);
 
-  /// Unlinks the subtree rooted at `node` and tombstones all its nodes.
-  /// `node` must not be the root (the paper requires deletion results to be
-  /// trees; DELETE patterns enforce O(p) != ROOT(p)).
+  /// Unlinks the subtree rooted at `node` and tombstones all its nodes,
+  /// walking the links with no stack at any depth. `node` must not be the
+  /// root (the paper requires deletion results to be trees; DELETE patterns
+  /// enforce O(p) != ROOT(p)).
   void DeleteSubtree(NodeId node);
 
   /// --- Node accessors (valid for live and tombstoned ids) ---

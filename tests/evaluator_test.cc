@@ -282,39 +282,48 @@ void ExpectMatchesEnumeration(const Pattern& p, const Tree& t,
 /// on random (tree, pattern) pairs. Every other tree is first mutated by
 /// random deletes and grafts, so the walk meets tombstoned slots and
 /// grafted subtrees out of id order.
-class EvaluatorPropertyTest : public ::testing::TestWithParam<int> {};
+class EvaluatorPropertyTest : public ::testing::TestWithParam<int> {
+ protected:
+  EvaluatorPropertyTest() {
+    tree_options_.target_size = 18;
+    tree_options_.alphabet =
+        RandomTreeGenerator::MakeAlphabet(symbols_.get(), 3);
+  }
 
-TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
-  auto symbols = NewSymbols();
-  Rng rng(1000 + GetParam());
-
-  TreeGenOptions tree_options;
-  tree_options.target_size = 18;
-  tree_options.alphabet = RandomTreeGenerator::MakeAlphabet(symbols.get(), 3);
-  RandomTreeGenerator trees(symbols, tree_options);
-  TreeGenOptions graft_options = tree_options;
-  graft_options.target_size = 4;
-  RandomTreeGenerator grafts(symbols, graft_options);
-
-  PatternGenOptions pat_options;
-  pat_options.size = 4;
-  pat_options.alphabet = tree_options.alphabet;
-  RandomPatternGenerator patterns(symbols, pat_options);
-
-  for (int iter = 0; iter < 20; ++iter) {
-    Tree t = trees.Generate(&rng);
-    if (iter % 2 == 1) {
-      for (int step = 0; step < 4; ++step) {
-        const std::vector<NodeId> live = t.PreOrder();
-        const NodeId n = live[rng.NextBounded(live.size())];
-        if (n != t.root() && rng.NextBool(0.5)) {
-          t.DeleteSubtree(n);
-        } else {
-          const Tree source = grafts.Generate(&rng);
-          t.GraftCopy(n, source, source.root());
-        }
+  /// A random tree of about 18 nodes over three labels; with `mutate`,
+  /// then four random deletes and grafts of about 4 nodes.
+  Tree SweepTree(Rng& rng, bool mutate) const {
+    Tree t = RandomTreeGenerator(symbols_, tree_options_).Generate(&rng);
+    if (!mutate) return t;
+    TreeGenOptions graft_options = tree_options_;
+    graft_options.target_size = 4;
+    const RandomTreeGenerator grafts(symbols_, graft_options);
+    for (int step = 0; step < 4; ++step) {
+      const std::vector<NodeId> live = t.PreOrder();
+      const NodeId n = live[rng.NextBounded(live.size())];
+      if (n != t.root() && rng.NextBool(0.5)) {
+        t.DeleteSubtree(n);
+      } else {
+        const Tree source = grafts.Generate(&rng);
+        t.GraftCopy(n, source, source.root());
       }
     }
+    return t;
+  }
+
+  std::shared_ptr<SymbolTable> symbols_ = NewSymbols();
+  TreeGenOptions tree_options_;
+};
+
+TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
+  Rng rng(1000 + GetParam());
+  PatternGenOptions pat_options;
+  pat_options.size = 4;
+  pat_options.alphabet = tree_options_.alphabet;
+  RandomPatternGenerator patterns(symbols_, pat_options);
+
+  for (int iter = 0; iter < 20; ++iter) {
+    Tree t = SweepTree(rng, iter % 2 == 1);
     const Pattern p = rng.NextBool(0.5) ? patterns.GenerateLinear(&rng)
                                         : patterns.GenerateBranching(&rng);
     ExpectMatchesEnumeration(
@@ -323,8 +332,106 @@ TEST_P(EvaluatorPropertyTest, MatchesEmbeddingEnumeration) {
   }
 }
 
+/// Linear patterns of 1-8 nodes, rich in // and *, so the one-word walk
+/// meets open descendant steps at every depth, on the same random and
+/// grafted trees.
+TEST_P(EvaluatorPropertyTest, LinearPatternsMatchEmbeddingEnumeration) {
+  Rng rng(2000 + GetParam());
+  size_t selecting = 0;
+  for (size_t size = 1; size <= 8; ++size) {
+    PatternGenOptions pat_options;
+    pat_options.size = size;
+    pat_options.wildcard_prob = 0.3;
+    pat_options.descendant_prob = 0.5;
+    pat_options.alphabet = tree_options_.alphabet;
+    const RandomPatternGenerator patterns(symbols_, pat_options);
+    for (int iter = 0; iter < 4; ++iter) {
+      const Pattern p = patterns.GenerateLinear(&rng);
+      ASSERT_TRUE(p.IsLinear());
+      const Tree t = SweepTree(rng, iter % 2 == 1);
+      ExpectMatchesEnumeration(p, t,
+                               "seed=" + std::to_string(GetParam()) +
+                                   " size=" + std::to_string(size) +
+                                   " iter=" + std::to_string(iter));
+      selecting += !Evaluate(p, t).empty();
+    }
+  }
+  // Not vacuous: 3-12 of each seed's 32 patterns select something.
+  EXPECT_GT(selecting, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, EvaluatorPropertyTest,
                          ::testing::Range(0, 12));
+
+TEST_F(EvaluatorTest, DescendantChainsCarryReachPastForeignLabels) {
+  // Paths of a with x between: a // step must carry an open chain node
+  // down past nodes where nothing opens, and a / step must not. The side
+  // leaves give the walk children to skip.
+  const Label a = symbols_->Intern("a");
+  const Label x = symbols_->Intern("x");
+  Rng rng(31);
+  const char* const xpaths[] = {"a//a",     "a//a//a", "a//a/a",
+                                "a/x//a",   "a/*//a",  "a//x//a//a",
+                                "*//a/x//a", "a//a//a//a//a"};
+  for (int round = 0; round < 6; ++round) {
+    Tree t(symbols_);
+    NodeId node = t.CreateRoot(a);
+    for (int depth = 1; depth < 36; ++depth) {
+      if (rng.NextBool(0.3)) t.AddChild(node, rng.NextBool(0.5) ? a : x);
+      node = t.AddChild(node, rng.NextBool(0.5) ? a : x);
+    }
+    for (const char* xpath : xpaths) {
+      ExpectMatchesEnumeration(Xp(xpath, symbols_), t,
+                               "round " + std::to_string(round) + " " + xpath);
+    }
+  }
+  // The same at depth 30 000, against the selection worked out by hand:
+  // the path is a x x a x x ..., so a//a//a selects every a from the third
+  // on, and a/x//a (x right below an a, then an a further down) every a
+  // from the second on.
+  Tree deep(symbols_);
+  NodeId last = deep.CreateRoot(a);
+  std::vector<NodeId> as = {last};
+  for (int depth = 1; depth < 30000; ++depth) {
+    last = deep.AddChild(last, depth % 3 == 0 ? a : x);
+    if (depth % 3 == 0) as.push_back(last);
+  }
+  EXPECT_EQ(Evaluate(Xp("a//a//a", symbols_), deep),
+            std::vector<NodeId>(as.begin() + 2, as.end()));
+  EXPECT_EQ(Evaluate(Xp("a/x//a", symbols_), deep),
+            std::vector<NodeId>(as.begin() + 1, as.end()));
+  EXPECT_TRUE(Evaluate(Xp("a/a", symbols_), deep).empty());
+}
+
+TEST_F(EvaluatorTest, ChainsOnEitherSideOfOneWord) {
+  // 63-, 64- and 65-node chains: the last two lie on either side of the
+  // one-word walk's limit, with wildcards and // steps spread along them,
+  // on paths long enough for a few images and with an x the wildcards
+  // or the // steps must absorb.
+  const Label a = symbols_->Intern("a");
+  const Label x = symbols_->Intern("x");
+  for (size_t k : {63, 64, 65}) {
+    Pattern p(symbols_);
+    PatternNodeId q = p.CreateRoot(a);
+    for (size_t i = 1; i < k; ++i) {
+      q = p.AddChild(q, i % 5 == 3 ? kWildcardLabel : a,
+                     i % 9 == 0 ? Axis::kDescendant : Axis::kChild);
+    }
+    p.SetOutput(q);
+    for (size_t foreign : {size_t{0}, size_t{8}, size_t{13}}) {
+      Tree t(symbols_);
+      NodeId node = t.CreateRoot(a);
+      for (size_t depth = 1; depth < k + 3; ++depth) {
+        node = t.AddChild(node, depth == foreign ? x : a);
+        if (depth % 11 == 0) t.AddChild(node, x);
+      }
+      const std::string where =
+          "k=" + std::to_string(k) + " x at " + std::to_string(foreign);
+      ExpectMatchesEnumeration(p, t, where);
+      EXPECT_FALSE(Evaluate(p, t).empty()) << where;
+    }
+  }
+}
 
 /// A document shaped like the merge_edits seeds: <r> with eight anchors
 /// s0..s7, each holding 60 a groups of 1-3 b, 30 c groups of 0-2 d and 10

@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "xml/isomorphism.h"
 #include "xml/tree_algos.h"
 
 namespace xmlup {
@@ -120,6 +121,115 @@ TEST_F(TreeTest, GraftCopyPreservesChildOrder) {
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(t.LabelName(kids[0]), "p");
   EXPECT_EQ(t.LabelName(kids[1]), "q");
+}
+
+/// The nodes of the subtree at `n` in pre-order, children left to right,
+/// walked by the links.
+std::vector<NodeId> LeftToRightPreOrder(const Tree& t, NodeId n) {
+  std::vector<NodeId> out;
+  NodeId at = n;
+  while (true) {
+    out.push_back(at);
+    if (t.first_child(at) != kNullNode) {
+      at = t.first_child(at);
+      continue;
+    }
+    while (at != n && t.next_sibling(at) == kNullNode) at = t.parent(at);
+    if (at == n) return out;
+    at = t.next_sibling(at);
+  }
+}
+
+TEST_F(TreeTest, GraftCopyOfAHundredThousandDeepChain) {
+  const size_t n = 100000;
+  Tree src(symbols_);
+  NodeId last = src.CreateRoot(L("a"));
+  for (size_t depth = 1; depth < n; ++depth) {
+    last = src.AddChild(last, L(depth % 3 == 0 ? "a" : "b"));
+  }
+  Tree t(symbols_);
+  const NodeId root = t.CreateRoot(L("r"));
+  const NodeId before = t.AddChild(root, L("s"));
+  const NodeId copy = t.GraftCopy(root, src, src.root());
+  EXPECT_EQ(t.size(), n + 2);
+  EXPECT_EQ(t.Children(root), (std::vector<NodeId>{before, copy}));
+  // Labels down the copy, in order, each id one above its parent's.
+  NodeId from = src.root();
+  NodeId to = copy;
+  size_t depth = 0;
+  for (; from != kNullNode && to != kNullNode; ++depth) {
+    ASSERT_EQ(t.label(to), src.label(from)) << depth;
+    ASSERT_EQ(t.next_sibling(to), kNullNode) << depth;
+    if (to != copy) {
+      ASSERT_EQ(to, t.parent(to) + 1) << depth;
+    }
+    from = src.first_child(from);
+    to = t.first_child(to);
+  }
+  EXPECT_EQ(depth, n);
+  EXPECT_EQ(from, kNullNode);
+  EXPECT_EQ(to, kNullNode);
+  EXPECT_EQ(src.size(), n);
+  EXPECT_TRUE(t.Validate().ok());
+}
+
+TEST_F(TreeTest, GraftCopyOfWideNestedContent) {
+  // 200 children under the root, with 0-3 children of their own, some of
+  // those with a chain of two below.
+  Tree src(symbols_);
+  const NodeId top = src.CreateRoot(L("x"));
+  Rng rng(11);
+  const char* const labels[] = {"p", "q", "u", "v"};
+  for (int i = 0; i < 200; ++i) {
+    const NodeId kid = src.AddChild(top, L(labels[rng.NextBounded(4)]));
+    for (uint64_t j = 0, m = rng.NextBounded(4); j < m; ++j) {
+      const NodeId grandkid = src.AddChild(kid, L(labels[rng.NextBounded(4)]));
+      if (rng.NextBool(0.3)) {
+        src.AddChild(src.AddChild(grandkid, L("w")), L("z"));
+      }
+    }
+  }
+  Tree t(symbols_);
+  const NodeId root = t.CreateRoot(L("r"));
+  const NodeId early = t.AddChild(root, L("s"));
+  const NodeId copy = t.GraftCopy(early, src, src.root());
+  EXPECT_EQ(t.size(), src.size() + 2);
+  EXPECT_EQ(CanonicalCode(t, copy), CanonicalCode(src));
+  EXPECT_TRUE(OrderedEqual(CopySubtree(t, copy), src));
+  // Ids come out in pre-order, consecutive from the copy's root.
+  const std::vector<NodeId> order = LeftToRightPreOrder(t, copy);
+  ASSERT_EQ(order.size(), src.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(order[i], copy + i) << i;
+  }
+  EXPECT_TRUE(t.Validate().ok());
+}
+
+TEST_F(TreeTest, DeleteSubtreeOfAHundredThousandDeepChain) {
+  const size_t n = 100000;
+  Tree t(symbols_);
+  const NodeId root = t.CreateRoot(L("r"));
+  const NodeId before = t.AddChild(root, L("s"));
+  const NodeId top = t.AddChild(root, L("a"));
+  const NodeId after = t.AddChild(root, L("s"));
+  t.AddChild(after, L("k"));
+  NodeId last = top;
+  for (size_t depth = 1; depth < n; ++depth) {
+    last = t.AddChild(last, L("a"));
+    // Siblings along the chain, so the climb passes nodes with none left.
+    if (depth % 1000 == 0) t.AddChild(t.parent(last), L("b"));
+  }
+  const size_t chain = t.size() - 4;
+  t.DeleteSubtree(top);
+  // Only the root and its other two children, one with a child, remain.
+  EXPECT_EQ(t.size(), 4u);
+  EXPECT_GT(chain, n);
+  EXPECT_FALSE(t.alive(top));
+  EXPECT_FALSE(t.alive(last));
+  EXPECT_TRUE(t.alive(before));
+  EXPECT_TRUE(t.alive(after));
+  EXPECT_EQ(t.Children(root), (std::vector<NodeId>{before, after}));
+  EXPECT_TRUE(t.Validate().ok());
 }
 
 TEST_F(TreeTest, ValidateHoldsAfterRandomGraftsAndDeletes) {
