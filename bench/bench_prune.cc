@@ -1,10 +1,10 @@
 // Stage 0 ablation for the schema-type pruning filter: a typed 64×64
 // read×update matrix solved two ways on the warm ref-Detect path —
-//   warm    compiled automata + memoized products, no schema (the PR 6
-//           hot path: every pair runs the full Stage 1 machinery);
+//   warm    no schema: every pair runs the Stage 1 linear detectors,
+//           the §4.1 DP matcher on the store's compiled chains;
 //   pruned  the same pairs with DetectorOptions::dtd set: schema-disjoint
 //           pairs resolve in Stage 0 (method kTypePruned) before any
-//           automata work.
+//           matching work.
 // The workload is sixteen sealed subsystems under a sealed root, 4 reads
 // + 4 updates each, so the ~94% cross-subsystem pairs (plus some
 // insert-insensitive same-subsystem ones) are schema-disjoint — and also
@@ -64,8 +64,8 @@ struct TypedWorkload {
 /// r/s<k>, so cross-subsystem pairs are independent on *all* documents
 /// (their depth-1 ancestors differ), which keeps the pruned and unpruned
 /// verdict vectors identical — Stage 0 just proves it in O(1), while the
-/// warm path pays one memoized product probe per read edge along chains
-/// several x-steps deep.
+/// warm path pays one DP match of the update's chain per read edge along
+/// chains several x-steps deep.
 TypedWorkload MakeTypedWorkload() {
   TypedWorkload w;
   w.symbols = std::make_shared<SymbolTable>();
@@ -95,8 +95,8 @@ TypedWorkload MakeTypedWorkload() {
 
   for (size_t k = 0; k < kSubsystems; ++k) {
     // 4 reads: twelve x-steps deep × child/descendant × with/without leaf.
-    // Depth is the point: the warm path pays one product probe per read
-    // edge, Stage 0 one footprint intersection per pair regardless.
+    // Depth is the point: the warm path pays one DP match per read edge,
+    // Stage 0 one footprint intersection per pair regardless.
     for (int descendant = 0; descendant < 2; ++descendant) {
       for (int leaf = 0; leaf < 2; ++leaf) {
         w.reads.push_back(intern(chain(k, 12, descendant != 0, leaf != 0)));
@@ -146,7 +146,7 @@ uint64_t Pass(const TypedWorkload& w, const DetectorOptions& options,
 void BM_DetectWarmUnpruned(benchmark::State& state) {
   const TypedWorkload w = MakeTypedWorkload();
   const DetectorOptions options = WarmOptions();
-  Pass(w, options, nullptr, nullptr);  // compile + fill the product cache
+  Pass(w, options, nullptr, nullptr);  // compile every pattern's chain
   for (auto _ : state) {
     benchmark::DoNotOptimize(Pass(w, options, nullptr, nullptr));
   }
@@ -159,7 +159,7 @@ void BM_DetectWarmPruned(benchmark::State& state) {
   const TypedWorkload w = MakeTypedWorkload();
   DetectorOptions options = WarmOptions();
   options.dtd = w.dtd;
-  Pass(w, options, nullptr, nullptr);  // summaries + residual automata
+  Pass(w, options, nullptr, nullptr);  // summaries + residual chains
   for (auto _ : state) {
     benchmark::DoNotOptimize(Pass(w, options, nullptr, nullptr));
   }
@@ -209,8 +209,8 @@ std::string MeasurePrune() {
   const bool spans_were_enabled = recorder.enabled();
   recorder.set_enabled(false);
   uint64_t sink = 0;
-  // Warm: the PR 6 hot path — compiled automata + memoized products
-  // (populated by the oracle passes above), every pair through Stage 1.
+  // Warm: every pair through Stage 1's DP matcher on the compiled chains
+  // (compiled by the oracle passes above).
   const double warm_s =
       time_best([&] { sink += Pass(w, warm_options, nullptr, nullptr); });
   // Pruned: identical except Stage 0 short-circuits the disjoint pairs.

@@ -245,7 +245,8 @@ def check_workload(stats, args):
                      sub="workload")
     counters = require(stats["metrics"], "workload",
                        ["detector.calls",
-                        "detector.method.leaf_path_certificate"],
+                        "detector.method.leaf_path_certificate",
+                        "detector.method.leaf_path_witness"],
                        sub="counters")
     if counters["detector.calls"] == 0:
         structural("no detector calls recorded: the driver never ran")
@@ -254,6 +255,11 @@ def check_workload(stats, args):
     if counters["detector.method.leaf_path_certificate"] == 0:
         structural("no pair resolved via kLeafPathCertificate: "
                    "the leaf-path certificate is dead")
+    # Most of the conflicting branching pairs the certificate leaves have a
+    # witness built from a conflicting leaf path.
+    if counters["detector.method.leaf_path_witness"] == 0:
+        structural("no pair resolved via kLeafPathWitness: "
+                   "the leaf-path witness is dead")
     phases = report["phases"]
     if not phases:
         structural("workload report has no phases")

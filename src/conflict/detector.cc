@@ -1,6 +1,8 @@
 #include "conflict/detector.h"
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "conflict/read_delete.h"
@@ -33,6 +35,7 @@ struct DetectorMetrics {
   obs::Counter& method_bounded;
   obs::Counter& method_type_pruned;
   obs::Counter& method_leaf_path;
+  obs::Counter& method_leaf_path_witness;
 
   static const DetectorMetrics& Get() {
     static const DetectorMetrics* const metrics = [] {
@@ -50,6 +53,7 @@ struct DetectorMetrics {
           reg.GetCounter("detector.method.bounded_search"),
           reg.GetCounter("detector.method.type_pruned"),
           reg.GetCounter("detector.method.leaf_path_certificate"),
+          reg.GetCounter("detector.method.leaf_path_witness"),
       };
     }();
     return *metrics;
@@ -90,6 +94,9 @@ void CountReport(const DetectorMetrics& metrics, const ConflictReport& report) {
     case DetectorMethod::kLeafPathCertificate:
       metrics.method_leaf_path.Increment();
       break;
+    case DetectorMethod::kLeafPathWitness:
+      metrics.method_leaf_path_witness.Increment();
+      break;
   }
 }
 
@@ -102,36 +109,57 @@ void CountOutcome(const DetectorMetrics& metrics,
   }
 }
 
-/// Heuristic fast path for branching reads: run the complete linear
-/// algorithm on the read's mainline; if that conflicts, extend its witness
-/// with models of the read's branch subtrees (so the predicates hold) and
-/// check the result against the definitional checker. Sound — anything
-/// accepted is a verified witness — but incomplete; failures fall through
-/// to the bounded search.
+/// The Lemma 4 / Lemma 8 extension step for a branching read, shared by
+/// the mainline heuristic (`end` = O(R)) and the leaf-path witness (`end`
+/// a leaf ℓ; when O(R) is a leaf, the mainline is that leaf's path).
+/// `path_witness` is a verified witness of a conflict of the read's
+/// root-to-`end` path SEQ_ROOT^end. Models of the read's branches off that
+/// path are grafted onto every node of it, so each embedding of the path
+/// extends to one of the read, and the result is returned if `is_witness`
+/// (the Lemma 1 checker on the full read) accepts it; with `uniquify`, a
+/// rejected tree gets the Lemma 2 uniquifying child under every node and
+/// is checked once more. Sound — nothing unchecked is returned — but
+/// incomplete; a miss hands the pair to the next stage.
 template <typename VerifyFn>
-std::optional<Tree> TryMainlineWitness(const Pattern& read,
-                                       const Pattern& update,
-                                       const Tree* inserted,
-                                       const ConflictReport& linear,
-                                       const VerifyFn& is_witness) {
-  if (!linear.conflict() || !linear.witness.has_value()) return std::nullopt;
-  Tree candidate = CopyTree(*linear.witness);
-  // The models' filler is new to the linear witness as well as the inputs.
-  const Label filler =
-      FillerLabels({&read, &update}, {inserted, &candidate}, 1)[0];
-  GraftBranchModelsEverywhere(&candidate, read, filler);
-  if (is_witness(candidate)) return candidate;
+std::optional<Tree> ExtendPathWitness(const Pattern& read, PatternNodeId end,
+                                      const Pattern& update,
+                                      const Tree* inserted, Tree path_witness,
+                                      bool uniquify,
+                                      const VerifyFn& is_witness) {
+  // The filler and the uniquifying label are new to the path witness as
+  // well as the inputs.
+  const std::vector<Label> fill = FillerLabels(
+      {&read, &update}, {inserted, &path_witness}, uniquify ? 2 : 1);
+  if (end == read.output()) {
+    GraftBranchModelsEverywhere(&path_witness, read, fill[0]);
+  } else {
+    Pattern moved = read;
+    moved.SetOutput(end);
+    GraftBranchModelsEverywhere(&path_witness, moved, fill[0]);
+  }
+  if (is_witness(path_witness)) return path_witness;
+  if (!uniquify) return std::nullopt;
+  for (NodeId n : path_witness.PreOrder()) path_witness.AddChild(n, fill[1]);
+  if (is_witness(path_witness)) return path_witness;
   return std::nullopt;
 }
 
-ConflictReport MainlineHeuristicReport(Tree witness) {
+ConflictReport ExtendedWitnessReport(DetectorMethod method, Tree witness,
+                                     std::string detail) {
   ConflictReport report;
   report.verdict = ConflictVerdict::kConflict;
   report.witness = std::move(witness);
-  report.method = DetectorMethod::kMainlineHeuristic;
-  report.detail = "mainline witness extended with branch models";
+  report.method = method;
+  report.detail = std::move(detail);
   return report;
 }
+
+/// A leaf ℓ ≠ O(R) of a branching read whose path SEQ_ROOT^ℓ has a node
+/// conflict, with the linear detector's verified witness of it.
+struct ConflictingLeaf {
+  PatternNodeId leaf;
+  std::optional<Tree> witness;
+};
 
 /// Stage 1b, the leaf-path independence certificate for a branching read
 /// (proof in DESIGN.md, "Leaf-path independence certificate"). A node
@@ -144,22 +172,17 @@ ConflictReport MainlineHeuristicReport(Tree witness) {
 /// the mainline before and after, so the mainline's own report (computed
 /// under the requested semantics by the heuristic) must also be clean.
 ///
-/// True when `mainline` and every leaf path are kNoConflict; each leaf
-/// path is compiled on the spot and handed to `detect_node` (the complete
-/// linear core under node semantics). A leaf-path error propagates.
+/// Returns the leaves whose paths conflict, in pattern-node order, with
+/// their witnesses; each leaf path is compiled on the spot and handed to
+/// `detect_node` (the complete linear core under node semantics, which
+/// builds a witness only on a conflict). An output leaf's path is the
+/// mainline, which `MainlineClears` covers, so it is skipped. The pair is
+/// certified when no leaf is returned and the mainline clears. A leaf-path
+/// error propagates.
 template <typename DetectNodeFn>
-Result<bool> LeafPathsCertify(const Pattern& read,
-                              const ConflictReport& mainline,
-                              ConflictSemantics semantics,
-                              const DetectNodeFn& detect_node) {
-  // An output leaf's path is the mainline itself, and a clean mainline
-  // report under any semantics includes its node-semantics check.
-  const bool output_is_leaf = read.first_child(read.output()) ==
-                              kNullPatternNode;
-  if ((semantics != ConflictSemantics::kNode || output_is_leaf) &&
-      mainline.verdict != ConflictVerdict::kNoConflict) {
-    return false;
-  }
+Result<std::vector<ConflictingLeaf>> ConflictingLeafPaths(
+    const Pattern& read, const DetectNodeFn& detect_node) {
+  std::vector<ConflictingLeaf> conflicting;
   for (PatternNodeId n = 0; n < read.size(); ++n) {
     if (n == read.output() || read.first_child(n) != kNullPatternNode) {
       continue;
@@ -167,9 +190,22 @@ Result<bool> LeafPathsCertify(const Pattern& read,
     XMLUP_ASSIGN_OR_RETURN(
         ConflictReport path,
         detect_node(CompiledPattern(ExtractSeq(read, read.root(), n))));
-    if (path.verdict != ConflictVerdict::kNoConflict) return false;
+    if (path.verdict != ConflictVerdict::kNoConflict) {
+      conflicting.push_back({n, std::move(path.witness)});
+    }
   }
-  return true;
+  return conflicting;
+}
+
+/// The certificate's mainline condition: under tree or value semantics,
+/// or when O(R) is a leaf, the mainline's report must be clean. A clean
+/// report under any semantics includes its node-semantics check.
+bool MainlineClears(const Pattern& read, const ConflictReport& mainline,
+                    ConflictSemantics semantics) {
+  const bool output_is_leaf =
+      read.first_child(read.output()) == kNullPatternNode;
+  return (semantics == ConflictSemantics::kNode && !output_is_leaf) ||
+         mainline.verdict == ConflictVerdict::kNoConflict;
 }
 
 ConflictReport LeafPathCertificateReport() {
@@ -230,12 +266,11 @@ std::optional<ConflictReport> TypePruneStage(const PatternStore& store,
 
 /// The staged pipeline for a read interned in `store` and an update bound
 /// to it. The update's kind chooses only the Stage 1 linear core, the
-/// witness checker the heuristic extension must pass, and the Stage 2
-/// search; the linear path and the heuristic's mainline probe both run on
-/// the store's compiled forms (the compiled read *is* its mainline chain,
-/// so one call serves both), and only the heuristic extension, the
-/// leaf-path certificate and the bounded search touch the full stored
-/// read.
+/// witness checker the extensions must pass, and the Stage 2 search; the
+/// linear path and the heuristic's mainline probe both run on the store's
+/// compiled forms (the compiled read *is* its mainline chain, so one call
+/// serves both), and only the extensions, the leaf-path certificate and
+/// the bounded search touch the full stored read.
 Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
                                     const UpdateOp& update,
                                     const DetectorOptions& options) {
@@ -277,35 +312,55 @@ Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
     return linear_core(read_compiled, options.semantics, options.build_witness);
   }
   metrics.dispatch_branching.Increment();
+  const Pattern& full_read = store.pattern(read);
+  auto is_witness = [&](const Tree& t) {
+    return is_insert ? IsReadInsertWitness(full_read, update_pattern,
+                                           *inserted, t, options.semantics)
+                     : IsReadDeleteWitness(full_read, update_pattern, t,
+                                           options.semantics);
+  };
   // Heuristic: conflict of the read's mainline often extends to the full
   // branching read once its predicates are satisfiable everywhere. The
-  // mainline call always builds its witness — TryMainlineWitness extends
-  // that verified tree. The mainline of any read is linear, so a failure
-  // here is a real InvalidArgument/Internal error, not a heuristic miss —
-  // propagate it instead of masking it behind the bounded search.
+  // mainline call always builds its witness, the verified tree the
+  // extension starts from. The mainline of any read is linear, so a
+  // failure here is a real InvalidArgument/Internal error, not a heuristic
+  // miss — propagate it instead of masking it behind the bounded search.
   Result<ConflictReport> mainline_report =
       linear_core(read_compiled, options.semantics, /*build_witness=*/true);
   if (!mainline_report.ok()) return mainline_report;
-  const Pattern& full_read = store.pattern(read);
-  std::optional<Tree> candidate = TryMainlineWitness(
-      full_read, update_pattern, inserted, *mainline_report,
-      [&](const Tree& t) {
-        return is_insert ? IsReadInsertWitness(full_read, update_pattern,
-                                               *inserted, t, options.semantics)
-                         : IsReadDeleteWitness(full_read, update_pattern, t,
-                                               options.semantics);
-      });
-  if (candidate.has_value()) {
-    return MainlineHeuristicReport(std::move(*candidate));
+  if (mainline_report->conflict() && mainline_report->witness.has_value()) {
+    if (std::optional<Tree> witness = ExtendPathWitness(
+            full_read, full_read.output(), update_pattern, inserted,
+            std::move(*mainline_report->witness), /*uniquify=*/false,
+            is_witness)) {
+      return ExtendedWitnessReport(
+          DetectorMethod::kMainlineHeuristic, std::move(*witness),
+          "mainline witness extended with branch models");
+    }
   }
   XMLUP_ASSIGN_OR_RETURN(
-      const bool certified,
-      LeafPathsCertify(full_read, *mainline_report, options.semantics,
-                       [&](const CompiledPattern& path) {
-                         return linear_core(path, ConflictSemantics::kNode,
-                                            /*build_witness=*/false);
-                       }));
-  if (certified) return LeafPathCertificateReport();
+      std::vector<ConflictingLeaf> conflicting,
+      ConflictingLeafPaths(full_read, [&](const CompiledPattern& path) {
+        return linear_core(path, ConflictSemantics::kNode,
+                           /*build_witness=*/true);
+      }));
+  if (conflicting.empty() &&
+      MainlineClears(full_read, *mainline_report, options.semantics)) {
+    return LeafPathCertificateReport();
+  }
+  // The leaf-path witness: each conflicting leaf path's node-semantics
+  // witness, extended like the mainline's. The first tree the checker
+  // accepts is the verdict; the stage never answers kNoConflict.
+  for (ConflictingLeaf& leaf : conflicting) {
+    if (!leaf.witness.has_value()) continue;
+    if (std::optional<Tree> witness = ExtendPathWitness(
+            full_read, leaf.leaf, update_pattern, inserted,
+            std::move(*leaf.witness), /*uniquify=*/true, is_witness)) {
+      return ExtendedWitnessReport(
+          DetectorMethod::kLeafPathWitness, std::move(*witness),
+          "leaf-path witness extended with branch models");
+    }
+  }
   BruteForceResult search =
       is_insert ? BruteForceReadInsertSearch(full_read, update_pattern,
                                              *inserted, options.semantics,

@@ -25,8 +25,10 @@ struct DetectorOptions {
   /// re-runs the Lemma 1 checker per conflict: CertifyUpdatesCommute (and
   /// through it merge), Linter and DependenceAnalyzer clear it whatever
   /// their caller set. Verdict, method and detail are unaffected. The
-  /// branching-read heuristic internally still builds the mainline witness
-  /// it extends (its soundness proof needs the verified tree).
+  /// branching-read heuristic and the leaf-path witness internally still
+  /// build the linear witness they extend, and their reports always carry
+  /// the extended tree they verified (their soundness rests on that
+  /// check).
   bool build_witness = true;
   /// Schema for the Stage 0 type-pruning filter (dtd/type_summary.h).
   /// When set, detection is *conservative under the schema*: Stage 0 may
@@ -65,12 +67,19 @@ struct DetectorOptions {
 ///     each compiled on the spot, plus, under tree or value semantics, the
 ///     heuristic's mainline report. All clean is a PTIME proof of
 ///     independence: method kLeafPathCertificate, kNoConflict;
+///   - Stage 1c (branching reads with a leaf path SEQ_ROOT^l that has a
+///     node conflict): the leaf-path witness — for each such l in
+///     pattern-node order, that path's linear witness extended with models
+///     of the read's branches off the root-to-l path, plus the Lemma 2
+///     uniquifying children when the first check fails. The first tree the
+///     Lemma 1 checker accepts is the verdict: method kLeafPathWitness,
+///     kConflict. It never answers kNoConflict;
 ///   - Stage 2: bounded witness search (method kBoundedSearch), which may
 ///     answer kUnknown when the budget does not cover the paper's witness
 ///     bound.
 ///
-/// Per-call verdict/method counters and a latency histogram are reported
-/// into obs::MetricsRegistry::Default(); a "Detect" span is recorded when
+/// Per-call verdict and method counters are reported into
+/// obs::MetricsRegistry::Default(); a "Detect" span is recorded when
 /// obs::TraceRecorder::Default() is enabled.
 ///
 /// This value overload holds no algorithm: it interns the read and binds

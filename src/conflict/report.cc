@@ -26,6 +26,8 @@ std::string_view DetectorMethodName(DetectorMethod method) {
       return "type-pruned";
     case DetectorMethod::kLeafPathCertificate:
       return "leaf-path-certificate";
+    case DetectorMethod::kLeafPathWitness:
+      return "leaf-path-witness";
   }
   return "?";
 }

@@ -41,8 +41,16 @@ enum class DetectorMethod {
   /// read and, under tree or value semantics, none on its mainline — a
   /// PTIME proof of independence (DESIGN.md, "Leaf-path independence
   /// certificate"). Always kNoConflict; a failed certificate hands the
-  /// pair to the bounded search.
+  /// pair to the leaf-path witness.
   kLeafPathCertificate,
+  /// Branching reads the certificate did not settle because some
+  /// root-to-leaf path SEQ_ROOT^l has a node conflict: that path's linear
+  /// witness, extended with grafted models of the read's other branches
+  /// (and, if needed, the Lemma 2 uniquifying children), verified against
+  /// the definitional checker (DESIGN.md, "Leaf-path witness"). Always
+  /// kConflict with that witness; when no leaf path's tree passes, the
+  /// pair goes to the bounded search.
+  kLeafPathWitness,
 };
 
 std::string_view DetectorMethodName(DetectorMethod method);

@@ -57,6 +57,8 @@ TEST_F(DetectorTest, MethodNames) {
             "bounded-search");
   EXPECT_EQ(DetectorMethodName(DetectorMethod::kLeafPathCertificate),
             "leaf-path-certificate");
+  EXPECT_EQ(DetectorMethodName(DetectorMethod::kLeafPathWitness),
+            "leaf-path-witness");
 }
 
 TEST_F(DetectorTest, LinearReadUsesPtimePath) {
@@ -79,20 +81,74 @@ TEST_F(DetectorTest, LinearReadNoConflictIsDefinitive) {
 }
 
 TEST_F(DetectorTest, BranchingReadFallsBackToSearch) {
-  // read a[c] — branching (output at root with a predicate).
-  Pattern read(symbols_);
-  const PatternNodeId root = read.CreateRoot(symbols_->Intern("a"));
-  read.AddChild(root, symbols_->Intern("c"), Axis::kChild);
-  read.SetOutput(root);
-  Tree x = Xml("<c/>", symbols_);
+  // read a[.//c] against a delete of a/b[c] — branching (output at root
+  // with a predicate). The leaf path a//c conflicts, but its witness
+  // carries the delete's branch model [c] under every node, a included,
+  // so a keeps a c after the delete and no extension of it witnesses the
+  // full read. Only the search finds <a><b><c/></b></a>.
   DetectorOptions options;
   options.search.max_nodes = 3;
   Result<ConflictReport> r =
-      DetectInsert(read, Xp("a", symbols_), x, options);
+      DetectDelete(Xp("a[.//c]", symbols_), Xp("a/b[c]", symbols_), options);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->verdict, ConflictVerdict::kConflict);
   EXPECT_EQ(r->method, DetectorMethod::kBoundedSearch);
   EXPECT_GT(r->trees_checked, 0u);
+}
+
+TEST_F(DetectorTest, BranchingReadWitnessBuiltFromItsConflictingLeafPath) {
+  // read a[c] against an insert of <c/> at a: the mainline a never loses
+  // or gains a result, but the leaf path a/c gains one, and its witness,
+  // checked against the full read, shows a becoming a result.
+  const Pattern read = Xp("a[c]", symbols_);
+  const Pattern insert = Xp("a", symbols_);
+  Tree x = Xml("<c/>", symbols_);
+  for (bool build_witness : {true, false}) {
+    DetectorOptions options;
+    options.build_witness = build_witness;
+    Result<ConflictReport> r = DetectInsert(read, insert, x, options);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->verdict, ConflictVerdict::kConflict);
+    EXPECT_EQ(r->method, DetectorMethod::kLeafPathWitness);
+    EXPECT_EQ(r->trees_checked, 0u);
+    // Like the heuristic's, the stage's report carries the tree it
+    // verified whatever build_witness says.
+    ASSERT_TRUE(r->witness.has_value());
+    EXPECT_TRUE(IsReadInsertWitness(read, insert, x, *r->witness,
+                                    ConflictSemantics::kNode));
+  }
+}
+
+/// Every Detect call lands in one outcome counter, and every leaf-path
+/// witness in the stage's method counter.
+TEST_F(DetectorTest, LeafPathWitnessIsCounted) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  auto counter = [&](const char* name) {
+    return reg.GetCounter(name).value();
+  };
+  const char* const names[] = {
+      "detector.calls", "detector.verdict.conflict",
+      "detector.verdict.no_conflict", "detector.verdict.unknown",
+      "detector.errors", "detector.method.leaf_path_witness"};
+  uint64_t before[6];
+  for (size_t i = 0; i < 6; ++i) before[i] = counter(names[i]);
+  DetectorOptions options;
+  options.search.max_nodes = 3;
+  size_t witnessed = 0;
+  for (const char* read : {"a[b]", "a[c]/b", "a[.//c]", "a[b][c]", "a//b"}) {
+    for (const char* del : {"a/b", "a/b[c]", "a//c"}) {
+      Result<ConflictReport> r =
+          DetectDelete(Xp(read, symbols_), Xp(del, symbols_), options);
+      ASSERT_TRUE(r.ok()) << r.status();
+      witnessed += r->method == DetectorMethod::kLeafPathWitness;
+    }
+  }
+  uint64_t delta[6];
+  for (size_t i = 0; i < 6; ++i) delta[i] = counter(names[i]) - before[i];
+  EXPECT_GT(witnessed, 0u);
+  EXPECT_EQ(delta[5], witnessed);
+  EXPECT_EQ(delta[0], 15u);
+  EXPECT_EQ(delta[0], delta[1] + delta[2] + delta[3] + delta[4]);
 }
 
 /// A branching pair only the bounded search can settle: read a[b]/c
@@ -303,13 +359,17 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DetectorPropertyTest, ::testing::Range(0, 8));
 /// Witness constructions take their labels from the table's reserved pool:
 /// after one pass over every witness-building path (linear read-insert and
 /// read-delete witnesses with their Lemma 2 fallbacks, the mainline
-/// heuristic, the bounded search, commutativity certificates; value and
-/// interned reads alike), repeating the pass leaves the table as it is.
+/// heuristic, the leaf-path witness, the bounded search, commutativity
+/// certificates; value and interned reads alike), repeating the pass leaves
+/// the table as it is.
 TEST_F(DetectorTest, RepeatedWitnessBuildsLeaveTheSymbolTableFlat) {
   auto store = std::make_shared<PatternStore>(symbols_);
   std::vector<Pattern> reads;
+  // a[.//c] against the delete a/b[c] is a conflict only the bounded
+  // search witnesses (BranchingReadFallsBackToSearch).
   for (const char* x : {"a/b", "a//b", "a/*/c", "a//b/c", "*//*", "a/b/*",
-                        "a[c]/b", "a[.//c]//b", "a/b[c]", "a[b][c]"}) {
+                        "a[c]/b", "a[.//c]//b", "a/b[c]", "a[b][c]",
+                        "a[.//c]"}) {
     reads.push_back(Xp(x, symbols_));
   }
   std::vector<UpdateOp> updates;
@@ -364,7 +424,8 @@ TEST_F(DetectorTest, RepeatedWitnessBuildsLeaveTheSymbolTableFlat) {
   EXPECT_EQ(witnessed, (std::set<DetectorMethod>{
                            DetectorMethod::kLinearPtime,
                            DetectorMethod::kMainlineHeuristic,
-                           DetectorMethod::kBoundedSearch}));
+                           DetectorMethod::kBoundedSearch,
+                           DetectorMethod::kLeafPathWitness}));
   EXPECT_GT(certified, 0u);
 }
 

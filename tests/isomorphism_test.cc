@@ -1,5 +1,10 @@
 #include "xml/isomorphism.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -91,6 +96,105 @@ TEST_F(IsomorphismTest, CanonicalCodeOnDeepChain) {
   for (int i = 0; i < 500; ++i) n = t.AddChild(n, symbols_->Intern("c"));
   const std::string code = CanonicalCode(t);
   EXPECT_EQ(code.size(), 501u * 3);  // "(c" + ")" per node
+}
+
+/// The definition, written plainly: "(" label name, the children's codes
+/// sorted, ")".
+std::string ReferenceCode(const Tree& t, NodeId n) {
+  std::vector<std::string> children;
+  for (NodeId c = t.first_child(n); c != kNullNode; c = t.next_sibling(c)) {
+    children.push_back(ReferenceCode(t, c));
+  }
+  std::sort(children.begin(), children.end());
+  std::string code = "(" + t.LabelName(n);
+  for (const std::string& child : children) code += child;
+  return code + ")";
+}
+
+/// Labels whose codes share prefixes, so the sort order of sibling codes
+/// depends on more than their first bytes.
+std::vector<Label> PrefixLabels(const std::shared_ptr<SymbolTable>& symbols) {
+  std::vector<Label> labels;
+  for (const char* name : {"a", "ab", "a-b", "a.b", "#x", "_", "A"}) {
+    labels.push_back(symbols->Intern(name));
+  }
+  return labels;
+}
+
+/// A root-to-leaf spine of `depth` nodes plus `extra` nodes, each under a
+/// random earlier node, all with random labels from `labels`.
+Tree RandomTree(Rng& rng, const std::shared_ptr<SymbolTable>& symbols,
+                const std::vector<Label>& labels, size_t depth,
+                size_t extra) {
+  auto label = [&] { return labels[rng.NextBounded(labels.size())]; };
+  Tree t(symbols);
+  std::vector<NodeId> nodes = {t.CreateRoot(label())};
+  for (size_t d = 1; d < depth; ++d) {
+    nodes.push_back(t.AddChild(nodes.back(), label()));
+  }
+  for (size_t i = 0; i < extra; ++i) {
+    nodes.push_back(t.AddChild(nodes[rng.NextBounded(nodes.size())], label()));
+  }
+  return t;
+}
+
+/// Copies the subtree of `source` at `n` under `parent` of `target` (as
+/// its root when `parent` is kNullNode), adding each node's children in a
+/// random order, and `relabeled` with label `to`.
+void ShuffledCopy(Rng& rng, const Tree& source, NodeId n, Tree* target,
+                  NodeId parent, NodeId relabeled, Label to) {
+  const Label label = n == relabeled ? to : source.label(n);
+  const NodeId copy = parent == kNullNode ? target->CreateRoot(label)
+                                          : target->AddChild(parent, label);
+  std::vector<NodeId> children = source.Children(n);
+  for (size_t i = children.size(); i > 1; --i) {
+    std::swap(children[i - 1], children[rng.NextBounded(i)]);
+  }
+  for (NodeId c : children) {
+    ShuffledCopy(rng, source, c, target, copy, relabeled, to);
+  }
+}
+
+TEST_F(IsomorphismTest, CanonicalCodeMatchesARecursiveReference) {
+  Rng rng(27);
+  const std::vector<Label> labels = PrefixLabels(symbols_);
+  size_t subtrees = 0;
+  for (size_t depth : {1, 2, 3, 4, 6, 9, 17, 40, 120, 400}) {
+    for (int round = 0; round < 12; ++round) {
+      const Tree t =
+          RandomTree(rng, symbols_, labels, depth, rng.NextBounded(60));
+      EXPECT_EQ(CanonicalCode(t), ReferenceCode(t, t.root()));
+      for (NodeId n : t.PreOrder()) {
+        ASSERT_EQ(CanonicalCode(t, n), ReferenceCode(t, n))
+            << "depth " << depth << ", node " << n;
+        ++subtrees;
+      }
+    }
+  }
+  EXPECT_GT(subtrees, 10000u);
+}
+
+TEST_F(IsomorphismTest, SiblingOrderDoesNotChangeTheCodeButALabelDoes) {
+  Rng rng(2706);
+  const std::vector<Label> labels = PrefixLabels(symbols_);
+  for (int round = 0; round < 200; ++round) {
+    const Tree t = RandomTree(rng, symbols_, labels, 1 + rng.NextBounded(8),
+                              rng.NextBounded(40));
+    Tree shuffled(symbols_);
+    ShuffledCopy(rng, t, t.root(), &shuffled, kNullNode, kNullNode, 0);
+    EXPECT_EQ(CanonicalCode(shuffled), CanonicalCode(t));
+    EXPECT_TRUE(Isomorphic(t, t.root(), shuffled, shuffled.root()));
+
+    const std::vector<NodeId> nodes = t.PreOrder();
+    const NodeId relabeled = nodes[rng.NextBounded(nodes.size())];
+    size_t to = rng.NextBounded(labels.size());
+    if (labels[to] == t.label(relabeled)) to = (to + 1) % labels.size();
+    Tree changed(symbols_);
+    ShuffledCopy(rng, t, t.root(), &changed, kNullNode, relabeled,
+                 labels[to]);
+    EXPECT_NE(CanonicalCode(changed), CanonicalCode(t));
+    EXPECT_FALSE(Isomorphic(t, t.root(), changed, changed.root()));
+  }
 }
 
 }  // namespace

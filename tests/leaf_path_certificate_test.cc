@@ -1,6 +1,8 @@
 // The leaf-path independence certificate (Stage 1b of Detect; proof in
 // DESIGN.md) checked against the definition: every pair it certifies must
-// have no witness in a complete search over small trees.
+// have no witness in a complete search over small trees. The leaf-path
+// witness (Stage 1c) is checked on the same pairs: every tree it returns
+// must pass the Lemma 1 checker.
 
 #include <set>
 #include <string>
@@ -154,6 +156,64 @@ TEST_F(LeafPathCertificateTest, CertifiedSmallPairsHaveNoWitness) {
   EXPECT_EQ(counter.value() - counter_before, certified);
 }
 
+/// The leaf-path witness (Stage 1c of Detect) checked against the
+/// definition on the same pairs, under all three semantics: every pair it
+/// decides carries a witness the Lemma 1 checker accepts, and no pair it
+/// decides is proved independent by a complete search.
+TEST_F(LeafPathCertificateTest, LeafPathWitnessesOnSmallPairsAreVerified) {
+  const std::vector<Pattern> reads = SmallBranchingReads(symbols_);
+  ASSERT_EQ(reads.size(), 405u);
+  const std::vector<NamedUpdate> updates = FixedUpdates(symbols_);
+  const obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
+      "detector.method.leaf_path_witness");
+  const uint64_t counter_before = counter.value();
+  size_t decided = 0;
+  size_t searched = 0;
+  for (ConflictSemantics semantics :
+       {ConflictSemantics::kNode, ConflictSemantics::kTree,
+        ConflictSemantics::kValue}) {
+    DetectorOptions options;
+    options.semantics = semantics;
+    // The stage runs before the search; a one-node search keeps the pairs
+    // it leaves cheap.
+    options.search.max_nodes = 1;
+    for (const Pattern& read : reads) {
+      for (const NamedUpdate& update : updates) {
+        const Result<ConflictReport> report =
+            Detect(read, update.op, options);
+        ASSERT_TRUE(report.ok()) << report.status();
+        if (report->method != DetectorMethod::kLeafPathWitness) continue;
+        ++decided;
+        const std::string pair = CanonicalPatternCode(read) + " vs " +
+                                 update.name + " (" +
+                                 std::string(ConflictSemanticsName(semantics)) +
+                                 ")";
+        EXPECT_EQ(report->verdict, ConflictVerdict::kConflict) << pair;
+        ASSERT_TRUE(report->witness.has_value()) << pair;
+        const bool accepted =
+            update.op.kind() == UpdateOp::Kind::kInsert
+                ? IsReadInsertWitness(read, update.op.pattern(),
+                                      update.op.content(), *report->witness,
+                                      semantics)
+                : IsReadDeleteWitness(read, update.op.pattern(),
+                                      *report->witness, semantics);
+        EXPECT_TRUE(accepted) << pair << ": " << WriteXml(*report->witness);
+        const size_t bound = PaperWitnessBound(read, update.op.pattern());
+        if (bound > 5) continue;
+        ++searched;
+        const BruteForceResult search =
+            CompleteSearch(read, update.op, semantics, bound);
+        EXPECT_NE(search.outcome, SearchOutcome::kExhaustedNoWitness) << pair;
+      }
+    }
+  }
+  // The sweep must not pass vacuously: the stage decides 424 of the
+  // 6 075 pairs, 32 of them with a paper bound of at most 5.
+  EXPECT_GE(decided, 400u);
+  EXPECT_GE(searched, 30u);
+  EXPECT_EQ(counter.value() - counter_before, decided);
+}
+
 TEST_F(LeafPathCertificateTest, NodeConflictOnANonOutputLeafIsNotCertified) {
   // Deleting a/b never touches the mainline a, but it removes the b that
   // a[b]'s predicate needs: the leaf path a/b carries the conflict.
@@ -162,7 +222,8 @@ TEST_F(LeafPathCertificateTest, NodeConflictOnANonOutputLeafIsNotCertified) {
   const Result<ConflictReport> report = Detect(read, del);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->verdict, ConflictVerdict::kConflict);
-  EXPECT_EQ(report->method, DetectorMethod::kBoundedSearch);
+  // That path's own witness, checked against the full read, settles it.
+  EXPECT_EQ(report->method, DetectorMethod::kLeafPathWitness);
   ASSERT_TRUE(report->witness.has_value());
   EXPECT_TRUE(IsReadDeleteWitness(read, del.pattern(), *report->witness,
                                   ConflictSemantics::kNode));
