@@ -311,10 +311,17 @@ def check_merge(stats, args):
     sweep = require(stats, "merge", ["configs"], sub="merge")
     counters = require(
         stats["metrics"], "merge",
-        ["merge.merges", "merge.ops", "merge.pairs_checked"],
+        ["merge.merges", "merge.ops", "merge.pairs_checked",
+         "merge.certificates"],
         sub="counters")
     if counters["merge.merges"] == 0:
         structural("no merges recorded: instrumentation is dead")
+    # One certificate per distinct ordered op pair of a merge: at least one
+    # call, and never more than the pairs it answers.
+    if not 0 < counters["merge.certificates"] <= counters["merge.pairs_checked"]:
+        structural(f"merge.certificates {counters['merge.certificates']} "
+                   f"not in (0, merge.pairs_checked "
+                   f"{counters['merge.pairs_checked']}]")
     configs = sweep["configs"]
     if not configs:
         structural("merge sweep measured no configs")
@@ -343,7 +350,8 @@ def check_merge(stats, args):
         if config["throughput_ops_per_s"] <= 0:
             structural(f"config {label} throughput "
                        f"{config['throughput_ops_per_s']} not > 0")
-    print(f"ok: {len(configs)} configs; " +
+    print(f"ok: {counters['merge.certificates']} certificates for "
+          f"{counters['merge.pairs_checked']} pairs; {len(configs)} configs; " +
           ", ".join(f"s{c['sessions']}/{c['conflict']} "
                     f"{c['throughput_ops_per_s']:.0f} ops/s "
                     f"({c['accepted']}/{c['ops_total']} accepted)"

@@ -278,6 +278,15 @@ Result<ConflictReport> DetectStaged(const PatternStore& store, PatternRef read,
   const bool is_insert = update.kind() == UpdateOp::Kind::kInsert;
   const Tree* inserted = is_insert ? &update.content() : nullptr;
   if (!is_insert) XMLUP_RETURN_NOT_OK(ValidateDeletePattern(update_pattern));
+  // The bound update's pattern is stored on the store's table, as the read
+  // is; content from another table would have its labels compared across
+  // tables.
+  if (is_insert &&
+      !SameSymbolTable(inserted->symbols(), update_pattern.symbols())) {
+    return Status::InvalidArgument(
+        "insert content was parsed against a different SymbolTable than "
+        "the read's; labels are only comparable within one table");
+  }
   if (options.dtd != nullptr) {
     // The stored read's table, not store.symbols(), which takes the store
     // mutex: every stored pattern is on the store's table.

@@ -24,7 +24,9 @@ struct DetectorOptions {
   /// Verdict-only callers turn this off, since the witness construction
   /// re-runs the Lemma 1 checker per conflict: CertifyUpdatesCommute (and
   /// through it merge), Linter and DependenceAnalyzer clear it whatever
-  /// their caller set. Verdict, method and detail are unaffected. The
+  /// their caller set. Verdict, method and detail are unaffected. Off, a
+  /// linear read's core builds nothing for the witness, not even the DP
+  /// matcher's match word. The
   /// branching-read heuristic and the leaf-path witness internally still
   /// build the linear witness they extend, and their reports always carry
   /// the extended tree they verified (their soundness rests on that
@@ -101,7 +103,9 @@ Result<ConflictReport> Detect(const Pattern& read, const UpdateOp& update,
 /// the §4.1 DP matcher over precomputed chains, nothing rebuilt per call.
 /// An update not bound to this store goes through the value overload on
 /// the resolved read. An invalid ref (or one minted by another store, when
-/// detectable) returns InvalidArgument and counts under detector.errors.
+/// detectable), or insert content on a SymbolTable other than the
+/// store's, returns InvalidArgument and counts under detector.errors, as
+/// the value overload does.
 Result<ConflictReport> Detect(const PatternStore& store, PatternRef read,
                               const UpdateOp& update,
                               const DetectorOptions& options = {});

@@ -1,6 +1,7 @@
 #include "conflict/read_delete.h"
 
 #include <string>
+#include <string_view>
 
 #include "conflict/update_op.h"
 #include "conflict/witness_build.h"
@@ -96,14 +97,17 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
     const bool descendant = r.axis(n_prime) == Axis::kDescendant;
     // Descendant edge: weak match against SEQ_ROOT^n (the parent's
     // prefix, k nodes); child edge: strong match against SEQ_ROOT^n'.
-    MatchResult match = MatchDp(del.chain(),
-                                read.prefix(descendant ? k : k + 1),
-                                /*weak=*/descendant);
+    MatchResult match =
+        MatchDp(del.chain(), read.prefix(descendant ? k : k + 1),
+                /*weak=*/descendant, build_witness);
     if (!match.matches) continue;
     report.verdict = ConflictVerdict::kConflict;
-    report.detail = std::string("node conflict via ") +
-                    (descendant ? "descendant" : "child") +
-                    " edge into read node " + r.LabelName(n_prime);
+    const std::string_view head =
+        descendant ? "node conflict via descendant edge into read node "
+                   : "node conflict via child edge into read node ";
+    const std::string& name = r.LabelName(n_prime);
+    report.detail.reserve(head.size() + name.size());
+    report.detail.append(head).append(name);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness,
@@ -119,7 +123,8 @@ Result<ConflictReport> DetectReadDeleteConflictCompiled(
   // Tree / value semantics (equivalent for linear patterns, Lemma 2): a
   // conflict also exists when the deletion point can fall at-or-below a
   // read result, modifying the returned subtree.
-  MatchResult below = MatchDp(del.chain(), read.chain(), /*weak=*/true);
+  MatchResult below =
+      MatchDp(del.chain(), read.chain(), /*weak=*/true, build_witness);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (D weakly matches R)";

@@ -1,6 +1,7 @@
 #include "conflict/read_insert.h"
 
 #include <string>
+#include <string_view>
 
 #include "conflict/witness_build.h"
 #include "eval/evaluator.h"
@@ -33,6 +34,24 @@ Result<Tree> BuildWitness(const Pattern& read, const Pattern& insert_pattern,
       "read-insert");
 }
 
+/// Lemma 6's suffix test for the read edge into chain position k: SEQ_{n'}^O
+/// embeds at the root of X (child edge) or somewhere in X (descendant
+/// edge). A chain of at most 64 nodes runs the evaluator's chain walk on
+/// the compiled suffix view; a longer one, like a longer Evaluate, takes
+/// the general evaluator on the extracted suffix.
+bool SuffixEmbeds(const CompiledPattern& read, size_t k, bool descendant,
+                  const Tree& inserted) {
+  const LinearChain suffix = read.suffix(k);
+  if (suffix.size() <= 64) {
+    return descendant ? EmbedsAnywhereIn(suffix, inserted, inserted.root())
+                      : EmbedsAt(suffix, inserted, inserted.root());
+  }
+  const Pattern& r = read.mainline_pattern();
+  const Pattern seq = ExtractSeq(r, read.mainline_node(k), r.output());
+  return descendant ? EmbedsAnywhereIn(seq, inserted, inserted.root())
+                    : EmbedsAt(seq, inserted, inserted.root());
+}
+
 Status NonLinearReadError() {
   return Status::InvalidArgument(
       "read pattern must be linear (P^{//,*}) for polynomial detection");
@@ -58,24 +77,24 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
   report.method = DetectorMethod::kLinearPtime;
 
   // Lemmas 5-7: scan the read's edges (n, n') = (chain[k-1], chain[k]) for
-  // a cut edge. The prefix SEQ_ROOT^n is a view of the chain; the suffix
-  // SEQ_{n'}^O is extracted only at an edge whose prefix matched.
+  // a cut edge. The prefix SEQ_ROOT^n and the suffix SEQ_{n'}^O are both
+  // views of the chain; the suffix is tested only at an edge whose prefix
+  // matched.
   const size_t length = read.chain_length();
   for (size_t k = 1; k < length; ++k) {
     const PatternNodeId n_prime = read.mainline_node(k);
     const bool descendant = r.axis(n_prime) == Axis::kDescendant;
-    MatchResult match =
-        MatchDp(ins.chain(), read.prefix(k), /*weak=*/descendant);
+    MatchResult match = MatchDp(ins.chain(), read.prefix(k),
+                                /*weak=*/descendant, build_witness);
     if (!match.matches) continue;
-    const Pattern suffix = ExtractSeq(r, n_prime, r.output());
-    const bool suffix_ok =
-        descendant ? EmbedsAnywhereIn(suffix, inserted, inserted.root())
-                   : EmbedsAt(suffix, inserted, inserted.root());
-    if (!suffix_ok) continue;
+    if (!SuffixEmbeds(read, k, descendant, inserted)) continue;
     report.verdict = ConflictVerdict::kConflict;
-    report.detail = std::string("cut edge (") +
-                    (descendant ? "descendant" : "child") +
-                    ") into read node " + r.LabelName(n_prime);
+    const std::string_view head = descendant
+                                      ? "cut edge (descendant) into read node "
+                                      : "cut edge (child) into read node ";
+    const std::string& name = r.LabelName(n_prime);
+    report.detail.reserve(head.size() + name.size());
+    report.detail.append(head).append(name);
     if (build_witness) {
       XMLUP_ASSIGN_OR_RETURN(
           Tree witness, BuildWitness(r, insert_pattern, inserted,
@@ -89,7 +108,8 @@ Result<ConflictReport> DetectReadInsertConflictCompiled(
 
   // Tree / value semantics: an insertion at-or-below a read result
   // modifies the returned subtree (paper REMARKS after Theorem 2).
-  MatchResult below = MatchDp(ins.chain(), read.chain(), /*weak=*/true);
+  MatchResult below =
+      MatchDp(ins.chain(), read.chain(), /*weak=*/true, build_witness);
   if (below.matches) {
     report.verdict = ConflictVerdict::kConflict;
     report.detail = "subtree-modification conflict (I weakly matches R)";

@@ -40,8 +40,11 @@ Result<ConflictReport> DetectLinearReadInsertConflict(
 
 /// The one implementation of the algorithm above, on compiled forms: each
 /// edge's prefix test is one MatchDp call on a prefix view of the read's
-/// chain, and the suffix SEQ_{n'}^O is extracted only at an edge whose
-/// prefix matched. `read` is scanned along its mainline chain — for a
+/// chain, and at an edge whose prefix matched, the suffix SEQ_{n'}^O is
+/// embedded into X by the evaluator's chain walk on a suffix view of the
+/// same chain. With `build_witness` false nothing is built for the
+/// witness (no match word, no tree); verdict, method and detail are the
+/// same either way. `read` is scanned along its mainline chain — for a
 /// linear read that is the read itself; the detector's branching heuristic
 /// passes a branching read's compiled form to get the Mainline(read)
 /// answer. `insert_pattern` is the full insert (the witness construction

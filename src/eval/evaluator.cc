@@ -41,6 +41,70 @@ struct ChainFrame {
   uint64_t reach;
 };
 
+/// A chain of at most 64 nodes as the linear walk reads it: chain node i
+/// is bit i. The axis of node 0 is ignored. Assign recompiles in place and
+/// keeps the label table's capacity.
+struct ChainMasks {
+  /// The nodes i >= 1 entered by a child-axis and a descendant-axis edge.
+  uint64_t child_axis = 0;
+  uint64_t desc_axis = 0;
+  /// The wildcard nodes, and the last node (O(p) of a linear pattern).
+  uint64_t wild = 0;
+  uint64_t last = 0;
+  /// The chain's distinct labels and, per label, the nodes testing for it.
+  std::vector<Label> labels;
+  std::vector<uint64_t> label_nodes;
+
+  /// The chain nodes whose label test accepts `label`.
+  uint64_t Accepts(Label label) const {
+    uint64_t nodes = wild;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      nodes |= labels[i] == label ? label_nodes[i] : 0;
+    }
+    return nodes;
+  }
+
+  void Assign(const LinearChain& chain) {
+    Reset(chain.size());
+    for (size_t i = 0; i < chain.size(); ++i) {
+      Add(i, chain.classes[i], chain.axes[i]);
+    }
+  }
+
+  /// A linear pattern, whose node ids are its depths.
+  void Assign(const Pattern& p) {
+    Reset(p.size());
+    for (PatternNodeId q = 0; q < p.size(); ++q) {
+      Add(q, p.is_wildcard(q) ? LabelClass::Any() : LabelClass::Of(p.label(q)),
+          p.axis(q));
+    }
+  }
+
+ private:
+  void Reset(size_t size) {
+    child_axis = desc_axis = wild = 0;
+    last = uint64_t{1} << (size - 1);
+    labels.clear();
+    label_nodes.clear();
+  }
+
+  void Add(size_t i, const LabelClass& test, Axis axis) {
+    const uint64_t bit = uint64_t{1} << i;
+    if (i > 0) (axis == Axis::kChild ? child_axis : desc_axis) |= bit;
+    if (test.any) {
+      wild |= bit;
+      return;
+    }
+    const size_t at =
+        std::find(labels.begin(), labels.end(), test.label) - labels.begin();
+    if (at == labels.size()) {
+      labels.push_back(test.label);
+      label_nodes.push_back(0);
+    }
+    label_nodes[at] |= bit;
+  }
+};
+
 /// One edge of the pattern path ROOT(p) → O(p), as word/bit positions.
 struct Link {
   size_t word, up_word;
@@ -70,7 +134,8 @@ struct Scratch {
   /// The kid row of the node being expanded.
   std::vector<uint64_t> kid;
   std::vector<Link> path;
-  /// The linear walk's stack.
+  /// The linear walk's chain and stack.
+  ChainMasks chain_masks;
   std::vector<ChainFrame> chain;
 
   static Scratch& Get() {
@@ -223,51 +288,58 @@ Scratch* EvaluateRegion(const Pattern& p, const Tree& t, NodeId anchor,
   return &s;
 }
 
-/// [[p]](t) for a linear p of at most 64 nodes, in one top-down walk: the
-/// Shift-And automaton of the chain run down every tree path. A linear
-/// pattern's node ids are its depths, so chain node i is bit i of one
-/// word. Chain node i is open at a tree node n iff its label test accepts
-/// n and node i - 1 is open at n's parent (child axis) or at some proper
-/// ancestor of n (descendant axis), i.e. in the parent's reach. A child
-/// whose open row and whose parent's descendant-successor row are both
-/// empty has nothing open anywhere in its subtree, so the walk skips it.
-/// With no predicates, n ∈ [[p]](t) iff O(p), the last chain node, is open
-/// at n (see DESIGN.md, "Evaluator").
-std::vector<NodeId> EvaluateChain(const Pattern& p, const Tree& t,
-                                  Scratch& s) {
-  const Pattern* const forest[] = {&p};
-  s.masks.Assign(forest);
-  uint64_t child_axis = 0;
-  uint64_t desc_axis = 0;
-  for (PatternNodeId q = 1; q < p.size(); ++q) {
-    (p.axis(q) == Axis::kChild ? child_axis : desc_axis) |= uint64_t{1}
-                                                            << q;
-  }
-  const uint64_t output = uint64_t{1} << p.output();
-  std::vector<NodeId> result;
-  const uint64_t root = *s.masks.LabelRow(t.label(t.root())) & 1;
-  if (root == 0) return result;
+/// The linear walk: the Shift-And automaton of a chain of at most 64
+/// nodes run down every tree path below `anchor`. Chain node i is open at
+/// a tree node n iff its label test accepts n and node i - 1 is open at
+/// n's parent (child axis) or at some proper ancestor of n (descendant
+/// axis), i.e. in the parent's reach; node 0 opens at the anchor, and with
+/// `anywhere` at every node under it too, as if a descendant edge led into
+/// it from above the anchor. A child whose open row and whose parent's
+/// descendant-successor row are both empty has nothing open anywhere in
+/// its subtree, so the walk skips it. The chain embeds with its last node
+/// at n iff that node is open at n (see DESIGN.md, "Evaluator"). With
+/// `result`, every such n is appended in walk order and the return value
+/// says whether there was one; without, the walk stops at the first.
+bool WalkChain(const ChainMasks& c, const Tree& t, NodeId anchor,
+               bool anywhere, std::vector<NodeId>* result, Scratch& s) {
+  const uint64_t start = anywhere ? 1 : 0;
+  const uint64_t root = c.Accepts(t.label(anchor)) & 1;
+  if ((root | start) == 0) return false;
+  bool found = false;
   s.chain.clear();
-  s.chain.push_back({t.root(), root, root});
+  s.chain.push_back({anchor, root, root});
   while (!s.chain.empty()) {
     const ChainFrame frame = s.chain.back();
     s.chain.pop_back();
-    if ((frame.open & output) != 0) result.push_back(frame.node);
+    if ((frame.open & c.last) != 0) {
+      if (result == nullptr) return true;
+      result->push_back(frame.node);
+      found = true;
+    }
     // The chain nodes that may open at a child, and those of them a
     // descendant edge carries further down whatever the child's label.
-    const uint64_t below = (frame.reach << 1) & desc_axis;
-    const uint64_t next = ((frame.open << 1) & child_axis) | below;
+    const uint64_t below = ((frame.reach << 1) & c.desc_axis) | start;
+    const uint64_t next = ((frame.open << 1) & c.child_axis) | below;
     if (next == 0) continue;
-    for (NodeId c = t.first_child(frame.node); c != kNullNode;
-         c = t.next_sibling(c)) {
-      const uint64_t open = *s.masks.LabelRow(t.label(c)) & next;
+    for (NodeId child = t.first_child(frame.node); child != kNullNode;
+         child = t.next_sibling(child)) {
+      const uint64_t open = c.Accepts(t.label(child)) & next;
       if ((open | below) == 0) continue;
-      s.chain.push_back({c, open, frame.reach | open});
+      s.chain.push_back({child, open, frame.reach | open});
     }
   }
-  // The walk's order is not id order.
-  std::sort(result.begin(), result.end());
-  return result;
+  return found;
+}
+
+/// EmbedsAt / EmbedsAnywhereIn of a chain view: the walk from `at`,
+/// stopped at the first embedding.
+bool ChainEmbeds(const LinearChain& chain, const Tree& t, NodeId at,
+                 bool anywhere) {
+  XMLUP_CHECK(chain.size() >= 1 && chain.size() <= 64);
+  XMLUP_DCHECK(t.alive(at));
+  Scratch& s = Scratch::Get();
+  s.chain_masks.Assign(chain);
+  return WalkChain(s.chain_masks, t, at, anywhere, nullptr, s);
 }
 
 }  // namespace
@@ -372,7 +444,16 @@ std::vector<NodeId> Evaluate(const Pattern& p, const Tree& t) {
   XMLUP_CHECK(p.has_root());
   if (!t.has_root() || t.size() == 0) return {};
   if (p.size() <= 64 && p.IsLinear()) {
-    return EvaluateChain(p, t, Scratch::Get());
+    // A linear pattern has no predicates, so its results are the nodes
+    // where its last node opens. A linear pattern's node ids are its
+    // depths.
+    Scratch& s = Scratch::Get();
+    s.chain_masks.Assign(p);
+    std::vector<NodeId> result;
+    WalkChain(s.chain_masks, t, t.root(), /*anywhere=*/false, &result, s);
+    // The walk's order is not id order.
+    std::sort(result.begin(), result.end());
+    return result;
   }
   Scratch* const s = EvaluateRegion(p, t, t.root(), /*anywhere=*/false);
   if (s == nullptr || !PatternMasks::Test(s->Sat(0), p.root())) return {};
@@ -445,6 +526,14 @@ bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope) {
   XMLUP_DCHECK(t.alive(scope));
   Scratch* const s = EvaluateRegion(p, t, scope, /*anywhere=*/true);
   return PatternMasks::Test(s->Below(0), p.root());
+}
+
+bool EmbedsAt(const LinearChain& chain, const Tree& t, NodeId at) {
+  return ChainEmbeds(chain, t, at, /*anywhere=*/false);
+}
+
+bool EmbedsAnywhereIn(const LinearChain& chain, const Tree& t, NodeId scope) {
+  return ChainEmbeds(chain, t, scope, /*anywhere=*/true);
 }
 
 }  // namespace xmlup

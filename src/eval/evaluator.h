@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "pattern/compiled_pattern.h"
 #include "pattern/pattern.h"
 #include "xml/tree.h"
 
@@ -44,6 +45,15 @@ bool EmbedsAt(const Pattern& p, const Tree& t, NodeId at);
 /// at `scope` ("an embedding into X or some subtree of X", Lemma 6). ROOT(p)
 /// may map anywhere under `scope`, so the region is that whole subtree.
 bool EmbedsAnywhereIn(const Pattern& p, const Tree& t, NodeId scope);
+
+/// EmbedsAt and EmbedsAnywhereIn for a linear pattern given as a chain
+/// view, such as a suffix of a CompiledPattern's chain, with no Pattern
+/// built: the chain's first node maps to `at` (or to any node of the
+/// subtree rooted at `scope`), and the first node's axis is ignored. They
+/// run Evaluate's linear walk from that node and stop at the first
+/// embedding. The chain must have 1 to 64 nodes (CHECK-failed otherwise).
+bool EmbedsAt(const LinearChain& chain, const Tree& t, NodeId at);
+bool EmbedsAnywhereIn(const LinearChain& chain, const Tree& t, NodeId scope);
 
 /// Number of distinct embeddings of `p` into `t` (root-preserving), in
 /// O(|p|·|t|) by dynamic programming — the polynomial counterpart of

@@ -36,7 +36,8 @@ struct DpScratch {
 
 }  // namespace
 
-MatchResult MatchDp(const LinearChain& l1, const LinearChain& l2, bool weak) {
+MatchResult MatchDp(const LinearChain& l1, const LinearChain& l2, bool weak,
+                    bool build_word) {
   const size_t m1 = l1.size();
   const size_t m2 = l2.size();
   LabelClass common;
@@ -81,10 +82,11 @@ MatchResult MatchDp(const LinearChain& l1, const LinearChain& l2, bool weak) {
   while (queue_head < queue.size()) {
     const auto [i, j] = queue[queue_head++];
     if (i == m1 && j == m2) {
-      // Walk the first-reached moves back to the start, re-deriving each
-      // consumed symbol's class.
       MatchResult result;
       result.matches = true;
+      if (!build_word) return result;
+      // Walk the first-reached moves back to the start, re-deriving each
+      // consumed symbol's class.
       size_t bi = i;
       size_t bj = j;
       for (Move move = grid[bi * width + bj]; move != kStart;

@@ -17,10 +17,12 @@ namespace xmlup {
 /// shortest word of L(R(l1)) ∩ L(R(l2)) (or L(R(l2)·(.)*) when weak).
 ///
 /// `weak` allows l1's output to lie strictly below l2's output. Both
-/// chains must be non-empty. The grid and queue are per-thread scratch
-/// that keeps its capacity, so a steady-state match allocates only its
-/// witness word.
-MatchResult MatchDp(const LinearChain& l1, const LinearChain& l2, bool weak);
+/// chains must be non-empty. With `build_word` false the result carries
+/// only `matches` (a verdict-only caller has no use for the word). The
+/// grid and queue are per-thread scratch that keeps its capacity, so a
+/// steady-state match allocates only its witness word.
+MatchResult MatchDp(const LinearChain& l1, const LinearChain& l2, bool weak,
+                    bool build_word = true);
 
 }  // namespace xmlup
 

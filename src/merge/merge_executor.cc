@@ -1,27 +1,64 @@
 #include "merge/merge_executor.h"
 
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "analysis/dependence_graph.h"
 #include "common/check.h"
 #include "eval/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "xml/isomorphism.h"
 #include "xml/symbol_table.h"
 
 namespace xmlup {
 
 namespace {
 
-/// One flattened op in serial order.
+/// One flattened op in serial order. `key` numbers the op's exact
+/// identity within the merge (see OpKeys).
 struct Slot {
   size_t session = 0;
   size_t index = 0;
   UpdateOp op;
+  uint32_t key = 0;
 };
+
+/// Numbers the slots' bound ops by exact identity — pattern ref, kind and,
+/// for an insert, the content's canonical code: the update half of the
+/// batch engine's BatchPairKey. Equal numbers mean equal certificates,
+/// since a certificate reads only its two bound ops. Codes are computed
+/// here, once per insert, and compared within the call, so no store lock
+/// is taken. The scan over distinct keys is O(ops · keys), which the pair
+/// loop's O(ops²) dominates. Returns the number of distinct keys.
+uint32_t OpKeys(std::vector<Slot>* slots) {
+  struct Key {
+    uint32_t ref;
+    UpdateOp::Kind kind;
+    std::string content;
+  };
+  std::vector<Key> keys;
+  for (Slot& slot : *slots) {
+    Key key{slot.op.pattern_ref().id(), slot.op.kind(), {}};
+    if (key.kind == UpdateOp::Kind::kInsert) {
+      key.content = CanonicalCode(slot.op.content());
+    }
+    size_t at = 0;
+    while (at < keys.size() &&
+           !(keys[at].ref == key.ref && keys[at].kind == key.kind &&
+             keys[at].content == key.content)) {
+      ++at;
+    }
+    if (at == keys.size()) keys.push_back(std::move(key));
+    slot.key = static_cast<uint32_t>(at);
+  }
+  return static_cast<uint32_t>(keys.size());
+}
 
 std::string PartnerDetail(const Slot& partner, std::string_view why) {
   std::string detail = "uncertified against session " +
@@ -46,6 +83,8 @@ struct MergeMetrics {
   obs::Counter& pairs_checked;
   obs::Counter& pairs_certified;
   obs::Counter& cert_errors;
+  /// CertifyCommute calls: one per distinct ordered op pair of a merge.
+  obs::Counter& certificates;
   obs::Histogram& width;
 
   static const MergeMetrics& Get() {
@@ -61,6 +100,7 @@ struct MergeMetrics {
           reg.GetCounter("merge.pairs_checked"),
           reg.GetCounter("merge.pairs_certified"),
           reg.GetCounter("merge.cert_errors"),
+          reg.GetCounter("merge.certificates"),
           reg.GetHistogram("merge.width"),
       };
     }();
@@ -132,9 +172,26 @@ Result<MergeReport> MergeExecutor::Merge(
     ~CallScope() { count_.fetch_sub(1, std::memory_order_relaxed); }
     std::atomic<int>& count_;
   } call_scope(active_calls_);
-  if (!SameSymbolTable(tree->symbols(), engine_->symbols())) {
+  const std::shared_ptr<SymbolTable>& symbols = engine_->symbols();
+  if (!SameSymbolTable(tree->symbols(), symbols)) {
     return Status::InvalidArgument(
         "merge tree must share the engine's SymbolTable");
+  }
+  // Every op's pattern and content too, before anything is bound: the
+  // store cannot intern a foreign pattern, and foreign content would graft
+  // labels that mean something else in this tree.
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    for (size_t k = 0; k < sessions[s].size(); ++k) {
+      const UpdateOp& op = sessions[s][k];
+      if (!SameSymbolTable(op.pattern().symbols(), symbols) ||
+          (op.kind() == UpdateOp::Kind::kInsert &&
+           !SameSymbolTable(op.content().symbols(), symbols))) {
+        return Status::InvalidArgument(
+            "session " + std::to_string(s) + " op " + std::to_string(k) +
+            ": pattern and insert content must share the engine's "
+            "SymbolTable");
+      }
+    }
   }
   obs::TraceSpan span("Merge");
 
@@ -161,15 +218,29 @@ Result<MergeReport> MergeExecutor::Merge(
   // --- Certify all pairs; uncertified pairs become forward edges --------
   // Edges are built in (i, j) lexicographic order with i < j, so every
   // edge into a node precedes every edge out of it — the property the
-  // admission scan below relies on.
+  // admission scan below relies on. A certificate reads only its two
+  // bound ops, so each distinct ordered key pair is certified once, at
+  // its first pair in that order, and later pairs with the same keys take
+  // its answer: the same report, "o1"/"o2" detail included, that their
+  // own call would return.
   std::vector<DependenceEdge> edges;
+  size_t certificates = 0;
   {
     obs::TraceSpan certify_span("Merge.certify");
+    const uint32_t keys = OpKeys(&slots);
+    constexpr uint32_t kUncertified = UINT32_MAX;
+    // cert_of[a * keys + b]: the certificate of key pair (a, b), by index.
+    std::vector<uint32_t> cert_of(size_t{keys} * keys, kUncertified);
+    std::vector<Result<IndependenceReport>> certs;
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
         ++report.pairs_checked;
-        const Result<IndependenceReport> cert =
-            engine_->CertifyCommute(slots[i].op, slots[j].op);
+        uint32_t& at = cert_of[size_t{slots[i].key} * keys + slots[j].key];
+        if (at == kUncertified) {
+          at = static_cast<uint32_t>(certs.size());
+          certs.push_back(engine_->CertifyCommute(slots[i].op, slots[j].op));
+        }
+        const Result<IndependenceReport>& cert = certs[at];
         std::string error;
         std::string_view why;
         if (!cert.ok()) {
@@ -195,6 +266,7 @@ Result<MergeReport> MergeExecutor::Merge(
         }
       }
     }
+    certificates = certs.size();
   }
 
   // --- Admission (kReject): first committer wins -------------------------
@@ -278,6 +350,7 @@ Result<MergeReport> MergeExecutor::Merge(
   metrics.pairs_checked.Increment(report.pairs_checked);
   metrics.pairs_certified.Increment(report.pairs_certified);
   metrics.cert_errors.Increment(report.cert_errors);
+  metrics.certificates.Increment(certificates);
   metrics.width.Observe(report.width);
   return report;
 }

@@ -92,9 +92,13 @@ struct MergeReport {
 /// Pipeline (all scheduling work is single-threaded and deterministic):
 ///   1. Bind every op through the engine's PatternStore (intern once,
 ///      certify on refs).
-///   2. Certify all op pairs with Engine::CertifyCommute (§6). Every pair
-///      the certificate cannot clear — kUnknown or an error — becomes a
-///      dependence edge oriented by the serial order (session, index).
+///   2. Certify all op pairs with Engine::CertifyCommute (§6), one call
+///      per distinct ordered pair of op identities (pattern ref, kind,
+///      content canonical code): a certificate reads only its two bound
+///      ops, so a pair of ops identical to an earlier pair's takes that
+///      pair's answer (counter merge.certificates counts the calls). Every
+///      pair the certificate cannot clear — kUnknown or an error — becomes
+///      a dependence edge oriented by the serial order (session, index).
 ///   3. Under kReject, a greedy scan in serial order drops ops with an
 ///      uncertified cross-session pair against an earlier admitted op.
 ///   4. Wavefront levels of the DAG (ComputeWavefronts, the dependence
@@ -113,12 +117,14 @@ struct MergeReport {
 /// "Merge" span with per-level "Merge.level" children when tracing is on.
 class MergeExecutor {
  public:
-  /// `engine` must outlive the executor. The seed tree and all inserted
-  /// content must share the engine's SymbolTable.
+  /// `engine` must outlive the executor.
   explicit MergeExecutor(Engine* engine, MergeOptions options = {});
 
   /// Merges the session streams into `tree` (mutated in place) and
-  /// returns the per-op accounting. Single caller at a time per executor
+  /// returns the per-op accounting. The tree, every op's pattern and all
+  /// inserted content must share the engine's SymbolTable; otherwise the
+  /// merge returns InvalidArgument and leaves the tree untouched. Single
+  /// caller at a time per executor
   /// (the evaluation pool is not re-entrant); distinct executors may merge
   /// concurrently over one shared engine.
   Result<MergeReport> Merge(

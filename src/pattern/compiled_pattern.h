@@ -25,8 +25,10 @@ struct LinearChain {
 /// node, the label class and incoming axis the §4.1 DP matcher reads
 /// (match/dp_matcher.h). The chain's first k+1 nodes are exactly the
 /// prefix SEQ_ROOT^chain[k], so every prefix the linear detectors match
-/// against is a view of the one chain — the form is linear in the
-/// pattern's size, and a match allocates nothing to build its operands.
+/// against is a view of the one chain, and so is every suffix
+/// SEQ_chain[k]^O they embed into inserted content — the form is linear in
+/// the pattern's size, and a match allocates nothing to build its
+/// operands.
 ///
 /// Immutable after construction; safe to share across threads.
 class CompiledPattern {
@@ -53,6 +55,15 @@ class CompiledPattern {
   LinearChain prefix(size_t nodes) const {
     return {std::span<const LabelClass>(classes_).first(nodes),
             std::span<const Axis>(axes_).first(nodes)};
+  }
+
+  /// The chain nodes from position `from` on: SEQ_chain[from]^O as the
+  /// evaluator's chain walk reads it (its first axis is the edge into
+  /// chain[from], which the walk ignores). `from` must be in
+  /// [0, chain_length()).
+  LinearChain suffix(size_t from) const {
+    return {std::span<const LabelClass>(classes_).subspan(from),
+            std::span<const Axis>(axes_).subspan(from)};
   }
 
   /// The whole mainline chain (== prefix(chain_length())).

@@ -83,8 +83,9 @@ std::vector<PatternNodeId> Pattern::PostOrder() const {
   return out;
 }
 
-std::string Pattern::LabelName(PatternNodeId n) const {
-  if (is_wildcard(n)) return "*";
+const std::string& Pattern::LabelName(PatternNodeId n) const {
+  static const std::string* const kWildcardName = new std::string("*");
+  if (is_wildcard(n)) return *kWildcardName;
   return symbols_->Name(label(n));
 }
 

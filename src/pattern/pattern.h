@@ -91,8 +91,9 @@ class Pattern {
   std::vector<PatternNodeId> PreOrder() const;
   std::vector<PatternNodeId> PostOrder() const;
 
-  /// Label name for diagnostics ("*" for wildcards).
-  std::string LabelName(PatternNodeId n) const;
+  /// Label name for diagnostics ("*" for wildcards). The reference stays
+  /// valid for the SymbolTable's lifetime.
+  const std::string& LabelName(PatternNodeId n) const;
 
   /// True if every node has at most one child and the output node is the
   /// unique leaf (the paper's P^{//,*}).

@@ -7,7 +7,9 @@
 // detector accounting invariant (calls == conflict + no_conflict +
 // unknown + errors), the store.nfa.* counter contract, and the
 // centralized root-delete guard on every entry point (factories, value
-// and compiled detectors).
+// and compiled detectors). Over the same sweep, verdict-only calls must
+// report what witness-building calls report, and the cut-edge suffix test
+// on views of the compiled chain must agree with the general evaluator.
 
 #include <cstdint>
 #include <memory>
@@ -20,11 +22,15 @@
 #include "conflict/read_delete.h"
 #include "conflict/read_insert.h"
 #include "conflict/witness_check.h"
+#include "eval/evaluator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "pattern/compiled_pattern.h"
+#include "pattern/pattern_ops.h"
 #include "pattern/pattern_store.h"
+#include "pattern/pattern_writer.h"
 #include "tests/test_util.h"
+#include "xml/tree_algos.h"
 
 namespace xmlup {
 namespace {
@@ -343,32 +349,146 @@ TEST(DetectHotCacheTest, RootDeleteGuardIsCentralized) {
   EXPECT_EQ(compiled_core.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// The cut-edge suffix test runs on suffix views of the compiled chain.
+/// Every suffix SEQ_chain[k]^O of every sweep read, against every node of
+/// the sweep's contents and of a few deeper trees, embeds by the chain
+/// walk exactly when the extracted suffix pattern embeds by the general
+/// evaluator: anchored (EmbedsAt) and anywhere below (EmbedsAnywhereIn).
+TEST(DetectHotCacheTest, SuffixViewsEmbedLikeTheExtractedSuffix) {
+  auto symbols = NewSymbols();
+  const std::vector<Label> labels = {symbols->Intern("a"),
+                                     symbols->Intern("b"), kWildcardLabel};
+  const std::vector<Pattern> reads =
+      EnumerateLinearPatterns(symbols, labels, 4);
+  ASSERT_EQ(reads.size(), 777u);
+  std::vector<Tree> contents;
+  for (const UpdateOp& update : Updates(symbols)) {
+    if (update.kind() == UpdateOp::Kind::kInsert) {
+      contents.push_back(CopyTree(update.content()));
+    }
+  }
+  for (const char* xml :
+       {"<a><c><b><a/></b></c><b/></a>", "<b><b><b><a><a/></a></b></b></b>",
+        "<c><a/><c><a><c><b/></c></a></c></c>"}) {
+    contents.push_back(Xml(xml, symbols));
+  }
+  size_t embeds = 0;
+  size_t checks = 0;
+  for (const Pattern& read : reads) {
+    const CompiledPattern compiled(read);
+    const Pattern& r = compiled.mainline_pattern();
+    for (size_t k = 0; k < compiled.chain_length(); ++k) {
+      const LinearChain view = compiled.suffix(k);
+      const Pattern suffix =
+          ExtractSeq(r, compiled.mainline_node(k), r.output());
+      ASSERT_EQ(view.size(), suffix.size());
+      for (const Tree& content : contents) {
+        for (NodeId at : content.PreOrder()) {
+          const std::string label = ToXPathString(read) + " suffix " +
+                                    std::to_string(k) + " at node " +
+                                    std::to_string(at);
+          const bool anchored = EmbedsAt(suffix, content, at);
+          EXPECT_EQ(EmbedsAt(view, content, at), anchored) << label;
+          const bool anywhere = EmbedsAnywhereIn(suffix, content, at);
+          EXPECT_EQ(EmbedsAnywhereIn(view, content, at), anywhere) << label;
+          embeds += (anchored ? 1 : 0) + (anywhere ? 1 : 0);
+          checks += 2;
+        }
+      }
+    }
+  }
+  EXPECT_GT(embeds, 0u);
+  EXPECT_LT(embeds, checks);
+}
+
+/// The ref facade rejects insert content from another SymbolTable, as the
+/// value facade does: its labels would be compared as if they were the
+/// store's. On a fresh table <b/>'s label is id 0, which is r on the
+/// store's, so a cross-table comparison finds r/a/r in it.
+TEST(DetectHotCacheTest, RefFacadeRejectsInsertContentOnAnotherTable) {
+  auto symbols = NewSymbols();
+  auto store = std::make_shared<PatternStore>(symbols);
+  const PatternRef read = store->Intern(Xp("r/a/r", symbols));
+  auto foreign = std::make_shared<const Tree>(Xml("<b/>", NewSymbols()));
+  const UpdateOp insert = UpdateOp::MakeInsert(
+      store, store->Intern(Xp("r/a", symbols)), foreign);
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const uint64_t calls0 = reg.GetCounter("detector.calls").value();
+  const uint64_t errors0 = reg.GetCounter("detector.errors").value();
+  Result<ConflictReport> by_ref = Detect(*store, read, insert);
+  ASSERT_FALSE(by_ref.ok());
+  EXPECT_EQ(by_ref.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reg.GetCounter("detector.calls").value() - calls0, 1u);
+  EXPECT_EQ(reg.GetCounter("detector.errors").value() - errors0, 1u);
+
+  Result<ConflictReport> by_value = Detect(store->pattern(read), insert);
+  ASSERT_FALSE(by_value.ok());
+  EXPECT_EQ(by_value.status().code(), StatusCode::kInvalidArgument);
+
+  // The same content parsed on the store's table is detected as usual.
+  const UpdateOp local = UpdateOp::MakeInsert(
+      store, insert.pattern_ref(),
+      std::make_shared<const Tree>(Xml("<b/>", symbols)));
+  Result<ConflictReport> ok = Detect(*store, read, local);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->verdict, ConflictVerdict::kNoConflict);
+}
+
+/// A verdict-only call (build_witness false) must report exactly what a
+/// witness-building one reports, apart from the witness: over five
+/// hand-picked reads, one of them branching, and every read of the
+/// exhaustive linear sweep, under all three semantics.
 TEST(DetectHotCacheTest, BuildWitnessOffPreservesVerdicts) {
   auto symbols = NewSymbols();
   auto store = std::make_shared<PatternStore>(symbols);
   const std::vector<UpdateOp> updates = BoundUpdates(store, symbols);
-  DetectorOptions with_witness;
-  DetectorOptions without_witness;
-  without_witness.build_witness = false;
+  std::vector<Pattern> reads;
   for (const char* spec : {"a//b", "a/b/c", "b//*", "a/a", "a[b]//c"}) {
-    const PatternRef ref = store->Intern(Xp(spec, symbols));
-    for (const UpdateOp& update : updates) {
-      Result<ConflictReport> full = Detect(*store, ref, update, with_witness);
-      Result<ConflictReport> lean =
-          Detect(*store, ref, update, without_witness);
-      ASSERT_EQ(full.ok(), lean.ok());
-      if (!full.ok()) continue;
-      EXPECT_EQ(full->verdict, lean->verdict) << spec;
-      EXPECT_EQ(full->method, lean->method) << spec;
-      EXPECT_EQ(full->detail, lean->detail) << spec;
-      // Linear-path conflicts drop only the witness when disabled.
-      if (lean->conflict() &&
-          lean->method == DetectorMethod::kLinearPtime) {
-        EXPECT_FALSE(lean->witness.has_value()) << spec;
-        EXPECT_TRUE(full->witness.has_value()) << spec;
+    reads.push_back(Xp(spec, symbols));
+  }
+  for (Pattern& read : EnumerateLinearPatterns(
+           symbols, {symbols->Intern("a"), symbols->Intern("b"), kWildcardLabel},
+           4)) {
+    reads.push_back(std::move(read));
+  }
+  ASSERT_EQ(reads.size(), 5u + 777u);
+  size_t conflicts = 0;
+  for (const ConflictSemantics semantics :
+       {ConflictSemantics::kNode, ConflictSemantics::kTree,
+        ConflictSemantics::kValue}) {
+    DetectorOptions with_witness;
+    with_witness.semantics = semantics;
+    DetectorOptions without_witness = with_witness;
+    without_witness.build_witness = false;
+    for (const Pattern& read : reads) {
+      const PatternRef ref = store->Intern(read);
+      for (size_t j = 0; j < updates.size(); ++j) {
+        const std::string label =
+            std::string(ConflictSemanticsName(semantics)) + " " +
+            ToXPathString(read) + " update " + std::to_string(j);
+        Result<ConflictReport> full =
+            Detect(*store, ref, updates[j], with_witness);
+        Result<ConflictReport> lean =
+            Detect(*store, ref, updates[j], without_witness);
+        ASSERT_EQ(full.ok(), lean.ok()) << label;
+        if (!full.ok()) continue;
+        EXPECT_EQ(full->verdict, lean->verdict) << label;
+        EXPECT_EQ(full->method, lean->method) << label;
+        EXPECT_EQ(full->detail, lean->detail) << label;
+        conflicts += full->conflict() ? 1 : 0;
+        // Linear-path conflicts drop only the witness when disabled.
+        if (lean->conflict() &&
+            lean->method == DetectorMethod::kLinearPtime) {
+          EXPECT_FALSE(lean->witness.has_value()) << label;
+          EXPECT_TRUE(full->witness.has_value()) << label;
+        }
       }
     }
   }
+  // Both verdicts occur.
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_LT(conflicts, 3 * reads.size() * updates.size());
 }
 
 }  // namespace

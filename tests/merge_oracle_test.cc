@@ -10,15 +10,23 @@
 // conflict regimes (a wide alphabet with few wildcards barely collides; a
 // 2-letter alphabet with frequent wildcards and descendant edges collides
 // constantly), and both conflict policies.
+//
+// The merge certifies each distinct ordered pair of op identities once.
+// Every schedule is also checked against a scan of its own that certifies
+// every pair: pairs_certified, cert_errors, levels, and every op's outcome
+// and detail must agree.
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "conflict/update_independence.h"
 #include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "merge/merge_executor.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "workload/pattern_generator.h"
 #include "workload/tree_generator.h"
@@ -51,6 +59,91 @@ EngineOptions FastCertOptions() {
   options.batch.detector.search.max_trees = 2'000;
   options.batch.detector.build_witness = false;
   return options;
+}
+
+/// What the merge report must say when every pair is certified with a
+/// call of its own, in serial order.
+struct AllPairsReference {
+  size_t pairs_certified = 0;
+  size_t cert_errors = 0;
+  size_t levels = 0;
+  std::vector<MergeOutcome> outcomes;
+  std::vector<std::string> details;
+};
+
+AllPairsReference CertifyEveryPair(
+    Engine& engine, const std::vector<std::vector<UpdateOp>>& sessions,
+    ConflictPolicy policy) {
+  struct Op {
+    size_t session;
+    size_t index;
+    UpdateOp op;
+  };
+  std::vector<Op> ops;
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    for (size_t k = 0; k < sessions[s].size(); ++k) {
+      ops.push_back({s, k, engine.Bind(sessions[s][k])});
+    }
+  }
+  const size_t n = ops.size();
+  AllPairsReference ref;
+  ref.details.assign(n, "");
+  // Uncertified pairs in (i, j) order.
+  std::vector<std::pair<size_t, size_t>> edges;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const Result<IndependenceReport> cert =
+          engine.CertifyCommute(ops[i].op, ops[j].op);
+      std::string why;
+      if (!cert.ok()) {
+        ++ref.cert_errors;
+        why = cert.status().ToString();
+      } else if (cert->certificate == CommutativityCertificate::kCertified) {
+        ++ref.pairs_certified;
+        continue;
+      } else {
+        why = std::string(cert->detail);
+      }
+      edges.emplace_back(i, j);
+      if (ops[i].session == ops[j].session) continue;
+      auto partner = [&](const Op& other) {
+        return "uncertified against session " + std::to_string(other.session) +
+               " op " + std::to_string(other.index) + ": " + why;
+      };
+      if (ref.details[i].empty()) ref.details[i] = partner(ops[j]);
+      if (ref.details[j].empty()) ref.details[j] = partner(ops[i]);
+    }
+  }
+  // First committer wins: an op with a cross-session edge from an earlier
+  // admitted op is dropped.
+  std::vector<bool> rejected(n, false);
+  if (policy == ConflictPolicy::kReject) {
+    for (const auto& [i, j] : edges) {
+      if (ops[i].session != ops[j].session && !rejected[i]) rejected[j] = true;
+    }
+  }
+  // Levels: the longest path of surviving edges into each op.
+  std::vector<size_t> level(n, 0);
+  std::vector<bool> serialized(n, false);
+  for (const auto& [i, j] : edges) {
+    if (rejected[i] || rejected[j]) continue;
+    level[j] = std::max(level[j], level[i] + 1);
+    if (ops[i].session != ops[j].session) serialized[i] = serialized[j] = true;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (rejected[i]) {
+      ref.outcomes.push_back(MergeOutcome::kRejected);
+      continue;
+    }
+    ref.levels = std::max(ref.levels, level[i] + 1);
+    if (serialized[i]) {
+      ref.outcomes.push_back(MergeOutcome::kSerialized);
+    } else {
+      ref.outcomes.push_back(MergeOutcome::kAccepted);
+      ref.details[i].clear();
+    }
+  }
+  return ref;
 }
 
 class MergeOracleTest : public ::testing::Test {
@@ -104,6 +197,12 @@ class MergeOracleTest : public ::testing::Test {
 
     Rng rng(seed);
     size_t serialized_total = 0;
+    obs::Counter& pairs_checked =
+        obs::MetricsRegistry::Default().GetCounter("merge.pairs_checked");
+    obs::Counter& certificates =
+        obs::MetricsRegistry::Default().GetCounter("merge.certificates");
+    const uint64_t pairs_before = pairs_checked.value();
+    const uint64_t certificates_before = certificates.value();
     for (size_t schedule = 0; schedule < schedules; ++schedule) {
       SCOPED_TRACE(std::string(regime.name) + " sessions=" +
                    std::to_string(num_sessions) +
@@ -136,12 +235,32 @@ class MergeOracleTest : public ::testing::Test {
 
       ASSERT_EQ(r1->accepted + r1->serialized + r1->rejected, r1->ops_total);
       ASSERT_EQ(r1->cert_errors, 0u);
+
+      // One certificate per distinct ordered op pair answers every pair
+      // as its own certificate would.
+      const AllPairsReference all_pairs =
+          CertifyEveryPair(engine_, sessions, policy);
+      ASSERT_EQ(r1->pairs_certified, all_pairs.pairs_certified);
+      ASSERT_EQ(r1->cert_errors, all_pairs.cert_errors);
+      ASSERT_EQ(r1->levels, all_pairs.levels);
+      ASSERT_EQ(r1->ops.size(), all_pairs.details.size());
+      for (size_t i = 0; i < r1->ops.size(); ++i) {
+        EXPECT_EQ(r1->ops[i].outcome, all_pairs.outcomes[i]) << "op " << i;
+        EXPECT_EQ(r1->ops[i].detail, all_pairs.details[i]) << "op " << i;
+      }
       serialized_total += r1->serialized + r1->rejected;
     }
     if (regime.alphabet <= 2) {
       // The high-conflict regime must actually exercise the conflict
       // paths; an all-accepted sweep would be testing nothing.
       EXPECT_GT(serialized_total, 0u);
+      // Its small alphabet also repeats ops within a schedule of 8 or more
+      // ops, so some pairs there must be answered by an identical pair's
+      // certificate.
+      if (num_sessions >= 4) {
+        EXPECT_LT(certificates.value() - certificates_before,
+                  pairs_checked.value() - pairs_before);
+      }
     }
   }
 };

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "conflict/update_independence.h"
 #include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -145,6 +146,97 @@ TEST_F(MergeTest, ForeignSymbolTableRejected) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(MergeTest, DeleteOnAForeignSymbolTableRejected) {
+  // The delete's pattern lives on another table: the merge must refuse it
+  // before binding (interning a foreign pattern into the engine's store
+  // is a CHECK failure), and leave the tree as it was.
+  const MergeExecutor executor(&engine_);
+  auto other = NewSymbols();
+  std::vector<std::vector<UpdateOp>> sessions = {
+      {Ins("r/a", "<b/>")},
+      {std::move(UpdateOp::MakeDelete(Xp("r/a", other)).value())},
+  };
+  Tree tree = Xml("<r><a/></r>", symbols_);
+  const std::string before = CanonicalCode(tree);
+  Result<MergeReport> report = executor.Merge(&tree, sessions);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("session 1 op 0"),
+            std::string::npos)
+      << report.status();
+  EXPECT_EQ(CanonicalCode(tree), before);
+}
+
+TEST_F(MergeTest, InsertContentOnAForeignSymbolTableRejected) {
+  // The pattern is on the engine's table but the content is not: grafting
+  // it would bring in label ids that name other labels here (on a fresh
+  // table <b/>'s label is id 0, which is r in the tree's table).
+  const MergeExecutor executor(&engine_);
+  auto other = NewSymbols();
+  std::vector<std::vector<UpdateOp>> sessions = {{UpdateOp::MakeInsert(
+      Xp("r/a", symbols_),
+      std::make_shared<const Tree>(Xml("<b/>", other)))}};
+  Tree tree = Xml("<r><a/></r>", symbols_);
+  const std::string before = CanonicalCode(tree);
+  Result<MergeReport> report = executor.Merge(&tree, sessions);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CanonicalCode(tree), before);
+}
+
+TEST_F(MergeTest, InsertsWithOnePatternAndDifferentContentCertifiedApart) {
+  // Ops 0 and 1 insert at the same pattern, with different content. Op 2
+  // inserts under shop/b: op 0's new b changes its selection, op 1's c
+  // does not. A merge that took ops 0 and 1 for one op would hand op 1
+  // op 0's certificate against op 2.
+  std::vector<std::vector<UpdateOp>> sessions = {
+      {Ins("shop", "<b/>")},
+      {Ins("shop", "<c/>")},
+      {Ins("shop/b", "<x/>")},
+  };
+  const MergeReport report = MergeChecked("<shop><b/></shop>", sessions);
+  // Each pair against a certificate of its own.
+  std::vector<UpdateOp> ops;
+  for (const auto& stream : sessions) ops.push_back(engine_.Bind(stream[0]));
+  EXPECT_TRUE(engine_.CertifyCommute(ops[0], ops[1]).value().certificate ==
+              CommutativityCertificate::kCertified);
+  EXPECT_FALSE(engine_.CertifyCommute(ops[0], ops[2]).value().certificate ==
+               CommutativityCertificate::kCertified);
+  EXPECT_TRUE(engine_.CertifyCommute(ops[1], ops[2]).value().certificate ==
+              CommutativityCertificate::kCertified);
+  EXPECT_EQ(report.pairs_checked, 3u);
+  EXPECT_EQ(report.pairs_certified, 2u);
+  EXPECT_EQ(report.ops[0].outcome, MergeOutcome::kSerialized);
+  EXPECT_EQ(report.ops[1].outcome, MergeOutcome::kAccepted);
+  EXPECT_EQ(report.ops[2].outcome, MergeOutcome::kSerialized);
+  EXPECT_TRUE(report.ops[1].detail.empty());
+  EXPECT_EQ(report.ops[2].detail,
+            "uncertified against session 0 op 0: o1 may change o2's "
+            "selection (conflict)");
+  EXPECT_EQ(report.levels, 2u);
+}
+
+TEST_F(MergeTest, OneCertificatePerDistinctOrderedOpPair) {
+  // Slots A D A D N, where the two A's are one insert parsed twice (their
+  // content is equal by canonical code, not by pointer), the two D's one
+  // delete and N the A pattern with other content. Of the ten pairs, six
+  // distinct ordered key pairs remain: AD, AA, AN, DA, DD, DN.
+  std::vector<std::vector<UpdateOp>> sessions = {
+      {Ins("shop/a", "<m><k/><j/></m>"), Del("shop/b")},
+      {Ins("shop/a", "<m><j/><k/></m>"), Del("shop/b")},
+      {Ins("shop/a", "<n/>")},
+  };
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Default().Snapshot();
+  const MergeReport report =
+      MergeChecked("<shop><a/><b/></shop>", sessions);
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Default().Snapshot().DiffSince(before);
+  EXPECT_EQ(report.pairs_checked, 10u);
+  EXPECT_EQ(delta.counters.at("merge.pairs_checked"), 10u);
+  EXPECT_EQ(delta.counters.at("merge.certificates"), 6u);
+}
+
 TEST_F(MergeTest, ThreadCountChangesNothing) {
   // The executor's determinism contract: schedule, report and merged tree
   // are bit-identical at 1 and 8 threads (threads only parallelize the
@@ -205,6 +297,7 @@ TEST_F(MergeTest, CountersAdvance) {
   EXPECT_EQ(delta.counters.at("merge.merges"), 1u);
   EXPECT_EQ(delta.counters.at("merge.ops"), 2u);
   EXPECT_EQ(delta.counters.at("merge.pairs_checked"), 1u);
+  EXPECT_EQ(delta.counters.at("merge.certificates"), 1u);
 }
 
 }  // namespace
